@@ -20,20 +20,17 @@
 // once with the cache on and N times with it off, with byte-identical
 // outcomes either way. Its cache hit rate lands in BENCH_batch.json.
 //
-// A third workload (ISSUE 10) A/Bs the *result* cache on the shape
-// where the search, not the frontend, is the duplicated cost: a
-// search-heavy unit analyzed once cold and then resubmitted xN. Warm
-// repeats must come from the published outcome (hit rate > 0), the
-// cache-on side must beat the cache-off side by >= 3x wall clock, and
-// every outcome must be byte-identical either way. A companion
-// snapshot-sharing workload runs duplicates with the result cache OFF
-// and requires nonzero SchedulerStats::SnapshotSharedHits without
-// changing any committed result.
+// A third workload A/Bs the *result* cache on the shape where the
+// search, not the frontend, is the duplicated cost: a search-heavy
+// unit analyzed once cold and then resubmitted xN. Warm repeats must
+// come from the published outcome (hit rate > 0), the cache-on side
+// must beat the cache-off side by >= 3x wall clock, and every outcome
+// must be byte-identical either way.
 //
 // Per-program outcomes must be identical in every mode and every round
 // (verdict, witness, output, exit code); the duplicate workloads' hit
-// rates, the result-cache 3x gain, and the shared-donor count are all
-// gated — the bench exits nonzero otherwise, and the bench_batch_quick
+// rates and the result-cache 3x gain are gated — the bench exits
+// nonzero otherwise, and the bench_batch_quick
 // ctest guards them in CI. Other wall-clock numbers are informational.
 // Results land in BENCH_batch.json next to bench_search's
 // BENCH_search.json.
@@ -320,59 +317,6 @@ int main(int argc, char **argv) {
                          "(agree=%d hit_rate=%.3f gain=%.2fx, need >= 3x)\n",
                  RcAgree ? 1 : 0, RcStats.hitRate(), RcGain);
 
-  // Snapshot-sharing workload: the A/B mode itself (result cache OFF,
-  // so duplicates really search) — fingerprint-equal duplicates over
-  // one shared artifact must fork from each other's choice-point
-  // donors engine-wide. Observable only in SnapshotSharedHits and
-  // wall clock; every committed outcome stays identical to a solo
-  // run's.
-  const char *ShareSource = "int f(int a, int b) { return a * 2 + b; }\n"
-                            "int main(void) {\n"
-                            "  int r = f(1, 2) + f(3, 4);\n"
-                            "  int s = f(r, 5) + f(2, r);\n"
-                            "  int t = f(s, r) + f(r, s);\n"
-                            "  return (r + s + t) & 0x7f;\n"
-                            "}\n";
-  const unsigned ShareCopies = 6;
-  AnalysisRequest ShareReq = AnalysisRequest::Builder()
-                                 .searchRuns(32)
-                                 .searchJobs(2)
-                                 .resultCache(false)
-                                 .buildOrDie();
-  DriverOutcome ShareRef;
-  {
-    EngineConfig Solo = engineConfigFor(ShareReq);
-    Solo.ResultCacheEntries = 0;
-    AnalysisEngine Reference(Solo);
-    ShareRef = Reference.submit(ShareReq, ShareSource, "share.c").take();
-  }
-  std::vector<DriverOutcome> Shared;
-  unsigned long long SharedHits = 0;
-  double ShareMs = wallOf([&] {
-    EngineConfig Cfg = engineConfigFor(ShareReq);
-    Cfg.ResultCacheEntries = 0;
-    AnalysisEngine Eng(Cfg);
-    std::vector<BatchInput> ShareInputs;
-    for (unsigned I = 0; I < ShareCopies; ++I)
-      ShareInputs.push_back({ShareSource, "share.c"});
-    std::vector<JobHandle> Handles = Eng.submitBatch(ShareReq, ShareInputs);
-    for (JobHandle &H : Handles)
-      Shared.push_back(H.take());
-    SharedHits = Eng.poolStats().SnapshotSharedHits;
-  });
-  bool ShareAgree = Shared.size() == ShareCopies;
-  for (size_t I = 0; ShareAgree && I < Shared.size(); ++I)
-    ShareAgree = sameOutcome(ShareRef, Shared[I]);
-  std::printf("\ncross-program snapshot sharing (%u duplicates, result "
-              "cache off): %.2f ms, shared-hits=%llu, outcomes %s\n",
-              ShareCopies, ShareMs, SharedHits,
-              ShareAgree ? "identical to solo" : "DIFFER (bug!)");
-  const bool ShareOk = ShareAgree && SharedHits > 0;
-  if (!ShareOk)
-    std::fprintf(stderr, "bench_batch: snapshot-sharing gate FAILED "
-                         "(agree=%d shared_hits=%llu, need > 0)\n",
-                 ShareAgree ? 1 : 0, SharedHits);
-
   std::string Json = "{\n  \"bench\": \"batch\",\n";
   Json += std::string("  \"quick\": ") + (Quick ? "true" : "false") + ",\n";
   char Buf[1024];
@@ -432,15 +376,9 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(RcStats.Misses),
                 RcStats.hitRate(), RcAgree ? "true" : "false");
   Json += Buf;
-  std::snprintf(Buf, sizeof(Buf),
-                "  \"snapshot_sharing\": {\"copies\": %u, \"wall_ms\": %.3f,\n"
-                "    \"shared_hits\": %llu, \"outcomes_identical\": %s},\n",
-                ShareCopies, ShareMs, SharedHits,
-                ShareAgree ? "true" : "false");
-  Json += Buf;
   std::snprintf(Buf, sizeof(Buf), "  \"outcomes_identical\": %s\n}\n",
                 OutcomesAgree ? "true" : "false");
   Json += Buf;
   cundef_bench::writeJsonFile("bench_batch", JsonPath, Json);
-  return OutcomesAgree && CacheOk && ResultCacheOk && ShareOk ? 0 : 1;
+  return OutcomesAgree && CacheOk && ResultCacheOk ? 0 : 1;
 }

@@ -11,15 +11,16 @@
 //              full-state rehash (what the pre-parallel searcher did),
 //   replay     + fingerprint visited-set; children replay their pinned
 //              prefix from main() and rehash the whole configuration at
-//              every choice point (the PR 1 engine),
+//              every choice point,
 //   fork       + children fork mid-run from snapshots captured at their
 //              choice points, and fingerprints are incremental — still
-//              wave-synchronous (the PR 2 engine),
-//   steal      the work-stealing scheduler (core/Scheduler.h): same
-//              fork engine, but speculative execution with a canonical
+//              wave-synchronous (OrderSearch::runReference),
+//   steal      the production search (OrderSearch::run, the
+//              work-stealing scheduler of core/Scheduler.h): same fork
+//              engine, but speculative execution with a canonical
 //              commit wavefront instead of per-wave barriers,
 //   wave x4 / steal x4
-//              both schedulers at 4 worker threads; the wave engine
+//              both engines at 4 worker threads; the wave engine
 //              barriers every generation (and re-spawns its thread team
 //              per wave), the stealing scheduler keeps one pool busy.
 //
@@ -31,10 +32,10 @@
 // matrix). Wall-clock numbers are informational: CI containers may
 // have one core.
 //
-// Every run also appends a machine-readable BENCH_search.json
-// (--json=PATH to relocate) with per-case (engine, sched, jobs,
-// wall-ms, runs, dedup rate, steals) records so the perf trajectory is
-// tracked across PRs instead of scrolling away in logs.
+// Every run also writes a machine-readable BENCH_search.json
+// (--json=PATH to relocate) with per-case (engine, jobs, wall-ms,
+// runs, dedup rate, steals) records. The file is not committed; the
+// repository's tracked benchmark is perfbench/ (BENCHMARK.json).
 //
 //===----------------------------------------------------------------------===//
 
@@ -105,15 +106,17 @@ struct Measured {
   double Millis = 0.0;
 };
 
+/// Times one search: the wave reference engine when \p Reference is
+/// set, else the production scheduler.
 Measured measure(const AstContext &Ast, const SearchOptions &SO,
-                 const char *Engine) {
+                 const char *Engine, bool Reference) {
   MachineOptions MOpts;
   auto Start = std::chrono::steady_clock::now();
   OrderSearch Search(Ast, MOpts, SO);
   Measured M;
   M.Engine = Engine;
   M.Jobs = SO.Jobs;
-  M.R = Search.run();
+  M.R = Reference ? Search.runReference() : Search.run();
   auto End = std::chrono::steady_clock::now();
   M.Millis = std::chrono::duration<double, std::milli>(End - Start).count();
   return M;
@@ -240,25 +243,23 @@ int main(int argc, char **argv) {
     Seq.Dedup = false;
     Seq.UseSnapshots = false;
     Seq.FullRehash = true;
-    Seq.Sched = SchedKind::Wave;
     SearchOptions Replay = Seq; // + visited-set (the PR 1 engine)
     Replay.Dedup = true;
     SearchOptions Fork = Replay; // + snapshots + incremental digests
     Fork.UseSnapshots = true;
     Fork.FullRehash = false;
-    SearchOptions Steal = Fork; // + work-stealing commit wavefront
-    Steal.Sched = SchedKind::Stealing;
-    SearchOptions Wave4 = Fork; // both schedulers at 4 workers
-    Wave4.Jobs = 4;
-    SearchOptions Steal4 = Steal;
-    Steal4.Jobs = 4;
+    SearchOptions Fork4 = Fork; // both engines at 4 workers
+    Fork4.Jobs = 4;
 
     Measured Ms[] = {
-        measure(C->ast(), Seq, "seq"),      measure(C->ast(), Replay, "replay"),
-        measure(C->ast(), Fork, "fork"),    measure(C->ast(), Steal, "steal"),
-        measure(C->ast(), Wave4, "wave4"),  measure(C->ast(), Steal4, "steal4"),
-        measureForced(C->ast(), Steal, "steal16", 16),
-        measureForced(C->ast(), Steal, "steal32", 32),
+        measure(C->ast(), Seq, "seq", true),
+        measure(C->ast(), Replay, "replay", true),
+        measure(C->ast(), Fork, "fork", true),
+        measure(C->ast(), Fork, "steal", false),
+        measure(C->ast(), Fork4, "wave4", true),
+        measure(C->ast(), Fork4, "steal4", false),
+        measureForced(C->ast(), Fork, "steal16", 16),
+        measureForced(C->ast(), Fork, "steal32", 32),
     };
     const Measured &MSeq = Ms[0], &MRep = Ms[1], &MFork = Ms[2],
                    &MSteal = Ms[3], &MWave4 = Ms[4], &MSteal4 = Ms[5],

@@ -37,6 +37,10 @@ set(BAD_FLAGS
   --static-analyze=garbage
   --static-analyze=ON
   --static-analyze=
+  # The scheduler selector is gone (one production search path):
+  # scripts that still pass it must learn so, not have it ignored.
+  --search-sched=steal
+  --search-sched=wave
   # --remote endpoint syntax: every malformed target is rejected before
   # any connection attempt (HOST:PORT needs a nonempty host and a port
   # in 1..65535; unix: needs a nonempty path).

@@ -60,9 +60,6 @@ if(NOT OUT MATCHES "\"result_cache_hit\":" OR NOT OUT MATCHES "\"result_cache\":
    OR NOT OUT MATCHES "\"abandoned\":")
   message(FATAL_ERROR "kcc --json: missing result_cache fields: ${OUT}")
 endif()
-if(NOT OUT MATCHES "\"snapshot_shared_hits\":")
-  message(FATAL_ERROR "kcc --json: missing snapshot_shared_hits pool counter: ${OUT}")
-endif()
 if(ERR MATCHES "ERROR! KCC")
   message(FATAL_ERROR "kcc --json: human report leaked to stderr: ${ERR}")
 endif()

@@ -70,7 +70,7 @@ unsigned SnapshotCache::shardCountFor(unsigned Capacity) {
 
 SnapshotCache::SnapshotCache(unsigned Capacity)
     : Capacity(Capacity), NumShards(shardCountFor(Capacity)),
-      ShardVec(NumShards), IndexVec(kIndexShards) {
+      ShardVec(NumShards) {
   // Distribute the capacity exactly (sum of slices == Capacity), with
   // the remainder on the first shards, so "pending() never exceeds
   // capacity" stays a precise invariant.
@@ -95,8 +95,7 @@ uint64_t SnapshotCache::insertInto(Shard &S, unsigned ShardIdx,
 
 uint64_t SnapshotCache::insert(MachineSnapshot Snap,
                                std::atomic<unsigned> *EvictCounter,
-                               unsigned ShardHint,
-                               const SnapshotShareKey *Share) {
+                               unsigned ShardHint) {
   if (Capacity == 0)
     return 0;
   const unsigned Home = ShardHint & (NumShards - 1);
@@ -121,15 +120,10 @@ uint64_t SnapshotCache::insert(MachineSnapshot Snap,
       }
     }
   if (!Id) {
-    // Every shard full: evict from the home shard. Victim preference:
-    //  1. the oldest *served donor* — its own fork was already cloned
-    //     out, so removing it loses nothing (other programs' elisions
-    //     fall back to replay); this eviction is silent, charged to no
-    //     counter;
-    //  2. program-affine — the oldest pending entry of the *inserting*
-    //     program when one exists (a deep program then thrashes
-    //     against itself);
-    //  3. the shard's global oldest.
+    // Every shard full: evict from the home shard. Eviction is
+    // program-affine — the oldest pending entry of the *inserting*
+    // program when one exists (a deep program then thrashes against
+    // itself), else the shard's global oldest.
     std::unique_ptr<MachineSnapshot> Victim; // destroyed outside the lock
     Shard &S = ShardVec[Home];
     std::lock_guard<std::mutex> Lock(S.Mu);
@@ -139,39 +133,22 @@ uint64_t SnapshotCache::insert(MachineSnapshot Snap,
       auto VictimIt = S.Entries.end();
       for (uint64_t Old : S.Lru) {
         auto It = S.Entries.find(Old);
-        if (It->second.Shared && It->second.Served) {
+        if (It->second.EvictCounter == EvictCounter) {
           VictimIt = It;
           break;
         }
       }
-      const bool Silent = VictimIt != S.Entries.end();
-      if (!Silent) {
-        for (uint64_t Old : S.Lru) {
-          auto It = S.Entries.find(Old);
-          if (It->second.EvictCounter == EvictCounter) {
-            VictimIt = It;
-            break;
-          }
-        }
-        if (VictimIt == S.Entries.end())
-          VictimIt = S.Entries.find(S.Lru.front());
-      }
+      if (VictimIt == S.Entries.end())
+        VictimIt = S.Entries.find(S.Lru.front());
       Victim = std::move(VictimIt->second.Snap);
-      if (VictimIt->second.Shared)
-        deregisterShared(VictimIt->second.SKey, VictimIt->first);
-      if (!Silent) {
-        if (VictimIt->second.EvictCounter)
-          VictimIt->second.EvictCounter->fetch_add(1,
-                                                   std::memory_order_relaxed);
-        Evictions.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (VictimIt->second.EvictCounter)
+        VictimIt->second.EvictCounter->fetch_add(1, std::memory_order_relaxed);
+      Evictions.fetch_add(1, std::memory_order_relaxed);
       S.Lru.erase(VictimIt->second.LruIt);
       S.Entries.erase(VictimIt);
       Id = insertInto(S, Home, std::move(Snap), EvictCounter);
     }
   }
-  if (Id && Share)
-    registerShared(*Share, Id);
   return Id;
 }
 
@@ -185,83 +162,10 @@ std::unique_ptr<MachineSnapshot> SnapshotCache::take(uint64_t Id) {
   if (It == S.Entries.end())
     return nullptr; // evicted: the caller replays its prefix instead
   ++S.Hits;
-  Entry &E = It->second;
-  if (E.Shared) {
-    // Donor: clone for the owner's child and stay resident for other
-    // programs' elided forks. Served makes the entry eviction's first
-    // pick — every fork it still owes is now optional.
-    E.Served = true;
-    S.Lru.splice(S.Lru.end(), S.Lru, E.LruIt);
-    return std::make_unique<MachineSnapshot>(*E.Snap);
-  }
-  std::unique_ptr<MachineSnapshot> Snap = std::move(E.Snap);
-  S.Lru.erase(E.LruIt);
+  std::unique_ptr<MachineSnapshot> Snap = std::move(It->second.Snap);
+  S.Lru.erase(It->second.LruIt);
   S.Entries.erase(It);
   return Snap;
-}
-
-bool SnapshotCache::hasShared(const SnapshotShareKey &Key) const {
-  if (Capacity == 0)
-    return false;
-  const IndexShard &IS = indexShardFor(Key);
-  std::lock_guard<std::mutex> Lock(IS.Mu);
-  return IS.Map.find(Key) != IS.Map.end();
-}
-
-std::unique_ptr<MachineSnapshot>
-SnapshotCache::takeShared(const SnapshotShareKey &Key) {
-  if (Capacity == 0)
-    return nullptr;
-  uint64_t Id = 0;
-  {
-    IndexShard &IS = indexShardFor(Key);
-    std::lock_guard<std::mutex> Lock(IS.Mu);
-    auto It = IS.Map.find(Key);
-    if (It == IS.Map.end())
-      return nullptr;
-    Id = It->second;
-  } // index lock released before the entry lock (never nested this way)
-  Shard &S = shardOf(Id);
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  auto It = S.Entries.find(Id);
-  if (It == S.Entries.end())
-    return nullptr; // donor raced away: the caller replays its prefix
-  Entry &E = It->second;
-  if (!E.Shared || !(E.SKey == Key))
-    return nullptr; // stale index row
-  S.Lru.splice(S.Lru.end(), S.Lru, E.LruIt);
-  SharedHits.fetch_add(1, std::memory_order_relaxed);
-  return std::make_unique<MachineSnapshot>(*E.Snap);
-}
-
-void SnapshotCache::registerShared(const SnapshotShareKey &Key, uint64_t Id) {
-  {
-    IndexShard &IS = indexShardFor(Key);
-    std::lock_guard<std::mutex> Lock(IS.Mu);
-    if (!IS.Map.emplace(Key, Id).second)
-      return; // an earlier donor already holds this key — first wins
-  }
-  Shard &S = shardOf(Id);
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  auto It = S.Entries.find(Id);
-  if (It == S.Entries.end()) {
-    // Taken or evicted between insert and registration: retract the
-    // row just published (ids are never reused, so it can only be
-    // ours).
-    deregisterShared(Key, Id);
-    return;
-  }
-  It->second.Shared = true;
-  It->second.SKey = Key;
-}
-
-void SnapshotCache::deregisterShared(const SnapshotShareKey &Key,
-                                     uint64_t Id) {
-  IndexShard &IS = indexShardFor(Key);
-  std::lock_guard<std::mutex> Lock(IS.Mu);
-  auto It = IS.Map.find(Key);
-  if (It != IS.Map.end() && It->second == Id)
-    IS.Map.erase(It);
 }
 
 void SnapshotCache::drop(uint64_t Id) {
@@ -273,8 +177,6 @@ void SnapshotCache::drop(uint64_t Id) {
   auto It = S.Entries.find(Id);
   if (It == S.Entries.end())
     return;
-  if (It->second.Shared)
-    deregisterShared(It->second.SKey, Id);
   Dead = std::move(It->second.Snap);
   S.Lru.erase(It->second.LruIt);
   S.Entries.erase(It);
@@ -299,7 +201,6 @@ SnapshotCache::Counters SnapshotCache::counters() const {
     C.SlotSteals += S.SlotSteals;
   }
   C.Evictions = Evictions.load(std::memory_order_relaxed);
-  C.SharedHits = SharedHits.load(std::memory_order_relaxed);
   return C;
 }
 
@@ -428,13 +329,6 @@ struct Task {
   uint32_t Gen = 0;
   std::vector<uint8_t> Pinned;
   uint64_t SnapId = 0; ///< snapshot cache handle (0 = replay)
-  /// Cross-program sharing: the parent elided its capture at this
-  /// task's spawn point because a fingerprint-identical donor was
-  /// resident; when SnapId misses, executeTask forks from a clone of
-  /// the donor instead (and replays the prefix if the donor is gone —
-  /// always sound).
-  SnapshotShareKey ShareKey;
-  bool HasShareKey = false;
 
   enum Phase : uint8_t { Queued, Executed, Finalized, Dropped };
   std::atomic<uint8_t> State{Queued};
@@ -455,11 +349,6 @@ struct Task {
   std::vector<std::pair<size_t, uint64_t>> Stream;
   /// (depth, snapshot-cache handle) captured during the run.
   std::vector<std::pair<size_t, uint64_t>> Snaps;
-  /// (depth, donor key) points where this run *elided* its capture
-  /// because a shared donor was resident (Config::SnapshotSharing).
-  /// Owns no cache state — children spawned at these depths get the
-  /// key, not an id.
-  std::vector<std::pair<size_t, SnapshotShareKey>> ShareSnaps;
   /// Visited keys this run claimed provisionally (retracted or
   /// promoted at finalization; retracted on abandonment).
   std::vector<uint64_t> ProvKeys;
@@ -493,11 +382,6 @@ struct ProgramState {
   /// Effective gates (same policy as the wave engine).
   bool Dedup = true;
   bool Snapshots = true;
-  /// Cross-program snapshot sharing is live for this program
-  /// (Config::SnapshotSharing plus the snapshot/dedup gates).
-  bool Share = false;
-  /// machineOptionsFingerprint(MOpts), precomputed for share keys.
-  uint64_t MachineFp = 0;
 
   /// All tasks ever created (stable addresses; deques point in here).
   std::deque<Task> Arena;
@@ -786,7 +670,6 @@ struct SearchScheduler::Impl {
         for (const auto &[Depth, Id] : T->Snaps)
           Cache.drop(Id);
         T->Snaps.clear();
-        T->ShareSnaps.clear();
         for (uint64_t Key : T->ProvKeys)
           P.Visited.retractProvisional(Key, T);
         T->ProvKeys.clear();
@@ -809,10 +692,6 @@ struct SearchScheduler::Impl {
 
     UbSink Sink;
     std::unique_ptr<MachineSnapshot> Snap = Cache.take(T.SnapId);
-    if (!Snap && T.HasShareKey)
-      // The parent elided this capture: fork from a clone of the
-      // shared donor (step-identical state by machine determinism).
-      Snap = Cache.takeShared(T.ShareKey);
     std::unique_ptr<Machine> Run;
     if (P.Snapshots && Snap) {
       Run = std::make_unique<Machine>(*P.Ast, P.MOpts, Sink, *Snap, T.Pinned);
@@ -834,34 +713,6 @@ struct SearchScheduler::Impl {
         if (Depth < PinnedLen || Mach.inSyncCall() ||
             P.Done.load(std::memory_order_relaxed))
           return;
-        if (P.Share) {
-          // Content address of the state about to be captured. When a
-          // fingerprint-identical donor is already resident (typically
-          // from another program running the same deduped artifact),
-          // skip the capture entirely — the capture elision is where
-          // sharing saves its wall-clock — and hand the child the key
-          // instead. The probe is racy by design: a vanished donor
-          // only demotes the child's fork to a prefix replay.
-          SnapshotShareKey SK;
-          SK.Ast = P.Ast;
-          SK.MachineFp = P.MachineFp;
-          Fnv1a H;
-          for (const auto &[Decision, Arity] : Mach.decisionTrace()) {
-            H.u8(Decision);
-            H.u8(Arity);
-          }
-          SK.TraceDigest = mix64(H.digest());
-          SK.ConfFp = Mach.configFingerprint();
-          if (Cache.hasShared(SK)) {
-            T.ShareSnaps.emplace_back(Depth, SK);
-            return;
-          }
-          uint64_t Id = Cache.insert(Mach.captureChoiceSnapshot(),
-                                     &P.EvictionsAtomic, Worker, &SK);
-          if (Id)
-            T.Snaps.emplace_back(Depth, Id);
-          return;
-        }
         uint64_t Id = Cache.insert(Mach.captureChoiceSnapshot(),
                                    &P.EvictionsAtomic, Worker);
         if (Id)
@@ -991,9 +842,6 @@ struct SearchScheduler::Impl {
     for (const auto &[Depth, Id] : T.Snaps)
       Cache.drop(Id);
     T.Snaps.clear();
-    // ShareKey stays: the re-run may still fork from the donor. The
-    // recorded elisions reset with the other outputs.
-    T.ShareSnaps.clear();
     T.Trace.clear();
     T.Stream.clear();
     T.Reports.clear();
@@ -1070,7 +918,6 @@ struct SearchScheduler::Impl {
       for (const auto &[Depth, Id] : T.Snaps)
         Cache.drop(Id);
       T.Snaps.clear();
-      T.ShareSnaps.clear();
       for (uint64_t Key : T.ProvKeys)
         T.Prog->Visited.retractProvisional(Key, &T);
       T.ProvKeys.clear();
@@ -1199,14 +1046,10 @@ struct SearchScheduler::Impl {
     // off before the duplicate state are not covered by the earlier
     // visit).
     size_t SnapIdx = 0;
-    size_t ShareIdx = 0;
     std::vector<Task *> NewTasks;
     for (size_t D = PinnedLen; D < EffTraceLen; ++D) {
       while (SnapIdx < T.Snaps.size() && T.Snaps[SnapIdx].first < D)
         Cache.drop(T.Snaps[SnapIdx++].second);
-      while (ShareIdx < T.ShareSnaps.size() &&
-             T.ShareSnaps[ShareIdx].first < D)
-        ++ShareIdx; // elided captures own nothing to release
       if (T.Trace[D].second < 2)
         continue;
       P.Arena.emplace_back();
@@ -1219,11 +1062,6 @@ struct SearchScheduler::Impl {
       Child.Pinned.push_back(T.Trace[D].first ? 0 : 1);
       if (SnapIdx < T.Snaps.size() && T.Snaps[SnapIdx].first == D)
         Child.SnapId = T.Snaps[SnapIdx++].second;
-      else if (ShareIdx < T.ShareSnaps.size() &&
-               T.ShareSnaps[ShareIdx].first == D) {
-        Child.ShareKey = T.ShareSnaps[ShareIdx++].second;
-        Child.HasShareKey = true;
-      }
       P.NextGen.push_back(&Child);
       NewTasks.push_back(&Child);
     }
@@ -1239,7 +1077,6 @@ struct SearchScheduler::Impl {
     while (SnapIdx < T.Snaps.size())
       Cache.drop(T.Snaps[SnapIdx++].second);
     T.Snaps.clear();
-    T.ShareSnaps.clear();
     T.Stream.clear();
     T.Stream.shrink_to_fit();
   }
@@ -1331,11 +1168,6 @@ size_t SearchScheduler::submit(const AstContext &Ast, MachineOptions MOpts,
   P.Snapshots = SOpts.UseSnapshots && SOpts.SnapshotBudget > 0 &&
                 MOpts.Order != EvalOrderKind::Random &&
                 MOpts.Style != RuleStyle::Declarative;
-  // Sharing rides on the snapshot gate (donors are ordinary captures)
-  // and is scoped to deduped searches, whose deterministic traces make
-  // the share key's trace digest meaningful across submissions.
-  P.Share = P.Snapshots && S.Cfg.SnapshotSharing && P.Dedup;
-  P.MachineFp = machineOptionsFingerprint(MOpts);
 
   std::lock_guard<std::mutex> Lock(S.SubmitMu);
   P.Id = S.Programs.size();
@@ -1412,7 +1244,6 @@ void SearchScheduler::runAll() {
   S.Stats.SnapshotTakes = SC.Takes;
   S.Stats.SnapshotHits = SC.Hits;
   S.Stats.SnapshotSlotSteals = SC.SlotSteals;
-  S.Stats.SnapshotSharedHits = SC.SharedHits;
   for (auto &P : S.Programs) {
     P->Result.PeakFrontier =
         static_cast<unsigned>(S.Stats.PeakFrontier); // scheduler-wide
@@ -1452,7 +1283,6 @@ SchedulerStats SearchScheduler::stats() const {
   St.SnapshotTakes = SC.Takes;
   St.SnapshotHits = SC.Hits;
   St.SnapshotSlotSteals = SC.SlotSteals;
-  St.SnapshotSharedHits = SC.SharedHits;
   return St;
 }
 

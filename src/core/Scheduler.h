@@ -62,34 +62,14 @@
 
 namespace cundef {
 
-/// Content address of a choice-point snapshot for **cross-program
-/// sharing**. Two machines reach step-identical states exactly when
-/// they execute the same artifact (the AstContext pointer — artifacts
-/// are immutable and shared, so pointer identity IS content identity
-/// within one engine) under fingerprint-equal MachineOptions through
-/// the same decision trace; the machine is deterministic in those
-/// three inputs. ConfFp (the incremental configuration fingerprint at
-/// the choice point) is redundant given the other three — it rides
-/// along as a checksum so a hash collision in MachineFp or TraceDigest
-/// cannot silently serve a wrong-state snapshot.
-struct SnapshotShareKey {
-  const void *Ast = nullptr;
-  uint64_t MachineFp = 0;
-  uint64_t TraceDigest = 0;
-  uint64_t ConfFp = 0;
-
-  bool operator==(const SnapshotShareKey &O) const {
-    return Ast == O.Ast && MachineFp == O.MachineFp &&
-           TraceDigest == O.TraceDigest && ConfFp == O.ConfFp;
-  }
-};
-
 /// LRU cache of choice-point snapshots, shared by every run of a
-/// scheduler (and by the wave engine). Thread-safe. Capacity bounds the
-/// number of *pending* snapshots (captured, not yet taken by the child
-/// that will fork from them); inserting beyond capacity evicts a
-/// pending entry, whose child then replays its prefix from main()
-/// instead — the eviction is counted, never an error.
+/// scheduler (and by the wave engine). Thread-safe. Each snapshot is
+/// handed to exactly one child: take() moves it out and the cache
+/// forgets it. Capacity bounds the number of *pending* snapshots
+/// (captured, not yet taken by the child that will fork from them);
+/// inserting beyond capacity evicts a pending entry, whose child then
+/// replays its prefix from main() instead — the eviction is counted,
+/// never an error.
 ///
 /// Internally the capacity is split across per-worker **shards** (one
 /// mutex + LRU list each) so 16-64 workers capturing snapshots stop
@@ -114,7 +94,6 @@ public:
     uint64_t Hits = 0;       ///< takes that found the entry (child forked)
     uint64_t SlotSteals = 0; ///< inserts placed in a sibling shard
     uint64_t Evictions = 0;  ///< pending entries evicted
-    uint64_t SharedHits = 0; ///< forks served from another program's donor
   };
 
   /// Admits \p Snap and returns its handle (0 when Capacity is 0: the
@@ -123,33 +102,13 @@ public:
   /// charged to that entry's \p EvictCounter. \p EvictCounter doubles
   /// as the inserting program's identity for affinity decisions.
   /// \p ShardHint selects the home shard (callers pass their worker
-  /// index; any value is valid). \p Share, when given, additionally
-  /// registers the entry as a **donor** under that content address
-  /// (first donor per key wins): donors are served by *cloning* — by
-  /// take() and takeShared() alike — and stay resident until dropped
-  /// or evicted, so fingerprint-equal machine states captured by other
-  /// programs elide their own captures and fork from this one.
+  /// index; any value is valid).
   uint64_t insert(MachineSnapshot Snap, std::atomic<unsigned> *EvictCounter,
-                  unsigned ShardHint = 0,
-                  const SnapshotShareKey *Share = nullptr);
+                  unsigned ShardHint = 0);
 
   /// Removes and returns the snapshot for \p Id; null when the entry
-  /// was evicted (or \p Id is 0). A share-registered entry is instead
-  /// *cloned* and left resident (its program's own child consumes it
-  /// this way too — the donor must survive to serve other programs;
-  /// drop()/eviction/the reclaim sweep retire it).
+  /// was evicted (or \p Id is 0).
   std::unique_ptr<MachineSnapshot> take(uint64_t Id);
-
-  /// True when a donor is registered under \p Key — the capture-elision
-  /// probe (a racy snapshot: the donor may be gone by takeShared time,
-  /// in which case the eliding child falls back to prefix replay, which
-  /// is always sound).
-  bool hasShared(const SnapshotShareKey &Key) const;
-
-  /// Clones the donor registered under \p Key (counted in
-  /// Counters::SharedHits); null when none is resident. The donor stays
-  /// cached, its recency refreshed.
-  std::unique_ptr<MachineSnapshot> takeShared(const SnapshotShareKey &Key);
 
   /// Discards \p Id without counting an eviction (the child's subtree
   /// was pruned or dropped, so the snapshot can never be used).
@@ -171,15 +130,6 @@ private:
     /// Eviction accounting target; also the owning program's identity
     /// (one counter per program) for affinity-aware victim selection.
     std::atomic<unsigned> *EvictCounter = nullptr;
-    /// Registered as a donor in the share index (served by cloning).
-    bool Shared = false;
-    /// The donor's *own* child already forked from it (take() cloned
-    /// it). Only other programs' elisions can still want it, and they
-    /// fall back to prefix replay — so evicting a served donor loses
-    /// no fork: eviction prefers these and does not count them.
-    bool Served = false;
-    /// The index key, kept for deregistration on removal.
-    SnapshotShareKey SKey;
   };
 
   /// One shard: its own lock, map, LRU list, and slice of the
@@ -208,46 +158,10 @@ private:
   uint64_t insertInto(Shard &S, unsigned ShardIdx, MachineSnapshot &&Snap,
                       std::atomic<unsigned> *EvictCounter);
 
-  //===--- Share index (cross-program donors) ----------------------------===//
-  //
-  // Key -> donor id, sharded separately from the entries. Lock order:
-  // an entry-shard lock may take an index-shard lock (removal paths
-  // deregister in place); the reverse never nests — takeShared and
-  // registerShared release the index lock before touching an entry
-  // shard, validating the entry afterwards (a stale index row is a
-  // miss, cleaned up lazily).
-
-  struct ShareKeyHash {
-    size_t operator()(const SnapshotShareKey &K) const {
-      uint64_t H = reinterpret_cast<uintptr_t>(K.Ast);
-      H = mix64(H ^ (K.MachineFp * 0x9e3779b97f4a7c15ull));
-      H = mix64(H ^ (K.TraceDigest * 0x9e3779b97f4a7c15ull));
-      H = mix64(H ^ (K.ConfFp * 0x9e3779b97f4a7c15ull));
-      return static_cast<size_t>(H);
-    }
-  };
-  struct alignas(64) IndexShard {
-    mutable std::mutex Mu;
-    std::unordered_map<SnapshotShareKey, uint64_t, ShareKeyHash> Map;
-  };
-  static constexpr unsigned kIndexShards = 8;
-  IndexShard &indexShardFor(const SnapshotShareKey &K) const {
-    return IndexVec[ShareKeyHash{}(K) >> 56 & (kIndexShards - 1)];
-  }
-  /// Publishes \p Id as the donor for \p Key (first wins), then marks
-  /// the entry Shared. Takes the index lock and the entry lock
-  /// strictly in sequence, never nested.
-  void registerShared(const SnapshotShareKey &Key, uint64_t Id);
-  /// Removes the Key->Id row if it still names \p Id. Safe to call
-  /// under an entry-shard lock (index locks are leaf-most).
-  void deregisterShared(const SnapshotShareKey &Key, uint64_t Id);
-
   const unsigned Capacity;
   const unsigned NumShards;
   std::vector<Shard> ShardVec;
-  mutable std::vector<IndexShard> IndexVec;
   std::atomic<unsigned> Evictions{0};
-  std::atomic<uint64_t> SharedHits{0};
 };
 
 /// Scheduler-wide counters (aggregated across all submitted programs;
@@ -291,13 +205,7 @@ struct SchedulerStats {
   uint64_t SnapshotTakes = 0;      ///< child fork attempts
   uint64_t SnapshotHits = 0;       ///< forks served (entry still cached)
   uint64_t SnapshotSlotSteals = 0; ///< inserts placed via a sibling shard
-  /// Forks served by *cloning another program's donor snapshot* —
-  /// cross-program sharing (Config::SnapshotSharing): the consuming
-  /// program elided its own capture because a fingerprint-identical
-  /// machine state was already cached. Wall-clock only; committed
-  /// results never depend on it (a shared fork is step-identical to
-  /// the elided capture's fork, which is step-identical to a prefix
-  /// replay).
+  /// Always 0: snapshots are never shared; kept because perfbench reads it.
   uint64_t SnapshotSharedHits = 0;
 };
 
@@ -349,16 +257,6 @@ public:
     bool ClampJobsToHardware = true;
     /// LRU capacity of the shared snapshot cache.
     unsigned SnapshotBudget = 1024;
-    /// Cross-program snapshot sharing: machine states whose
-    /// SnapshotShareKey collides across programs (same artifact, equal
-    /// MachineOptions fingerprint, identical decision trace) share one
-    /// cached snapshot — later programs elide the capture and fork
-    /// from a clone of the first program's donor entry. Applied
-    /// per-program only where snapshots and dedup are already on.
-    /// Sound by machine determinism; changes wall-clock only (the
-    /// AnalysisEngine turns it on; one-shot/unit schedulers default
-    /// off).
-    bool SnapshotSharing = false;
   };
 
   explicit SearchScheduler(Config Cfg);

@@ -98,19 +98,18 @@ bool lexLess(const std::vector<uint8_t> &A, const std::vector<uint8_t> &B) {
 } // namespace
 
 SearchResult OrderSearch::run() {
-  // The work-stealing scheduler (core/Scheduler.h) is the default; the
-  // wave engine below is the reference implementation its committed
-  // outputs are tested against byte-for-byte.
-  if (Opts.Sched == SchedKind::Stealing) {
-    SearchScheduler::Config Cfg;
-    Cfg.Jobs = Opts.Jobs;
-    Cfg.SnapshotBudget = Opts.SnapshotBudget;
-    SearchScheduler Scheduler(Cfg);
-    size_t Prog = Scheduler.submit(Ctx, BaseOpts, Opts);
-    Scheduler.runAll();
-    return Scheduler.takeResult(Prog);
-  }
+  SearchScheduler::Config Cfg;
+  Cfg.Jobs = Opts.Jobs;
+  Cfg.SnapshotBudget = Opts.SnapshotBudget;
+  SearchScheduler Scheduler(Cfg);
+  size_t Prog = Scheduler.submit(Ctx, BaseOpts, Opts);
+  Scheduler.runAll();
+  return Scheduler.takeResult(Prog);
+}
 
+// The wave engine: the reference implementation the scheduler's
+// committed outputs are tested against byte-for-byte.
+SearchResult OrderSearch::runReference() {
   SearchResult Result;
 
   // Replay reproduces a Random-policy run only as its 0/1 flip summary,

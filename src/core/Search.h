@@ -41,12 +41,13 @@
 /// visited-set is committed at wave barriers, and ties are broken
 /// canonically. See docs/SEARCH.md.
 ///
-/// Scheduling is layered (SearchOptions::Sched): the wave engine above
-/// lives in Search.cpp as the verified reference; the default
-/// work-stealing scheduler (core/Scheduler.h) executes runs
-/// speculatively on per-worker deques and commits them through a
-/// canonical wavefront that reproduces the wave engine's outputs
-/// byte-for-byte without its barriers.
+/// Every production search runs on the work-stealing scheduler
+/// (core/Scheduler.h), which executes runs speculatively on per-worker
+/// deques and commits them through a canonical wavefront that
+/// reproduces the wave engine's outputs byte-for-byte without its
+/// barriers. The wave engine above stays in Search.cpp as the verified
+/// reference (OrderSearch::runReference) the scheduler is tested
+/// against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,25 +72,10 @@ inline uint64_t searchVisitKey(size_t Depth, uint64_t Fp) {
                           1));
 }
 
-/// Which scheduling layer drives the search. Both produce byte-identical
-/// committed outputs (verdict, witness, reports, runs, dedup hits); they
-/// differ only in wall-clock shape.
-enum class SchedKind : uint8_t {
-  /// Wave-synchronous: each frontier generation barriers on its slowest
-  /// machine (the PR-1/PR-2 engine, kept as the verified reference the
-  /// stealing scheduler is tested against).
-  Wave,
-  /// Work-stealing: per-worker deques, speculative execution, canonical
-  /// commit wavefront (core/Scheduler.h). The default.
-  Stealing,
-};
-
 struct SearchOptions {
   /// Replay budget: at most this many machine runs (including runs the
   /// dedup cancels mid-flight).
   unsigned MaxRuns = 64;
-  /// Scheduling layer (--search-sched). Results never depend on this.
-  SchedKind Sched = SchedKind::Stealing;
   /// Worker threads. 1 = run in-place on the calling thread; 0 =
   /// auto-detect std::thread::hardware_concurrency(). The verdict and
   /// witness do not depend on this; only wall-clock does.
@@ -130,18 +116,14 @@ struct SearchOptions {
 
 /// Stable FNV-1a digest over the *outcome-affecting* SearchOptions
 /// fields. MaxRuns, Dedup, and UseSnapshots change what the search
-/// explores; Sched never changes committed results, but a cached
-/// outcome replays its per-program counters (steals, waves) verbatim,
-/// so serving a wave outcome to a steal request would report the wrong
-/// shape — it stays in the key. Jobs, SnapshotBudget, FullRehash, and
-/// CollectRuns shape only wall-clock and test instrumentation
-/// (committed outcomes are independent of them by the scheduler's
-/// determinism contract), so they are deliberately excluded: a 4-job
-/// and an 8-job search of the same program share one cache entry.
+/// explores. Jobs, SnapshotBudget, FullRehash, and CollectRuns shape
+/// only wall-clock and test instrumentation (committed outcomes are
+/// independent of them by the scheduler's determinism contract), so
+/// they are deliberately excluded: a 4-job and an 8-job search of the
+/// same program share one cache entry.
 inline uint64_t searchOptionsFingerprint(const SearchOptions &S) {
   Fnv1a H;
   H.u32(S.MaxRuns);
-  H.u8(static_cast<uint8_t>(S.Sched));
   H.u8(S.Dedup);
   H.u8(S.UseSnapshots);
   return mix64(H.digest());
@@ -228,7 +210,13 @@ public:
               SearchOptions Opts)
       : Ctx(Ctx), BaseOpts(BaseOpts), Opts(Opts) {}
 
+  /// Runs the search on a one-shot work-stealing scheduler.
   SearchResult run();
+
+  /// Runs the wave-synchronous reference engine: the oracle run() is
+  /// tested against (test_scheduler, bench_search). Committed outputs
+  /// are byte-identical to run()'s; only wall-clock differs.
+  SearchResult runReference();
 
 private:
   const AstContext &Ctx;

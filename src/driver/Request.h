@@ -93,17 +93,14 @@ public:
   unsigned searchRuns() const { return SearchRuns; }
   /// Worker threads for the search pool. 0 = auto-detect hardware
   /// concurrency. An AnalysisEngine sizes its pool from its own
-  /// EngineConfig; this field drives the Driver adapters and the
-  /// inline wave path.
+  /// EngineConfig; this field sizes the engines the Driver adapters
+  /// and the kcc CLI create (engineConfigFor).
   unsigned searchJobs() const { return SearchJobs; }
   /// Deduplicate symmetric interleavings during the search.
   bool searchDedup() const { return SearchDedup; }
   /// Fork search children from snapshots instead of replaying
   /// prefixes.
   bool searchSnapshots() const { return SearchSnapshots; }
-  /// Scheduling layer. Results never depend on this (core/Scheduler.h);
-  /// Wave selects the sequential reference engine.
-  SchedKind searchSched() const { return SearchSched; }
   /// Consult the engine's content-addressed result cache
   /// (driver/ResultCache.h) for this submission. Off forces a full
   /// search even when an identical outcome is resident — the kcc
@@ -121,7 +118,6 @@ private:
   unsigned SearchJobs = 1;
   bool SearchDedup = true;
   bool SearchSnapshots = true;
-  SchedKind SearchSched = SchedKind::Stealing;
   bool UseResultCache = true;
 };
 
@@ -148,7 +144,6 @@ public:
   Builder &searchJobs(unsigned N) { Req.SearchJobs = N; return *this; }
   Builder &dedup(bool On) { Req.SearchDedup = On; return *this; }
   Builder &snapshots(bool On) { Req.SearchSnapshots = On; return *this; }
-  Builder &sched(SchedKind K) { Req.SearchSched = K; return *this; }
   Builder &resultCache(bool On) { Req.UseResultCache = On; return *this; }
 
   struct Result {

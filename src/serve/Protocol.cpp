@@ -164,20 +164,6 @@ bool parseStyleName(const std::string &Name, RuleStyle &Out) {
   return true;
 }
 
-const char *schedName(SchedKind K) {
-  return K == SchedKind::Wave ? "wave" : "steal";
-}
-
-bool parseSchedName(const std::string &Name, SchedKind &Out) {
-  if (Name == "steal")
-    Out = SchedKind::Stealing;
-  else if (Name == "wave")
-    Out = SchedKind::Wave;
-  else
-    return false;
-  return true;
-}
-
 const char *staticModeName(StaticAnalysisMode M) {
   switch (M) {
   case StaticAnalysisMode::Off:  return "off";
@@ -290,12 +276,12 @@ std::string cundef::serializeRequest(const AnalysisRequest &Req) {
       M.Seed, M.MaxCallDepth, styleName(M.Style));
   Out += strFormat(
       "\"static_checks\":%s,\"static_analyze\":\"%s\",\"search_runs\":%u,"
-      "\"search_jobs\":%u,\"dedup\":%s,\"snapshots\":%s,\"sched\":\"%s\","
+      "\"search_jobs\":%u,\"dedup\":%s,\"snapshots\":%s,"
       "\"result_cache\":%s}",
       Req.staticChecks() ? "true" : "false",
       staticModeName(Req.staticAnalyze()), Req.searchRuns(), Req.searchJobs(),
       Req.searchDedup() ? "true" : "false",
-      Req.searchSnapshots() ? "true" : "false", schedName(Req.searchSched()),
+      Req.searchSnapshots() ? "true" : "false",
       Req.useResultCache() ? "true" : "false");
   return Out;
 }
@@ -377,13 +363,6 @@ bool cundef::parseRequest(const JsonValue &V, AnalysisRequest &Out,
   B.dedup(V.getBool("dedup", Defaults.searchDedup()));
   B.snapshots(V.getBool("snapshots", Defaults.searchSnapshots()));
   B.resultCache(V.getBool("result_cache", Defaults.useResultCache()));
-  SchedKind Sched = Defaults.searchSched();
-  if (const JsonValue *SV = V.get("sched"))
-    if (!parseSchedName(SV->asString(), Sched)) {
-      Err = "unknown sched '" + SV->asString() + "'";
-      return false;
-    }
-  B.sched(Sched);
 
   // The same validation gate a local kcc runs: a remote peer cannot
   // smuggle in a configuration the Builder would reject.
@@ -551,7 +530,7 @@ std::string cundef::serializeStats(const SchedulerStats &Pool,
       "\"provisional_hits\":%llu,\"provisional_requeues\":%llu,"
       "\"commit_lag_peak\":%llu,\"snapshot_shards\":%u,"
       "\"snapshot_takes\":%llu,\"snapshot_hits\":%llu,"
-      "\"snapshot_slot_steals\":%llu,\"snapshot_shared_hits\":%llu},",
+      "\"snapshot_slot_steals\":%llu},",
       Pool.Programs, Pool.Jobs,
       static_cast<unsigned long long>(Pool.Steals),
       static_cast<unsigned long long>(Pool.SnapshotEvictions),
@@ -565,8 +544,7 @@ std::string cundef::serializeStats(const SchedulerStats &Pool,
       Pool.SnapshotShards,
       static_cast<unsigned long long>(Pool.SnapshotTakes),
       static_cast<unsigned long long>(Pool.SnapshotHits),
-      static_cast<unsigned long long>(Pool.SnapshotSlotSteals),
-      static_cast<unsigned long long>(Pool.SnapshotSharedHits));
+      static_cast<unsigned long long>(Pool.SnapshotSlotSteals));
   Out += strFormat(
       "\"memory\":{\"pending_jobs\":%llu,\"graveyard_artifacts\":%llu,"
       "\"program_slots\":%llu,\"retained_programs\":%llu,"
@@ -626,7 +604,6 @@ bool cundef::parseStats(const JsonValue &V, SchedulerStats &Pool,
   Pool.SnapshotTakes = P->getU64("snapshot_takes", 0);
   Pool.SnapshotHits = P->getU64("snapshot_hits", 0);
   Pool.SnapshotSlotSteals = P->getU64("snapshot_slot_steals", 0);
-  Pool.SnapshotSharedHits = P->getU64("snapshot_shared_hits", 0);
   Memory = EngineMemoryStats();
   Memory.PendingJobs = M->getU64("pending_jobs", 0);
   Memory.GraveyardArtifacts = M->getU64("graveyard_artifacts", 0);

@@ -163,17 +163,14 @@ TEST(CatalogCoverage, NoWrongCodeRows) {
   EXPECT_EQ(quickReport().WrongCode, 0u);
 }
 
-TEST(CatalogCoverage, VerdictsDeterministicAcrossSchedulers) {
+TEST(CatalogCoverage, VerdictsDeterministicAcrossPoolWidths) {
   // The Coverage column of docs/UB_CATALOG.md is committed output kept
   // fresh by the catalog_docs_fresh ctest, so verdicts (and reported
-  // codes) must not depend on the scheduler kind that produced them.
-  AnalysisRequest Wave = AnalysisRequest::Builder()
-                             .searchRuns(4)
-                             .searchJobs(1)
-                             .sched(SchedKind::Wave)
-                             .buildOrDie();
-  CoverageReport RW = runCatalogCoverage(Wave);
-  const CoverageReport &RS = quickReport(); // stealing, auto workers
+  // codes) must not depend on the pool width that produced them.
+  AnalysisRequest One =
+      AnalysisRequest::Builder().searchRuns(4).searchJobs(1).buildOrDie();
+  CoverageReport RW = runCatalogCoverage(One);
+  const CoverageReport &RS = quickReport(); // auto workers
   ASSERT_EQ(RW.Entries.size(), RS.Entries.size());
   for (size_t I = 0; I < RW.Entries.size(); ++I) {
     EXPECT_EQ(RW.Entries[I].Verdict, RS.Entries[I].Verdict)

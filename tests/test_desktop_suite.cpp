@@ -183,12 +183,12 @@ void expectIdentical(const DriverOutcome &A, const DriverOutcome &B,
 
 } // namespace
 
-TEST(DesktopSuite, WaveVsStealVerdictsAndWitnessesIdentical) {
+TEST(DesktopSuite, VerdictsAndWitnessesIndependentOfPoolWidth) {
   // The desktop programs are pointer-heavy and order-sensitive — the
   // shapes where a scheduler bug would first show. Every half of every
   // pair must produce byte-identical outcomes (verdict, witness,
-  // report, program output) between the wave reference and the
-  // stealing pool at forced widths 1 and 4.
+  // report, program output) on a pool forced to one worker and on
+  // pools forced to 4 and 8.
   const DesktopSuite &S = suite();
   ASSERT_TRUE(S.ok()) << S.Error;
   std::vector<BatchInput> Programs;
@@ -197,25 +197,19 @@ TEST(DesktopSuite, WaveVsStealVerdictsAndWitnessesIdentical) {
     Programs.push_back({Case.Test.Good, Case.Test.Name + "_good.c"});
   }
 
-  AnalysisRequest Wave = AnalysisRequest::Builder()
-                             .searchRuns(16)
-                             .searchJobs(1)
-                             .sched(SchedKind::Wave)
-                             .buildOrDie();
-  AnalysisRequest Steal = AnalysisRequest::Builder()
-                              .searchRuns(16)
-                              .searchJobs(1)
-                              .sched(SchedKind::Stealing)
-                              .buildOrDie();
+  AnalysisRequest Req =
+      AnalysisRequest::Builder().searchRuns(16).searchJobs(1).buildOrDie();
 
-  AnalysisEngine Ref;
-  std::vector<JobHandle> RefJobs = Ref.submitBatch(Wave, Programs);
-  for (unsigned Workers : {1u, 4u}) {
+  EngineConfig RefCfg;
+  RefCfg.Workers = 1;
+  AnalysisEngine Ref(RefCfg);
+  std::vector<JobHandle> RefJobs = Ref.submitBatch(Req, Programs);
+  for (unsigned Workers : {4u, 8u}) {
     EngineConfig Cfg;
     Cfg.Workers = Workers;
     Cfg.ClampWorkersToHardware = false;
     AnalysisEngine Eng(Cfg);
-    std::vector<JobHandle> Jobs = Eng.submitBatch(Steal, Programs);
+    std::vector<JobHandle> Jobs = Eng.submitBatch(Req, Programs);
     ASSERT_EQ(Jobs.size(), RefJobs.size());
     for (size_t I = 0; I < Jobs.size(); ++I)
       expectIdentical(RefJobs[I].wait(), Jobs[I].wait(),

@@ -22,6 +22,8 @@
 #include "driver/Driver.h"
 #include "driver/ToolRunner.h"
 
+#include "../bench/BenchUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -88,7 +90,6 @@ TEST(RequestBuilder, DefaultsAreValid) {
   EXPECT_EQ(R.Request.searchJobs(), 1u);
   EXPECT_TRUE(R.Request.staticChecks());
   EXPECT_TRUE(R.Request.searchDedup());
-  EXPECT_EQ(R.Request.searchSched(), SchedKind::Stealing);
 }
 
 TEST(RequestBuilder, RejectsZeroSearchBudget) {
@@ -179,6 +180,32 @@ TEST(Engine, DriverFacadeMatchesDirectSubmission) {
     DriverOutcome A = Drv.runSource(In.Source, In.Name);
     DriverOutcome B = Eng.submit(Req, In.Source, In.Name).take();
     expectIdentical(A, B, In.Name);
+  }
+}
+
+TEST(Engine, EachSnapshotGoesToExactlyOneChild) {
+  // A captured snapshot is handed to exactly one child and then
+  // forgotten. After a clean deep-tree search on a one-worker engine
+  // the cache is therefore empty before any drain, nothing was evicted
+  // to make room, and every fork found the snapshot it was promised.
+  AnalysisRequest Req = AnalysisRequest::Builder().searchRuns(512).buildOrDie();
+  const unsigned Shapes[][2] = {{8, 128}, {9, 256}, {10, 512}};
+  for (const auto &[Pairs, Cells] : Shapes) {
+    const std::string Tag =
+        "deep " + std::to_string(Pairs) + "x" + std::to_string(Cells);
+    EngineConfig Cfg;
+    Cfg.Workers = 1;
+    AnalysisEngine Eng(Cfg);
+    DriverOutcome O =
+        Eng.submit(Req, cundef_bench::deepTreeProgram(Pairs, Cells), "deep.c")
+            .take();
+    ASSERT_TRUE(O.CompileOk) << Tag << ": " << O.CompileErrors;
+    EXPECT_FALSE(O.anyUb()) << Tag;
+    EXPECT_EQ(Eng.memoryStats().PendingSnapshots, 0u) << Tag;
+    SchedulerStats St = Eng.poolStats();
+    EXPECT_EQ(St.SnapshotEvictions, 0u) << Tag;
+    EXPECT_GT(St.SnapshotTakes, 0u) << Tag << ": the search must fork";
+    EXPECT_EQ(St.SnapshotHits, St.SnapshotTakes) << Tag;
   }
 }
 

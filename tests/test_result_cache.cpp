@@ -2,7 +2,7 @@
 //
 // Part of cundef, a semantics-based undefinedness checker for C.
 //
-// The result-cache contract, pinned from four sides (mirroring
+// The result-cache contract, pinned from three sides (mirroring
 // tests/test_translation_cache.cpp one rung up the pipeline):
 //
 //  * **Content addressing is total.** Everything a search's observable
@@ -18,11 +18,6 @@
 //    with the cache on, off, hot, or cold — the honest counters
 //    (BatchStats::ResultCacheHits/Misses) are the only observable
 //    difference.
-//  * **Cross-program snapshot sharing is sound and silent.** With the
-//    result cache off, duplicate programs that search concurrently
-//    share choice-point snapshots through the scheduler's share index
-//    (SchedulerStats::SnapshotSharedHits) without changing any
-//    committed outcome.
 //
 //===----------------------------------------------------------------------===//
 
@@ -290,11 +285,6 @@ TEST(ResultCacheFingerprints, SearchFingerprintExcludesWallClockKnobs) {
   S = Base;
   S.UseSnapshots = !S.UseSnapshots;
   EXPECT_NE(Fp, searchOptionsFingerprint(S));
-  S = Base;
-  S.Sched = SchedKind::Wave;
-  EXPECT_NE(Fp, searchOptionsFingerprint(S))
-      << "cached outcomes replay per-program counters verbatim, so the "
-         "scheduler stays in the key";
 
   // Wall-clock-only knobs share one entry by design: a 4-job and an
   // 8-job search of the same program are the same analysis.
@@ -423,6 +413,32 @@ TEST(ResultCacheEngine, CacheIsInvisibleInBatchResults) {
   }
 }
 
+TEST(ResultCacheEngine, OutcomesDoNotDependOnThePool) {
+  // The worker count is not in the key, so whichever pool produced a
+  // cached outcome, every later request is served that outcome. That
+  // is only sound if the pool never shows in it: cache-off engines
+  // forced to 1 and to 4 workers must agree byte for byte.
+  AnalysisRequest Req = AnalysisRequest::Builder().searchRuns(64).buildOrDie();
+  const std::vector<BatchInput> Inputs = {{PaperSource, "paper.c"},
+                                          {CleanFanout, "clean.c"}};
+  std::vector<DriverOutcome> Ref;
+  for (unsigned Workers : {1u, 4u}) {
+    EngineConfig Cfg;
+    Cfg.Workers = Workers;
+    Cfg.ClampWorkersToHardware = false;
+    Cfg.ResultCacheEntries = 0;
+    AnalysisEngine Eng(Cfg);
+    std::vector<JobHandle> Handles = Eng.submitBatch(Req, Inputs);
+    for (size_t I = 0; I < Handles.size(); ++I) {
+      DriverOutcome O = Handles[I].take();
+      if (Workers == 1)
+        Ref.push_back(std::move(O));
+      else
+        expectIdentical(Ref[I], O, Inputs[I].Name + " workers=4");
+    }
+  }
+}
+
 TEST(ResultCacheEngine, OptOutRequestsBypassTheCache) {
   // --result-cache=off is per-request (it rides the serve wire), so an
   // opted-out request on a cache-enabled engine must neither read nor
@@ -443,68 +459,4 @@ TEST(ResultCacheEngine, OptOutRequestsBypassTheCache) {
   DriverOutcome C = Eng.submit(On, PaperSource, "p.c").take();
   EXPECT_FALSE(C.ResultCacheHit);
   expectIdentical(A, C, "first opted-in submission");
-}
-
-//===----------------------------------------------------------------------===//
-// Cross-program snapshot sharing.
-//===----------------------------------------------------------------------===//
-
-TEST(SnapshotSharing, DuplicateProgramsShareDonorsWithoutChangingResults) {
-  // With the result cache off (the A/B mode), duplicate programs all
-  // search — and fingerprint-equal machine configurations over the
-  // same shared artifact share choice-point snapshots engine-wide:
-  // later programs fork from the first program's donors instead of
-  // capturing their own. Observable only in SnapshotSharedHits and
-  // wall clock; every committed outcome stays byte-identical to a
-  // solo run's.
-  AnalysisRequest Req = AnalysisRequest::Builder()
-                            .searchRuns(32)
-                            .searchJobs(2)
-                            .resultCache(false)
-                            .buildOrDie();
-
-  EngineConfig Solo;
-  Solo.ResultCacheEntries = 0;
-  AnalysisEngine Reference(Solo);
-  DriverOutcome Ref = Reference.submit(Req, CleanFanout, "share.c").take();
-  ASSERT_TRUE(Ref.CompileOk) << Ref.CompileErrors;
-  EXPECT_FALSE(Ref.anyUb());
-
-  AnalysisEngine Eng;
-  std::vector<BatchInput> Inputs;
-  for (int I = 0; I < 6; ++I)
-    Inputs.push_back({CleanFanout, "share.c"});
-  std::vector<JobHandle> Handles = Eng.submitBatch(Req, Inputs);
-  for (size_t I = 0; I < Handles.size(); ++I) {
-    DriverOutcome O = Handles[I].take();
-    EXPECT_FALSE(O.ResultCacheHit) << "the A/B mode really searched";
-    expectIdentical(Ref, O, "duplicate #" + std::to_string(I));
-  }
-  EXPECT_GT(Eng.poolStats().SnapshotSharedHits, 0u)
-      << "duplicate programs forked from shared donors";
-}
-
-TEST(SnapshotSharing, SharedHitsStayZeroAcrossDistinctPrograms) {
-  // The soundness gate in the other direction: programs that are not
-  // fingerprint-and-artifact equal must never share (the share key is
-  // the artifact pointer + machine fingerprint + decision-trace
-  // digest + configuration digest).
-  AnalysisRequest Req = AnalysisRequest::Builder()
-                            .searchRuns(32)
-                            .searchJobs(2)
-                            .resultCache(false)
-                            .buildOrDie();
-  AnalysisEngine Eng;
-  std::vector<BatchInput> Inputs = {
-      {CleanFanout, "a.c"},
-      {"int g(int x) { return x + 1; }\n"
-       "int main(void) { return g(1) + g(2) + g(3); }\n",
-       "b.c"},
-      {PaperSource, "c.c"},
-  };
-  std::vector<JobHandle> Handles = Eng.submitBatch(Req, Inputs);
-  for (JobHandle &H : Handles)
-    H.take();
-  EXPECT_EQ(Eng.poolStats().SnapshotSharedHits, 0u)
-      << "distinct programs must not alias donors";
 }

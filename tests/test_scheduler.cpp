@@ -65,6 +65,14 @@ SearchResult searchWith(const Driver::Compiled &C, SearchOptions SO) {
   return Search.run();
 }
 
+/// The wave-synchronous reference engine every scheduler result is
+/// compared against.
+SearchResult searchReference(const Driver::Compiled &C, SearchOptions SO) {
+  MachineOptions Opts;
+  OrderSearch Search(C->ast(), Opts, SO);
+  return Search.runReference();
+}
+
 /// Stealing search with the hardware clamp disabled, so the requested
 /// worker count really runs even on a 1-core CI machine — the
 /// determinism contract must survive genuine cross-thread
@@ -109,14 +117,12 @@ TEST(Scheduler, WaveVsStealingWitnessEquality) {
     ASSERT_TRUE(C->ok()) << C->errors();
     SearchOptions Wave;
     Wave.MaxRuns = 256;
-    Wave.Sched = SchedKind::Wave;
     Wave.Jobs = 1;
-    SearchResult RW = searchWith(C, Wave);
+    SearchResult RW = searchReference(C, Wave);
 
     for (unsigned Jobs : {1u, 2u, 8u, 16u, 32u}) {
       SearchOptions Steal;
       Steal.MaxRuns = 256;
-      Steal.Sched = SchedKind::Stealing;
       Steal.Jobs = Jobs;
       for (int Round = 0; Round < 3; ++Round) {
         SearchResult RS = searchStealForced(C, Steal, Jobs);
@@ -147,16 +153,13 @@ TEST(Scheduler, WaveVsStealingTraceByteEquality) {
     Driver Drv;
     Driver::Compiled C = Drv.compile(Source, "trace.c");
     ASSERT_TRUE(C->ok()) << C->errors();
-    SearchOptions Wave;
-    Wave.MaxRuns = 256;
-    Wave.Jobs = 1;
-    Wave.Sched = SchedKind::Wave;
-    Wave.CollectRuns = true;
-    SearchOptions Steal = Wave;
-    Steal.Sched = SchedKind::Stealing;
+    SearchOptions SO;
+    SO.MaxRuns = 256;
+    SO.Jobs = 1;
+    SO.CollectRuns = true;
 
-    SearchResult RW = searchWith(C, Wave);
-    SearchResult RS = searchWith(C, Steal);
+    SearchResult RW = searchReference(C, SO);
+    SearchResult RS = searchWith(C, SO);
     expectSameVerdict(RW, RS, Source);
     ASSERT_EQ(RW.Runs.size(), RS.Runs.size()) << Source;
     for (size_t I = 0; I < RW.Runs.size(); ++I) {
@@ -191,14 +194,12 @@ TEST(Scheduler, ProvisionalRollbackNeverChangesCommittedResults) {
     ASSERT_TRUE(C->ok()) << C->errors();
     SearchOptions Wave;
     Wave.MaxRuns = 256;
-    Wave.Sched = SchedKind::Wave;
     Wave.Jobs = 1;
     Wave.CollectRuns = true;
-    SearchResult RW = searchWith(C, Wave);
+    SearchResult RW = searchReference(C, Wave);
 
     for (unsigned Workers : {16u, 32u}) {
       SearchOptions Steal = Wave;
-      Steal.Sched = SchedKind::Stealing;
       Steal.Jobs = Workers;
       for (int Round = 0; Round < 4; ++Round) {
         SearchResult RS = searchStealForced(C, Steal, Workers);
@@ -239,14 +240,10 @@ TEST(Scheduler, ProvisionalRollbackNeverChangesCommittedResults) {
     ASSERT_TRUE(C->ok()) << C->errors();
     SearchOptions Wave;
     Wave.MaxRuns = 256;
-    Wave.Sched = SchedKind::Wave;
-    SearchResult RW = searchWith(C, Wave);
-    for (unsigned Workers : {16u, 32u}) {
-      SearchOptions Steal = Wave;
-      Steal.Sched = SchedKind::Stealing;
+    SearchResult RW = searchReference(C, Wave);
+    for (unsigned Workers : {16u, 32u})
       for (int Round = 0; Round < 4; ++Round)
-        expectSameVerdict(RW, searchStealForced(C, Steal, Workers), Source);
-    }
+        expectSameVerdict(RW, searchStealForced(C, Wave, Workers), Source);
   }
 }
 
@@ -258,13 +255,10 @@ TEST(Scheduler, TruncationAccountingMatchesWave) {
     Driver Drv;
     Driver::Compiled C = Drv.compile(Corpus[4], "trunc.c");
     ASSERT_TRUE(C->ok());
-    SearchOptions Wave;
-    Wave.MaxRuns = MaxRuns;
-    Wave.Sched = SchedKind::Wave;
-    SearchOptions Steal = Wave;
-    Steal.Sched = SchedKind::Stealing;
-    SearchResult RW = searchWith(C, Wave);
-    SearchResult RS = searchWith(C, Steal);
+    SearchOptions SO;
+    SO.MaxRuns = MaxRuns;
+    SearchResult RW = searchReference(C, SO);
+    SearchResult RS = searchWith(C, SO);
     EXPECT_EQ(RW.FrontierTruncated, RS.FrontierTruncated)
         << "budget " << MaxRuns;
     EXPECT_EQ(RW.DroppedSubtrees, RS.DroppedSubtrees) << "budget " << MaxRuns;
@@ -283,7 +277,6 @@ TEST(Scheduler, RandomPolicyAndDeclarativeStyleStillWork) {
     MOpts.Order = Setup;
     SearchOptions SO;
     SO.MaxRuns = 64;
-    SO.Sched = SchedKind::Stealing;
     OrderSearch Search(C->ast(), MOpts, SO);
     SearchResult R = Search.run();
     EXPECT_TRUE(R.UbFound) << "order policy " << int(Setup);
@@ -292,7 +285,6 @@ TEST(Scheduler, RandomPolicyAndDeclarativeStyleStillWork) {
   Decl.Style = RuleStyle::Declarative;
   SearchOptions SO;
   SO.MaxRuns = 64;
-  SO.Sched = SchedKind::Stealing;
   OrderSearch Search(C->ast(), Decl, SO);
   SearchResult R = Search.run();
   EXPECT_TRUE(R.UbFound);
@@ -315,11 +307,11 @@ TEST(Scheduler, LruThrashFallsBackToReplay) {
   SearchResult RAmple = searchWith(C, Ample);
 
   for (unsigned Cap : {0u, 1u, 2u}) {
-    for (SchedKind Sched : {SchedKind::Wave, SchedKind::Stealing}) {
+    for (bool Reference : {true, false}) {
       SearchOptions Tiny = Ample;
       Tiny.SnapshotBudget = Cap;
-      Tiny.Sched = Sched;
-      SearchResult RTiny = searchWith(C, Tiny);
+      SearchResult RTiny =
+          Reference ? searchReference(C, Tiny) : searchWith(C, Tiny);
       expectSameVerdict(RAmple, RTiny, "lru-thrash");
       EXPECT_EQ(RAmple.RunsExplored, RTiny.RunsExplored) << Cap;
       EXPECT_EQ(RAmple.DedupHits, RTiny.DedupHits) << Cap;
@@ -579,30 +571,6 @@ TEST(Scheduler, BatchedAggregationIsDeterministic) {
       }
     }
   }
-}
-
-TEST(Scheduler, BatchHonorsWaveSchedSelection) {
-  // --search-sched=wave must not be silently dropped in batch mode:
-  // the wave reference path (sequential runSource per unit) runs, and
-  // its observable outcomes match the stealing batch.
-  std::vector<BatchInput> Inputs = {{Corpus[0], "w0.c"}, {Corpus[4], "w1.c"}};
-  AnalysisRequest Steal =
-      AnalysisRequest::Builder().searchRuns(64).buildOrDie();
-  AnalysisRequest Wave = AnalysisRequest::Builder()
-                             .searchRuns(64)
-                             .sched(SchedKind::Wave)
-                             .buildOrDie();
-  BatchResult RS = Driver(Steal).runBatch(Inputs);
-  BatchResult RW = Driver(Wave).runBatch(Inputs);
-  ASSERT_EQ(RW.Outcomes.size(), RS.Outcomes.size());
-  for (size_t I = 0; I < RS.Outcomes.size(); ++I) {
-    EXPECT_EQ(RW.Outcomes[I].anyUb(), RS.Outcomes[I].anyUb()) << I;
-    EXPECT_EQ(RW.Outcomes[I].SearchWitness, RS.Outcomes[I].SearchWitness)
-        << I;
-    EXPECT_EQ(RW.Outcomes[I].Output, RS.Outcomes[I].Output) << I;
-    EXPECT_EQ(RW.Outcomes[I].ExitCode, RS.Outcomes[I].ExitCode) << I;
-  }
-  EXPECT_EQ(RW.Stats.Steals, 0u) << "the wave path must not steal";
 }
 
 TEST(Scheduler, CountersSurfaceThroughDriver) {

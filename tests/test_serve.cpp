@@ -313,7 +313,6 @@ TEST(ServeProtocol, RequestRoundtripsAndRevalidates) {
       .searchJobs(3)
       .dedup(false)
       .snapshots(false)
-      .sched(SchedKind::Wave)
       .staticAnalyze(StaticAnalysisMode::On);
   auto Built = B.build();
   ASSERT_TRUE(Built.ok());
@@ -334,7 +333,6 @@ TEST(ServeProtocol, RequestRoundtripsAndRevalidates) {
   EXPECT_EQ(Back.searchJobs(), 3u);
   EXPECT_FALSE(Back.searchDedup());
   EXPECT_FALSE(Back.searchSnapshots());
-  EXPECT_EQ(Back.searchSched(), SchedKind::Wave);
 
   // Parsing re-validates through the Builder: a daemon cannot be
   // talked into a configuration local kcc would reject.
@@ -366,7 +364,6 @@ TEST(ServeProtocol, StatsRoundtrip) {
   R.Hits = 4;
   R.Misses = 8;
   R.InflightJoins = 3;
-  P.SnapshotSharedHits = 13;
 
   std::string Json = serializeStats(P, M, T, R);
   JsonValue V;
@@ -393,7 +390,6 @@ TEST(ServeProtocol, StatsRoundtrip) {
   EXPECT_EQ(R2.Hits, 4u);
   EXPECT_EQ(R2.Misses, 8u);
   EXPECT_EQ(R2.InflightJoins, 3u);
-  EXPECT_EQ(P2.SnapshotSharedHits, 13u);
 }
 
 TEST(ServeProtocol, FramingSplitsAndCoalesces) {

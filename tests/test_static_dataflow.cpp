@@ -445,35 +445,20 @@ const char *DeterminismSource =
     "  return r + *p;\n"
     "}";
 
-TEST(FlowDeterminism, IdenticalAcrossSchedulers) {
-  DriverOutcome Wave =
-      Driver(AnalysisRequest::Builder()
-                 .searchRuns(8)
-                 .sched(SchedKind::Wave)
-                 .buildOrDie())
-          .runSource(DeterminismSource);
-  DriverOutcome Steal =
-      Driver(AnalysisRequest::Builder()
-                 .searchRuns(8)
-                 .sched(SchedKind::Stealing)
-                 .buildOrDie())
-          .runSource(DeterminismSource);
-  ASSERT_TRUE(Wave.CompileOk && Steal.CompileOk);
-  EXPECT_FALSE(renderStatic(Wave).empty());
-  EXPECT_EQ(renderStatic(Wave), renderStatic(Steal));
+/// DeterminismSource's outcome on an engine forced to \p Workers search
+/// workers (past the hardware clamp, so 8 really means 8).
+DriverOutcome runOnPool(unsigned Workers) {
+  EngineConfig Cfg;
+  Cfg.Workers = Workers;
+  Cfg.ClampWorkersToHardware = false;
+  AnalysisEngine Eng(Cfg);
+  AnalysisRequest Req = AnalysisRequest::Builder().searchRuns(8).buildOrDie();
+  return Eng.submit(Req, DeterminismSource, "det.c").take();
 }
 
 TEST(FlowDeterminism, IdenticalAcrossWorkerCounts) {
-  DriverOutcome One = Driver(AnalysisRequest::Builder()
-                                 .searchRuns(8)
-                                 .searchJobs(1)
-                                 .buildOrDie())
-                          .runSource(DeterminismSource);
-  DriverOutcome Eight = Driver(AnalysisRequest::Builder()
-                                   .searchRuns(8)
-                                   .searchJobs(8)
-                                   .buildOrDie())
-                            .runSource(DeterminismSource);
+  DriverOutcome One = runOnPool(1);
+  DriverOutcome Eight = runOnPool(8);
   ASSERT_TRUE(One.CompileOk && Eight.CompileOk);
   EXPECT_FALSE(renderStatic(One).empty());
   EXPECT_EQ(renderStatic(One), renderStatic(Eight));

@@ -339,15 +339,15 @@ TEST(TranslationCacheEngine, DuplicateHeavyBatchMatchesFreshCompiles) {
 }
 
 //===----------------------------------------------------------------------===//
-// One counter semantics across schedulers.
+// One counter semantics across pool widths.
 //===----------------------------------------------------------------------===//
 
-TEST(TranslationCacheEngine, WaveAndStealAgreeOnOrdersExplored) {
-  // The former wave-inline path double-counted the default order (the
-  // documented "+1 divergence"). Both schedulers now report identical
-  // outcomes including OrdersExplored, for every verdict shape: UB
-  // found by search, UB in the default order, clean-exhaustive, and
-  // clean-truncated.
+TEST(TranslationCacheEngine, PoolWidthsAgreeOnOrdersExplored) {
+  // OrdersExplored counts each explored order once — the root run
+  // doubles as the default-order run — and the count must not depend
+  // on the pool: engines forced to 1 and to 4 workers report identical
+  // outcomes for every verdict shape: UB found by search, UB in the
+  // default order, clean-exhaustive, and clean-truncated.
   const std::vector<BatchInput> Corpus = {
       {PaperSource, "paper.c"},
       {"int main(void) { return 1 / 0; }\n", "default_ub.c"},
@@ -360,17 +360,23 @@ TEST(TranslationCacheEngine, WaveAndStealAgreeOnOrdersExplored) {
        "commute.c"},
   };
   for (unsigned Runs : {1u, 2u, 64u}) {
-    AnalysisRequest Steal =
+    AnalysisRequest Req =
         AnalysisRequest::Builder().searchRuns(Runs).buildOrDie();
-    AnalysisRequest Wave = AnalysisRequest::Builder()
-                               .searchRuns(Runs)
-                               .sched(SchedKind::Wave)
-                               .buildOrDie();
-    BatchResult RS = Driver(Steal).runBatch(Corpus);
-    BatchResult RW = Driver(Wave).runBatch(Corpus);
-    ASSERT_EQ(RS.Outcomes.size(), RW.Outcomes.size());
-    for (size_t I = 0; I < RS.Outcomes.size(); ++I)
-      expectIdentical(RS.Outcomes[I], RW.Outcomes[I],
-                      Corpus[I].Name + " runs=" + std::to_string(Runs));
+    std::vector<DriverOutcome> Ref;
+    for (unsigned Workers : {1u, 4u}) {
+      EngineConfig Cfg;
+      Cfg.Workers = Workers;
+      Cfg.ClampWorkersToHardware = false;
+      AnalysisEngine Eng(Cfg);
+      std::vector<JobHandle> Handles = Eng.submitBatch(Req, Corpus);
+      for (size_t I = 0; I < Handles.size(); ++I) {
+        DriverOutcome O = Handles[I].take();
+        if (Workers == 1)
+          Ref.push_back(std::move(O));
+        else
+          expectIdentical(Ref[I], O,
+                          Corpus[I].Name + " runs=" + std::to_string(Runs));
+      }
+    }
   }
 }

@@ -12,7 +12,6 @@
 //     --search=N                    evaluation orders to search (2.5.2)
 //     --search-jobs=N               worker threads (0 = all hardware threads)
 //     --search-engine=fork|replay   fork snapshots vs replay prefixes
-//     --search-sched=steal|wave     scheduling layer (results identical)
 //     --translation-cache=on|off    content-addressed reuse of compiled
 //                                   translation units (on by default;
 //                                   off recompiles every file — results
@@ -75,8 +74,6 @@
 // any program is undefined, else 1 if any failed to compile, else the
 // program's own exit code (0 for multi-file batches). Results are
 // byte-identical to running each file separately.
-// --search-sched=wave runs each unit synchronously through the wave
-// reference engine (same outcomes, no shared pool).
 //
 // Flags are validated once, through the AnalysisRequest builder:
 // non-numeric values, a zero search budget, or an absurd worker count
@@ -107,7 +104,6 @@ static void usage() {
                "  --search=N\n"
                "  --search-jobs=N      (0 = all hardware threads)\n"
                "  --search-engine=fork|replay\n"
-               "  --search-sched=steal|wave\n"
                "  --translation-cache=on|off\n"
                "  --result-cache=on|off\n"
                "  --no-dedup\n"
@@ -199,8 +195,7 @@ static void printSearchStats(const DriverOutcome &O) {
 }
 
 /// The --show-witness pool block: scheduler-wide speculation and
-/// snapshot-cache contention counters (one line each; zeros on the
-/// wave path, which never speculates).
+/// snapshot-cache contention counters (one line each).
 static void printPoolStats(const cundef::SchedulerStats &Pool) {
   const double Waste =
       Pool.RunsCommitted
@@ -220,19 +215,17 @@ static void printPoolStats(const cundef::SchedulerStats &Pool) {
                static_cast<unsigned long long>(Pool.CommitLagPeak));
   std::fprintf(stderr,
                "Snapshot cache: shards=%u takes=%llu hits=%llu "
-               "slot-steals=%llu evictions=%llu shared-hits=%llu\n",
+               "slot-steals=%llu evictions=%llu\n",
                Pool.SnapshotShards,
                static_cast<unsigned long long>(Pool.SnapshotTakes),
                static_cast<unsigned long long>(Pool.SnapshotHits),
                static_cast<unsigned long long>(Pool.SnapshotSlotSteals),
-               static_cast<unsigned long long>(Pool.SnapshotEvictions),
-               static_cast<unsigned long long>(Pool.SnapshotSharedHits));
+               static_cast<unsigned long long>(Pool.SnapshotEvictions));
 }
 
 int main(int argc, char **argv) {
   AnalysisRequest::Builder Builder;
   Builder.searchRuns(8);
-  SchedKind Sched = SchedKind::Stealing;
   bool ShowWitness = false;
   bool StaticOnly = false;
   bool BatchStats = false;
@@ -317,16 +310,6 @@ int main(int argc, char **argv) {
         Builder.snapshots(true);
       else if (!std::strcmp(Value, "replay"))
         Builder.snapshots(false);
-      else {
-        usage();
-        return 2;
-      }
-    } else if (startsWith(Arg, "--search-sched=")) {
-      const char *Value = Arg + 15;
-      if (!std::strcmp(Value, "steal"))
-        Sched = SchedKind::Stealing;
-      else if (!std::strcmp(Value, "wave"))
-        Sched = SchedKind::Wave;
       else {
         usage();
         return 2;
@@ -466,7 +449,6 @@ int main(int argc, char **argv) {
   // Per-request, so it rides the wire to a daemon unchanged (unlike
   // --translation-cache, which configures the engine itself).
   Builder.resultCache(UseResultCache);
-  Builder.sched(Sched);
   AnalysisRequest::Builder::Result Built = Builder.build();
   if (!Built.ok()) {
     std::fprintf(stderr, "kcc: %s\n", Built.Err.Message.c_str());
@@ -478,7 +460,7 @@ int main(int argc, char **argv) {
     // The whole catalog, one batch, one engine; CoverageRuns is the
     // per-program search budget (the builder rejects a zero budget).
     AnalysisRequest::Builder CovBuilder;
-    CovBuilder.searchRuns(CoverageRuns).searchJobs(0).sched(Sched);
+    CovBuilder.searchRuns(CoverageRuns).searchJobs(0);
     AnalysisRequest::Builder::Result Cov = CovBuilder.build();
     if (!Cov.ok()) {
       std::fprintf(stderr, "kcc: %s\n", Cov.Err.Message.c_str());
@@ -538,11 +520,6 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "kcc: remote analysis failed: %s\n", Err.c_str());
       return 3;
     }
-    // The daemon's counters are engine-lifetime monotonic (shared by
-    // every client); wave-scheduled runs aggregate truthful per-program
-    // counters instead, exactly like the local branch.
-    if (Req.searchSched() == SchedKind::Wave)
-      Pool = waveAggregateStats(Outcomes);
   } else {
     EngineConfig ECfg = engineConfigFor(Req);
     if (!UseTranslationCache)
@@ -556,8 +533,7 @@ int main(int argc, char **argv) {
       Micros.push_back(H.wallMicros());
       Outcomes.push_back(H.take());
     }
-    Pool = Req.searchSched() == SchedKind::Wave ? waveAggregateStats(Outcomes)
-                                                : Eng.poolStats();
+    Pool = Eng.poolStats();
     TStats = Eng.translationStats();
     RStats = Eng.resultCacheStats();
   }
