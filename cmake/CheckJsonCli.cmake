@@ -3,10 +3,27 @@
 # schema) with nothing else around it, embed program output instead of
 # passing it through, suppress the human report on stderr, and keep the
 # exit-code contract (139 undefined / 1 compile failure / program exit
-# code otherwise). Run via ctest (test name: kcc_json_cli).
-if(NOT DEFINED KCC OR NOT DEFINED WORKDIR)
-  message(FATAL_ERROR "usage: cmake -DKCC=<kcc> -DWORKDIR=<dir> -P CheckJsonCli.cmake")
+# code otherwise), and match the committed byte-layout goldens. Run via
+# ctest (test name: kcc_json_cli).
+if(NOT DEFINED KCC OR NOT DEFINED WORKDIR OR NOT DEFINED GOLDEN_DIR)
+  message(FATAL_ERROR "usage: cmake -DKCC=<kcc> -DWORKDIR=<dir> -DGOLDEN_DIR=<dir> -P CheckJsonCli.cmake")
 endif()
+
+# Byte layout: a document with its run-to-run volatile fields masked
+# must equal the golden under GOLDEN_DIR byte for byte. The key list is
+# cmake/check_serve_cli.sh's MASK; [^,}\n] keeps the match on one line
+# as sed does. Regenerate a golden after an intended change with
+#   kcc ... | sed -E "$MASK" > tests/golden/<name>
+# (json_ub.c and json_ok.c below, run from their directory).
+function(expect_golden NAME TEXT)
+  set(VOLATILE "wall_ms|wall_micros|frontend_micros|search_micros|steals|peak_frontier|runs_executed|speculative_waste|provisional_hits|provisional_requeues|commit_lag_peak|snapshot_takes|snapshot_hits|snapshot_slot_steals|snapshot_shards|snapshot_evictions|workers|lookups|hits|misses|inflight_joins|evictions|abandoned|cache_hit|result_cache_hit|runs_committed")
+  string(REGEX REPLACE "\"(${VOLATILE})\": [^,}\n]+" "\"\\1\": X" MASKED "${TEXT}")
+  file(READ ${GOLDEN_DIR}/${NAME} WANT)
+  if(NOT MASKED STREQUAL WANT)
+    file(WRITE ${WORKDIR}/${NAME} "${MASKED}")
+    message(FATAL_ERROR "kcc --json: layout differs from ${GOLDEN_DIR}/${NAME}; the masked output is in ${WORKDIR}/${NAME}")
+  endif()
+endfunction()
 
 file(MAKE_DIRECTORY ${WORKDIR})
 set(UB_C ${WORKDIR}/json_ub.c)
@@ -113,6 +130,25 @@ endif()
 if(NOT OUT MATCHES "\"pool\": \\{" OR NOT OUT MATCHES "\"programs\": 2")
   message(FATAL_ERROR "kcc --json (batch): missing pool stats: ${OUT}")
 endif()
+
+# The same pair in one batch, by relative name so the document does not
+# depend on the build directory: the whole layout is pinned.
+execute_process(
+  COMMAND ${KCC} --json --search=64 json_ub.c json_ok.c
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)
+if(NOT RC EQUAL 139)
+  message(FATAL_ERROR "kcc --json (golden pair): expected exit 139, got ${RC}")
+endif()
+expect_golden(kcc_json_pair.json "${OUT}")
+
+execute_process(
+  COMMAND ${KCC} --json --catalog-coverage
+  RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)
+if(NOT RC EQUAL 0)
+  message(FATAL_ERROR "kcc --json --catalog-coverage (golden): expected exit 0, got ${RC}: ${ERR}")
+endif()
+expect_golden(kcc_json_coverage.json "${OUT}")
 
 # Coverage mode: --json --catalog-coverage emits the coverage document
 # of the same schema (backward-compatible: a new top-level block, the

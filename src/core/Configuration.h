@@ -25,6 +25,7 @@
 
 #include "core/KItem.h"
 #include "mem/SymbolicMemory.h"
+#include "support/Strings.h"
 
 #include <map>
 #include <set>
@@ -170,6 +171,12 @@ enum class RunStatus : uint8_t {
   Internal,   ///< the machine could not proceed (an interpreter bug)
   Cancelled,  ///< stopped from outside (search dedup or cancellation)
 };
+
+inline constexpr EnumName<RunStatus> RunStatusNames[] = {
+    {RunStatus::Running, "running"},     {RunStatus::Completed, "completed"},
+    {RunStatus::UbDetected, "ub-detected"}, {RunStatus::Fault, "fault"},
+    {RunStatus::StepLimit, "step-limit"}, {RunStatus::Internal, "internal"},
+    {RunStatus::Cancelled, "cancelled"}};
 
 /// The full configuration.
 struct Configuration {

@@ -19,6 +19,8 @@
 #ifndef CUNDEF_CORE_EVALORDER_H
 #define CUNDEF_CORE_EVALORDER_H
 
+#include "support/Strings.h"
+
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -32,6 +34,10 @@ enum class EvalOrderKind : uint8_t {
   RightToLeft,
   Random,
 };
+
+inline constexpr EnumName<EvalOrderKind> EvalOrderNames[] = {
+    {EvalOrderKind::LeftToRight, "ltr"}, {EvalOrderKind::RightToLeft, "rtl"},
+    {EvalOrderKind::Random, "random"}};
 
 /// Decides operand evaluation orders. Deterministic given (policy,
 /// seed, replay vector), which makes search reproducible.

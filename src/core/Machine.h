@@ -30,6 +30,7 @@
 #include "core/Monitor.h"
 #include "core/RuleSet.h"
 #include "support/Hash.h"
+#include "support/Strings.h"
 #include "ub/Report.h"
 
 #include <functional>
@@ -44,6 +45,10 @@ enum class RuleStyle : uint8_t {
   PrecedenceChain, ///< inclusion/exclusion negative rules (section 4.5.1)
   Declarative,     ///< monitors observing events (section 4.5.2)
 };
+
+inline constexpr EnumName<RuleStyle> RuleStyleNames[] = {
+    {RuleStyle::SideConditions, "cond"}, {RuleStyle::PrecedenceChain, "chain"},
+    {RuleStyle::Declarative, "decl"}};
 
 struct MachineOptions {
   bool Strict = true;

@@ -11,7 +11,8 @@
 /// without parsing the paper's human-oriented error format. The schema
 /// is versioned: additions bump the minor shape compatibly, removals
 /// or renames would bump the version string — external consumers pin
-/// on it.
+/// on it. The stats field lists here also serve the wire stats frame
+/// (serve/Protocol.h), so both surfaces spell each counter once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,19 +20,12 @@
 #define CUNDEF_DRIVER_JSONOUTPUT_H
 
 #include "driver/Engine.h"
+#include "support/Json.h"
 
 #include <string>
 #include <vector>
 
 namespace cundef {
-
-/// JSON string escaping per RFC 8259 (control characters, quotes,
-/// backslashes; UTF-8 passes through).
-std::string jsonEscape(const std::string &Text);
-
-/// The stable status names of the schema ("completed", "ub-detected",
-/// "fault", "step-limit", "internal", "cancelled", "running").
-const char *runStatusName(RunStatus Status);
 
 /// One entry of the top-level "programs" array: the outcome plus its
 /// per-job submit-to-completion wall time (engine attribution; see
@@ -52,12 +46,69 @@ struct JsonProgram {
 /// translation-cache and result-cache counters, and the process exit
 /// code the verdicts imply (139 if any program is undefined, else 1 if
 /// any failed to compile, else the single program's exit code / 0 for
-/// batches).
+/// batches). Strings are escaped byte-transparently (support/Json.h):
+/// every byte outside printable ASCII becomes \u00XX.
 std::string renderJsonDocument(const std::vector<JsonProgram> &Programs,
                                const SchedulerStats &Pool,
                                const TranslationCacheStats &TCache,
                                const ResultCacheStats &RCache, double WallMs,
                                int ExitCode);
+
+// The one field list per stats struct (see support/Json.h), in --json
+// document order; the wire stats frame uses the same lists.
+
+template <typename Visit> void visitFields(SchedulerStats &P, Visit &&V) {
+  V("programs", P.Programs);
+  V("workers", P.Jobs);
+  V("runs_executed", P.RunsExecuted);
+  V("runs_committed", P.RunsCommitted);
+  // Speculation accounting: the executed surplus over committed runs —
+  // 0.0 at jobs=1, where speculation cannot outrun the wavefront.
+  V("speculative_waste",
+    P.RunsCommitted ? static_cast<double>(P.RunsExecuted - P.RunsCommitted) /
+                          static_cast<double>(P.RunsCommitted)
+                    : 0.0,
+    4);
+  V("provisional_hits", P.ProvisionalHits);
+  V("provisional_requeues", P.ProvisionalRequeues);
+  V("commit_lag_peak", P.CommitLagPeak);
+  V("steals", P.Steals);
+  V("dedup_hits", P.DedupHits);
+  V("snapshot_shards", P.SnapshotShards);
+  V("snapshot_takes", P.SnapshotTakes);
+  V("snapshot_hits", P.SnapshotHits);
+  V("snapshot_slot_steals", P.SnapshotSlotSteals);
+  V("snapshot_evictions", P.SnapshotEvictions);
+  V("peak_frontier", P.PeakFrontier);
+}
+
+template <typename Visit> void visitFields(EngineMemoryStats &M, Visit &&V) {
+  V("pending_jobs", M.PendingJobs);
+  V("graveyard_artifacts", M.GraveyardArtifacts);
+  V("program_slots", M.ProgramSlots);
+  V("retained_programs", M.RetainedPrograms);
+  V("pending_snapshots", M.PendingSnapshots);
+}
+
+// hits + inflight_joins is the "served from cache" count; misses is the
+// work actually done — honest cached-vs-executed accounting.
+template <typename Visit>
+void visitFields(TranslationCacheStats &T, Visit &&V) {
+  V("lookups", T.Lookups);
+  V("hits", T.Hits);
+  V("inflight_joins", T.InflightJoins);
+  V("misses", T.Misses);
+  V("evictions", T.Evictions);
+}
+
+template <typename Visit> void visitFields(ResultCacheStats &R, Visit &&V) {
+  V("lookups", R.Lookups);
+  V("hits", R.Hits);
+  V("inflight_joins", R.InflightJoins);
+  V("misses", R.Misses);
+  V("evictions", R.Evictions);
+  V("abandoned", R.Abandoned);
+}
 
 } // namespace cundef
 

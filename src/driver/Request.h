@@ -25,6 +25,7 @@
 #define CUNDEF_DRIVER_REQUEST_H
 
 #include "core/Search.h"
+#include "support/Strings.h"
 #include "types/TargetConfig.h"
 
 #include <string>
@@ -67,6 +68,10 @@ constexpr unsigned MaxSearchJobs = 4096;
 /// dynamic search entirely — the verdict is the static one, which is
 /// what kcc --static-analyze=only exposes.
 enum class StaticAnalysisMode : uint8_t { Off, On, Only };
+
+inline constexpr EnumName<StaticAnalysisMode> StaticAnalysisModeNames[] = {
+    {StaticAnalysisMode::Off, "off"}, {StaticAnalysisMode::On, "on"},
+    {StaticAnalysisMode::Only, "only"}};
 
 /// An immutable, validated description of one analysis: what the kcc
 /// pipeline should do to a translation unit. Default-constructed

@@ -11,16 +11,17 @@
 /// schemas; docs/JSON_OUTPUT.md the shared field meanings).
 ///
 /// Framing: every message is one frame — a 4-byte big-endian payload
-/// length followed by exactly that many bytes of ASCII JSON (the
-/// byte-transparent escaping of driver/JsonOutput.h keeps payloads
-/// pure ASCII). Frames above a size cap are protocol errors, never
-/// silently truncated.
+/// length followed by exactly that many bytes of ASCII JSON, written
+/// in the compact layout of support/Json.h (whose byte-transparent
+/// escaping keeps payloads pure ASCII). Frames above a size cap are
+/// protocol errors, never silently truncated.
 ///
-/// This header is the single codec both ends share: the daemon and the
-/// remote client serialize and parse AnalysisRequest, DriverOutcome,
-/// findings, and engine stats through these functions, so the two
-/// sides can never drift — and the remote client can hand kcc a
-/// DriverOutcome that renders byte-identically to a local run.
+/// Both ends serialize and parse AnalysisRequest, DriverOutcome,
+/// findings, and engine stats through these functions, each backed by
+/// one field list, so the two sides can never drift — and the remote
+/// client can hand kcc a DriverOutcome that renders byte-identically
+/// to a local run. Integers must fit their field exactly; a value that
+/// does not is a parse error, never a truncation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +31,7 @@
 #include "driver/Driver.h"
 #include "driver/Engine.h"
 #include "driver/Request.h"
-#include "serve/Json.h"
+#include "support/Json.h"
 
 #include <string>
 

@@ -6,7 +6,6 @@
 
 #include "serve/Server.h"
 
-#include "serve/Json.h"
 #include "serve/Protocol.h"
 #include "support/Strings.h"
 

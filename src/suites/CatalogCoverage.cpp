@@ -22,8 +22,8 @@
 #include "suites/CatalogCoverage.h"
 
 #include "driver/Engine.h"
-#include "driver/JsonOutput.h"
 #include "suites/UndefSuite.h"
+#include "support/Json.h"
 #include "support/Strings.h"
 #include "ub/Catalog.h"
 
@@ -1100,45 +1100,41 @@ CatalogCoverageColumn cundef::coverageColumn(const CoverageReport &R) {
 std::string cundef::renderCoverageJson(const CoverageReport &R,
                                        const char *Mode, double WallMs) {
   const std::vector<CoverageCase> &Cases = catalogCoverageCases();
-  std::string Out;
-  Out += "{\n";
-  Out += "  \"schema\": \"cundef-kcc-v1\",\n";
-  Out += "  \"coverage\": {\n";
-  Out += strFormat("    \"mode\": \"%s\",\n", Mode);
-  Out += strFormat("    \"total\": %u,\n", R.total());
-  Out += strFormat("    \"covered\": %u,\n", R.Covered);
-  Out += strFormat("    \"covered_static\": %u,\n", R.CoveredStatic);
-  Out += strFormat("    \"covered_dynamic\": %u,\n", R.CoveredDynamic);
-  Out += strFormat("    \"covered_both\": %u,\n", R.CoveredBoth);
-  Out += strFormat("    \"wrong_code\": %u,\n", R.WrongCode);
-  Out += strFormat("    \"missed\": %u,\n", R.Missed);
-  Out += strFormat("    \"inexpressible\": %u,\n", R.Inexpressible);
-  Out += strFormat("    \"wall_ms\": %.2f,\n", WallMs);
-  Out += "    \"entries\": [\n";
+  JsonValue Entries = JsonValue::array();
   for (size_t I = 0; I < R.Entries.size(); ++I) {
     const EntryCoverage &Entry = R.Entries[I];
     const CoverageCase &Case = Cases[I];
-    Out += strFormat("      {\"id\": %u, \"verdict\": \"%s\"", Entry.Id,
-                     coverageVerdictName(Entry.Verdict));
+    JsonValue E = JsonValue::object();
+    E.set("id", Entry.Id).set("verdict", coverageVerdictName(Entry.Verdict));
     if (Entry.Verdict == CoverageVerdict::Covered)
-      Out += strFormat(", \"source\": \"%s\"",
-                       coverageSourceName(Entry.Source));
+      E.set("source", coverageSourceName(Entry.Source));
     if (Entry.ReportedCode)
-      Out += strFormat(", \"reported_code\": %u", Entry.ReportedCode);
+      E.set("reported_code", Entry.ReportedCode);
     if (!Case.ExpectedCodes.empty()) {
-      Out += ", \"expected_codes\": [";
-      for (size_t C = 0; C < Case.ExpectedCodes.size(); ++C)
-        Out += strFormat(C ? ", %u" : "%u", Case.ExpectedCodes[C]);
-      Out += "]";
+      JsonValue Codes = JsonValue::array();
+      for (unsigned Code : Case.ExpectedCodes)
+        Codes.push(Code);
+      E.set("expected_codes", std::move(Codes));
     }
     if (Case.Note[0])
-      Out += strFormat(", \"note\": \"%s\"",
-                       jsonEscape(Case.Note).c_str());
-    Out += I + 1 < R.Entries.size() ? "},\n" : "}\n";
+      E.set("note", Case.Note);
+    Entries.push(std::move(E));
   }
-  Out += "    ]\n";
-  Out += "  },\n";
-  Out += "  \"exit_code\": 0\n";
-  Out += "}\n";
-  return Out;
+  JsonValue Coverage = JsonValue::object();
+  Coverage.set("mode", Mode)
+      .set("total", R.total())
+      .set("covered", R.Covered)
+      .set("covered_static", R.CoveredStatic)
+      .set("covered_dynamic", R.CoveredDynamic)
+      .set("covered_both", R.CoveredBoth)
+      .set("wrong_code", R.WrongCode)
+      .set("missed", R.Missed)
+      .set("inexpressible", R.Inexpressible)
+      .set("wall_ms", JsonValue(WallMs, 2))
+      .set("entries", std::move(Entries));
+  JsonValue Doc = JsonValue::object();
+  Doc.set("schema", "cundef-kcc-v1")
+      .set("coverage", std::move(Coverage))
+      .set("exit_code", 0);
+  return Doc.pretty();
 }

@@ -48,6 +48,38 @@ std::string padLeft(const std::string &Text, size_t Width);
 /// which silently maps garbage to 0.
 bool parseUnsigned(const char *Text, unsigned &Out);
 
+/// One row of an enum's table of stable spellings. Every enum spelled
+/// on a user-visible surface (kcc flags, --json, the wire) keeps one
+/// such table next to its declaration, read through the lookups below.
+template <typename E> struct EnumName {
+  E Value;
+  const char *Name;
+};
+
+/// The spelling of \p Value (the first row's for a value not listed).
+template <typename E, size_t N>
+const char *enumName(const EnumName<E> (&Table)[N], E Value) {
+  for (const EnumName<E> &Row : Table)
+    if (Row.Value == Value)
+      return Row.Name;
+  return Table[0].Name;
+}
+
+/// Looks \p Name up; false (Out untouched) when no row spells it.
+template <typename E, size_t N>
+bool enumFromName(const EnumName<E> (&Table)[N], const std::string &Name,
+                  E &Out) {
+  for (const EnumName<E> &Row : Table)
+    if (Name == Row.Name) {
+      Out = Row.Value;
+      return true;
+    }
+  return false;
+}
+
+/// The on|off spelling of boolean flags.
+inline constexpr EnumName<bool> OnOffNames[] = {{true, "on"}, {false, "off"}};
+
 } // namespace cundef
 
 #endif // CUNDEF_SUPPORT_STRINGS_H

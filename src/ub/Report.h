@@ -23,6 +23,7 @@
 #define CUNDEF_UB_REPORT_H
 
 #include "support/SourceLoc.h"
+#include "support/Strings.h"
 #include "ub/UbKind.h"
 
 #include <string>
@@ -36,6 +37,10 @@ namespace cundef {
 /// is reached — the abstract state proves it) or May (UB on at least
 /// one abstract path — a triage hint, never part of the verdict).
 enum class FindingVerdict : uint8_t { None, Must, May };
+
+inline constexpr EnumName<FindingVerdict> FindingVerdictNames[] = {
+    {FindingVerdict::None, "none"}, {FindingVerdict::Must, "must"},
+    {FindingVerdict::May, "may"}};
 
 /// One undefinedness finding.
 struct UbReport {

@@ -343,6 +343,55 @@ TEST(ServeProtocol, RequestRoundtripsAndRevalidates) {
   EXPECT_FALSE(Err.empty());
 }
 
+TEST(ServeProtocol, WireIntegerAccessorsNeverCastOutOfRange) {
+  // 1e30 does not fit uint64_t: the accessor answers the fallback
+  // instead of an undefined float-to-integer conversion.
+  JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(JsonValue::parse("{\"n\":1e30}", V, Err)) << Err;
+  EXPECT_EQ(V.getU64("n", 5), 5u);
+  int64_t Signed = -5;
+  EXPECT_FALSE(V.get("n")->toInt(Signed));
+  EXPECT_EQ(Signed, -5);
+}
+
+TEST(ServeProtocol, StepLimitAboveTwoToTheFiftyThreeIsExact) {
+  // Through a double, 2^53+1 would arrive as 2^53: the daemon would run
+  // (and cache) a different machine configuration than the local run.
+  MachineOptions M;
+  M.StepLimit = (uint64_t(1) << 53) + 1;
+  AnalysisRequest::Builder B;
+  B.machine(M);
+  auto Built = B.build();
+  ASSERT_TRUE(Built.ok());
+  JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(JsonValue::parse(serializeRequest(Built.Request), V, Err))
+      << Err;
+  AnalysisRequest Back;
+  ASSERT_TRUE(parseRequest(V, Back, Err)) << Err;
+  EXPECT_EQ(Back.machine().StepLimit, (uint64_t(1) << 53) + 1);
+}
+
+TEST(ServeProtocol, RequestIntegersThatDoNotFitAreRejected) {
+  // 4294967297 would truncate to 1 through a cast to unsigned.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"{\"search_runs\":4294967297}", "'search_runs'"},
+      {"{\"search_jobs\":2.5}", "'search_jobs'"},
+      {"{\"machine\":{\"step_limit\":1e30}}", "'step_limit'"},
+      {"{\"machine\":{\"seed\":-1}}", "'seed'"},
+      {"{\"target\":{\"int_size\":18446744073709551616}}", "'int_size'"}};
+  for (const auto &[Bad, Key] : Cases) {
+    JsonValue V;
+    std::string Err;
+    ASSERT_TRUE(JsonValue::parse(Bad, V, Err)) << Err;
+    AnalysisRequest Out;
+    EXPECT_FALSE(parseRequest(V, Out, Err)) << Bad;
+    EXPECT_NE(Err.find(Key), std::string::npos) << Bad << ": " << Err;
+    EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+  }
+}
+
 TEST(ServeProtocol, StatsRoundtrip) {
   SchedulerStats P;
   P.Programs = 3;
@@ -369,6 +418,9 @@ TEST(ServeProtocol, StatsRoundtrip) {
   JsonValue V;
   std::string Err;
   ASSERT_TRUE(JsonValue::parse(Json, V, Err)) << Err;
+  // The pool object shares kcc --json's field list, derived ratio too.
+  EXPECT_NE(Json.find("\"speculative_waste\":0.1111"), std::string::npos)
+      << Json;
   SchedulerStats P2;
   EngineMemoryStats M2;
   TranslationCacheStats T2;
@@ -629,6 +681,29 @@ TEST(ServeDaemonTest, GarbageFrameGetsProtocolErrorAndClose) {
   // Protocol errors are connection-fatal: the next read is EOF.
   EXPECT_FALSE(Raw.readFrame(Payload, Err));
   EXPECT_GE(D.Daemon->counters().ProtocolErrors, 1u);
+  D.stop();
+}
+
+TEST(ServeDaemonTest, OutOfRangeRequestGetsBadRequest) {
+  DaemonFixture D;
+  D.start();
+  if (HasFatalFailure())
+    return;
+
+  RawConn Raw;
+  ASSERT_TRUE(Raw.open(D.Path));
+  ASSERT_TRUE(Raw.eatHello());
+  std::string Frame;
+  appendFrame(Frame, "{\"type\":\"submit\",\"id\":9,\"name\":\"x.c\","
+                     "\"source\":\"int main(void) { return 0; }\","
+                     "\"request\":{\"search_runs\":4294967297}}");
+  ASSERT_TRUE(Raw.sendRaw(Frame));
+
+  std::string Payload, Err;
+  ASSERT_TRUE(Raw.readFrame(Payload, Err)) << Err;
+  EXPECT_NE(Payload.find("\"code\":\"bad_request\""), std::string::npos)
+      << Payload;
+  EXPECT_NE(Payload.find("\"id\":9"), std::string::npos) << Payload;
   D.stop();
 }
 

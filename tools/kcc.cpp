@@ -280,17 +280,12 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (startsWith(Arg, "--style=")) {
-      const char *Value = Arg + 8;
-      if (!std::strcmp(Value, "cond"))
-        Builder.style(RuleStyle::SideConditions);
-      else if (!std::strcmp(Value, "chain"))
-        Builder.style(RuleStyle::PrecedenceChain);
-      else if (!std::strcmp(Value, "decl"))
-        Builder.style(RuleStyle::Declarative);
-      else {
+      RuleStyle Style = RuleStyle::SideConditions;
+      if (!enumFromName(RuleStyleNames, Arg + 8, Style)) {
         usage();
         return 2;
       }
+      Builder.style(Style);
     } else if (startsWith(Arg, "--search=")) {
       // A budget of 0 is rejected below by the request builder, with
       // the rest of the combination validation.
@@ -305,32 +300,21 @@ int main(int argc, char **argv) {
         return 2;
       Builder.searchJobs(Jobs);
     } else if (startsWith(Arg, "--search-engine=")) {
-      const char *Value = Arg + 16;
-      if (!std::strcmp(Value, "fork"))
-        Builder.snapshots(true);
-      else if (!std::strcmp(Value, "replay"))
-        Builder.snapshots(false);
-      else {
+      static const EnumName<bool> EngineNames[] = {{true, "fork"},
+                                                   {false, "replay"}};
+      bool Fork = true;
+      if (!enumFromName(EngineNames, Arg + 16, Fork)) {
         usage();
         return 2;
       }
+      Builder.snapshots(Fork);
     } else if (startsWith(Arg, "--translation-cache=")) {
-      const char *Value = Arg + 20;
-      if (!std::strcmp(Value, "on"))
-        UseTranslationCache = true;
-      else if (!std::strcmp(Value, "off"))
-        UseTranslationCache = false;
-      else {
+      if (!enumFromName(OnOffNames, Arg + 20, UseTranslationCache)) {
         usage();
         return 2;
       }
     } else if (startsWith(Arg, "--result-cache=")) {
-      const char *Value = Arg + 15;
-      if (!std::strcmp(Value, "on"))
-        UseResultCache = true;
-      else if (!std::strcmp(Value, "off"))
-        UseResultCache = false;
-      else {
+      if (!enumFromName(OnOffNames, Arg + 15, UseResultCache)) {
         usage();
         return 2;
       }
@@ -350,17 +334,12 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(Arg, "--json")) {
       Json = true;
     } else if (startsWith(Arg, "--order=")) {
-      const char *Value = Arg + 8;
-      if (!std::strcmp(Value, "ltr"))
-        Builder.order(EvalOrderKind::LeftToRight);
-      else if (!std::strcmp(Value, "rtl"))
-        Builder.order(EvalOrderKind::RightToLeft);
-      else if (!std::strcmp(Value, "random"))
-        Builder.order(EvalOrderKind::Random);
-      else {
+      EvalOrderKind Order = EvalOrderKind::LeftToRight;
+      if (!enumFromName(EvalOrderNames, Arg + 8, Order)) {
         usage();
         return 2;
       }
+      Builder.order(Order);
     } else if (startsWith(Arg, "--seed=")) {
       unsigned Seed = 0;
       if (!parseNumericFlag("--seed", Arg + 7, Seed))
@@ -369,21 +348,16 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(Arg, "--no-static")) {
       Builder.staticChecks(false);
     } else if (startsWith(Arg, "--static-analyze=")) {
-      const char *Value = Arg + 17;
-      if (!std::strcmp(Value, "on"))
-        Builder.staticAnalyze(StaticAnalysisMode::On);
-      else if (!std::strcmp(Value, "off"))
-        Builder.staticAnalyze(StaticAnalysisMode::Off);
-      else if (!std::strcmp(Value, "only")) {
-        Builder.staticAnalyze(StaticAnalysisMode::Only);
-        StaticOnly = true;
-      } else {
+      StaticAnalysisMode Mode = StaticAnalysisMode::On;
+      if (!enumFromName(StaticAnalysisModeNames, Arg + 17, Mode)) {
         std::fprintf(stderr,
                      "kcc: invalid value '%s' for --static-analyze "
                      "(expected on, off, or only)\n",
-                     Value);
+                     Arg + 17);
         return 2;
       }
+      Builder.staticAnalyze(Mode);
+      StaticOnly = Mode == StaticAnalysisMode::Only;
     } else if (Arg[0] == '-') {
       usage();
       return 2;
@@ -556,9 +530,7 @@ int main(int argc, char **argv) {
     // Machine-readable boundary: the document is the entire stdout;
     // program output is embedded, the human report is suppressed.
     const char *StaticModeName =
-        Req.staticAnalyze() == StaticAnalysisMode::Off  ? "off"
-        : Req.staticAnalyze() == StaticAnalysisMode::Only ? "only"
-                                                          : "on";
+        enumName(StaticAnalysisModeNames, Req.staticAnalyze());
     std::vector<JsonProgram> Progs;
     Progs.reserve(Outcomes.size());
     for (size_t I = 0; I < Outcomes.size(); ++I)

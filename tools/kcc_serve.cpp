@@ -134,25 +134,22 @@ int main(int argc, char **argv) {
       if (Cfg.Engine.Workers != 0)
         Cfg.Engine.ClampWorkersToHardware = false;
     } else if (startsWith(Arg, "--translation-cache=")) {
-      const char *Value = Arg + 20;
-      if (!std::strcmp(Value, "on"))
-        ; // the default capacity stands
-      else if (!std::strcmp(Value, "off"))
+      // "on" keeps the default capacity; "off" sizes the cache to 0.
+      bool On = true;
+      if (!enumFromName(OnOffNames, Arg + 20, On)) {
+        usage();
+        return 2;
+      }
+      if (!On)
         Cfg.Engine.TranslationCacheEntries = 0;
-      else {
-        usage();
-        return 2;
-      }
     } else if (startsWith(Arg, "--result-cache=")) {
-      const char *Value = Arg + 15;
-      if (!std::strcmp(Value, "on"))
-        ; // the default capacity stands
-      else if (!std::strcmp(Value, "off"))
-        Cfg.Engine.ResultCacheEntries = 0;
-      else {
+      bool On = true;
+      if (!enumFromName(OnOffNames, Arg + 15, On)) {
         usage();
         return 2;
       }
+      if (!On)
+        Cfg.Engine.ResultCacheEntries = 0;
     } else {
       usage();
       return 2;
