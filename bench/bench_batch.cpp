@@ -39,7 +39,6 @@
 
 #include "BenchUtil.h"
 #include "driver/Driver.h"
-#include "driver/ResultCache.h"
 
 #include <chrono>
 #include <cstdio>

@@ -77,7 +77,7 @@ struct MachineOptions {
 /// Stable FNV-1a digest over every field of \p M. Two MachineOptions
 /// with equal fingerprints drive byte-identical machines over the same
 /// AST, so the digest is a content address for the semantics half of a
-/// search configuration (the result cache in driver/ResultCache.h and
+/// search configuration (the engine's result cache in driver/Engine.cpp and
 /// the cross-program snapshot-sharing key both build on it). Every
 /// field participates — adding a MachineOptions member without hashing
 /// it here would silently alias distinct configurations.

@@ -166,11 +166,13 @@ struct AnalysisEngine::Impl {
   EngineConfig Cfg;
   HeaderRegistry Headers;
   SearchScheduler Sched;
-  TranslationCache TCache;
-  ResultCache RCache;
-  /// Header-registry fingerprint of the last cached submission; a
-  /// change means headers() was edited on the live engine, which
-  /// triggers the result-cache context sweep (0 = none seen yet).
+  ContentCache<TranslationKey, CompiledProgramRef> TCache;
+  ContentCache<ResultKey, CachedOutcome> RCache;
+  using ResultClaim = ContentCache<ResultKey, CachedOutcome>::Claim;
+  /// Context digest (TranslationKey::ContextHash) of the last
+  /// submission; a change means headers() was edited on the live
+  /// engine, which triggers the context sweep of both caches (0 = none
+  /// seen yet).
   std::atomic<uint64_t> LastContextHash{0};
 
   /// One queued submission: everything the frontend stage needs, owned
@@ -231,37 +233,43 @@ struct AnalysisEngine::Impl {
     }
   }
 
-  /// Resolves \p Source through the translation cache (or compiles
-  /// directly when the cache is disabled). \p OutKey, when given,
-  /// receives the unit's content address even on the uncached path —
-  /// the result cache keys on it, so it must exist independently of
-  /// whether the translation cache is on.
+  /// Resolves \p Source through the translation cache into \p Key's
+  /// artifact. \p Key receives the unit's content address whether or
+  /// not the cache is on: the result cache and the context sweep key
+  /// on it.
   CompiledProgramRef frontend(const AnalysisRequest &Req,
                               const std::string &Source,
                               const std::string &Name, bool *WasHit,
-                              TranslationKey *OutKey = nullptr) {
+                              TranslationKey &Key) {
     FrontendOptions FO;
     FO.Target = Req.target();
     FO.StaticChecks = Req.staticChecks();
     FO.FlowChecks = Req.staticAnalyze() != StaticAnalysisMode::Off;
-    if (!TCache.enabled()) {
-      if (WasHit)
-        *WasHit = false;
-      if (OutKey)
-        *OutKey = translationKeyFor(FO, Source, Name, Headers.fingerprint());
-      return compileTranslationUnit(FO, Source, Name, Headers);
-    }
     // Hash once: the key addresses the cache AND stamps the artifact,
     // so the two can never diverge (and a miss does not re-hash the
     // source and the whole header registry inside the compile).
-    TranslationKey Key =
-        translationKeyFor(FO, Source, Name, Headers.fingerprint());
-    if (OutKey)
-      *OutKey = Key;
-    return TCache.getOrCompile(
+    Key = translationKeyFor(FO, Source, Name, Headers.fingerprint());
+    return TCache.getOrCompute(
         Key,
         [&] { return compileTranslationUnit(FO, Source, Name, Headers, &Key); },
         WasHit);
+  }
+
+  /// Live-engine header edits re-key every unit (the header
+  /// fingerprint is folded into TranslationKey::ContextHash), so a
+  /// stale entry can never be *served* — but it would squat in the LRU
+  /// until pressure evicts it. Sweeps the previous context's entries
+  /// from both caches the first time a submission arrives under a new
+  /// one.
+  void sweepStaleContexts(uint64_t Ctx) {
+    const uint64_t Prev = LastContextHash.exchange(Ctx);
+    if (Prev == 0 || Prev == Ctx)
+      return;
+    TCache.evictIf(
+        [Ctx](const TranslationKey &K) { return K.ContextHash != Ctx; });
+    RCache.evictIf([Ctx](const ResultKey &K) {
+      return K.Translation.ContextHash != Ctx;
+    });
   }
 
   /// The result cache's content address for \p Req over the unit
@@ -313,7 +321,7 @@ struct AnalysisEngine::Impl {
     TranslationKey TKey;
     CompiledProgramRef Art;
     try {
-      Art = frontend(Req, Task.Source, St.Name, &Hit, UseRC ? &TKey : nullptr);
+      Art = frontend(Req, Task.Source, St.Name, &Hit, TKey);
     } catch (const std::exception &E) {
       // A throwing frontend (OOM, realistically) must not escape a
       // pool thread — that would terminate the whole service and
@@ -333,6 +341,7 @@ struct AnalysisEngine::Impl {
     O.StaticHints = Art->staticHints();
     O.TranslationCacheHit = Hit;
     O.FrontendMicros = microsSince(FeStart);
+    sweepStaleContexts(TKey.ContextHash);
 
     // Result-cache lookup: one atomic hit / claim / join on the full
     // content address. Placed AFTER artifact resolution so a hit still
@@ -341,15 +350,6 @@ struct AnalysisEngine::Impl {
     // skips the search entirely. The frontend-exception path above
     // never reaches here, so it never claims (nothing to leak).
     if (UseRC) {
-      // Live-engine header edits re-key every unit (the header
-      // fingerprint is folded into TranslationKey::ContextHash), so a
-      // stale entry can never be *served* — but it would squat in the
-      // LRU until pressure evicts it. Sweep the previous context's
-      // entries the first time a submission arrives under a new one.
-      const uint64_t Ctx = TKey.ContextHash;
-      const uint64_t Prev = LastContextHash.exchange(Ctx);
-      if (Prev != 0 && Prev != Ctx)
-        RCache.invalidateContextsExcept(Ctx);
       St.RKey = resultKeyFor(Req, TKey);
       // The waiter fires if (and only if) this submission JOINS an
       // in-flight twin: the owner's publish completes this job with
@@ -360,7 +360,7 @@ struct AnalysisEngine::Impl {
       auto StPtr = Task.St;
       const bool TrHit = Hit;
       const double FeMicros = O.FrontendMicros;
-      ResultCache::Claim Claim = RCache.begin(
+      ResultClaim Claim = RCache.begin(
           St.RKey, [this, StPtr, TrHit, FeMicros](CachedOutcome Ready) {
             if (Ready) {
               finishJob(*StPtr, cachedHitOutcome(*Ready, TrHit, FeMicros),
@@ -379,16 +379,14 @@ struct AnalysisEngine::Impl {
                       microsSince(StPtr->SubmitTime));
           });
       switch (Claim.K) {
-      case ResultCache::Claim::Kind::Hit:
+      case ResultClaim::Kind::Hit:
         finishJob(St, cachedHitOutcome(*Claim.Ready, Hit, O.FrontendMicros),
                   microsSince(St.SubmitTime));
         return;
-      case ResultCache::Claim::Kind::Joined:
+      case ResultClaim::Kind::Joined:
         return; // the owner's publish finishes this job
-      case ResultCache::Claim::Kind::Owner:
+      case ResultClaim::Kind::Owner:
         St.Publish = true; // finishJob publishes under St.RKey
-        break;
-      case ResultCache::Claim::Kind::Disabled:
         break;
       }
     }
@@ -548,7 +546,8 @@ unsigned AnalysisEngine::workers() const { return I->Sched.stats().Jobs; }
 CompiledProgramRef AnalysisEngine::compile(const AnalysisRequest &Req,
                                            const std::string &Source,
                                            const std::string &Name) {
-  return I->frontend(Req, Source, Name, nullptr);
+  TranslationKey Key;
+  return I->frontend(Req, Source, Name, nullptr, Key);
 }
 
 JobHandle AnalysisEngine::submit(const AnalysisRequest &Req,
@@ -658,11 +657,11 @@ bool AnalysisEngine::isShutdown() const {
 SchedulerStats AnalysisEngine::poolStats() const { return I->Sched.stats(); }
 
 TranslationCacheStats AnalysisEngine::translationStats() const {
-  return I->TCache.stats();
+  return {I->TCache.stats()};
 }
 
 ResultCacheStats AnalysisEngine::resultCacheStats() const {
-  return I->RCache.stats();
+  return {I->RCache.stats()};
 }
 
 EngineMemoryStats AnalysisEngine::memoryStats() const {

@@ -7,10 +7,11 @@
 /// \file
 /// The service layer: a long-lived AnalysisEngine owns one persistent
 /// work-stealing worker pool (core/Scheduler.h service mode), a shared
-/// snapshot cache, and an engine-wide content-addressed
-/// TranslationCache (frontend/TranslationCache.h), and runs the whole
-/// kcc pipeline — frontend (preprocess, parse, sema, static checks)
-/// plus strict execution and evaluation-order search — for every
+/// snapshot cache, and two engine-wide content-addressed caches
+/// (support/ContentCache.h) — a translation cache of compiled artifacts
+/// and a result cache of completed outcomes — and runs the whole kcc
+/// pipeline — frontend (preprocess, parse, sema, static checks) plus
+/// strict execution and evaluation-order search — for every
 /// translation unit submitted to it.
 ///
 /// Submission is truly asynchronous: submit() copies the source,
@@ -45,9 +46,8 @@
 
 #include "core/Scheduler.h"
 #include "driver/Request.h"
-#include "driver/ResultCache.h"
 #include "frontend/CompiledProgram.h"
-#include "frontend/TranslationCache.h"
+#include "support/ContentCache.h"
 #include "text/Preprocessor.h"
 #include "ub/Report.h"
 
@@ -96,12 +96,12 @@ struct DriverOutcome {
   /// frontend pass ran for this submission (kcc --show-witness and the
   /// --json compile block surface it).
   bool TranslationCacheHit = false;
-  /// This job's outcome came from the engine's result cache
-  /// (driver/ResultCache.h): no search ran for this submission — every
-  /// deterministic field below is a byte-identical copy of the cached
-  /// outcome. Only TranslationCacheHit and FrontendMicros describe
-  /// this submission; SearchMicros and the search counters replay the
-  /// original run's (a cached outcome IS that run's outcome).
+  /// This job's outcome came from the engine's result cache: no search
+  /// ran for this submission — every deterministic field below is a
+  /// byte-identical copy of the cached outcome. Only
+  /// TranslationCacheHit and FrontendMicros describe this submission;
+  /// SearchMicros and the search counters replay the original run's (a
+  /// cached outcome IS that run's outcome).
   bool ResultCacheHit = false;
   /// Microseconds this job spent in its frontend stage — the compile,
   /// or the cache lookup/in-flight join that replaced it. Together
@@ -121,6 +121,32 @@ struct DriverOutcome {
   /// Renders every finding in the paper's kcc error format.
   std::string renderReport() const;
 };
+
+/// How the result cache holds outcomes: shared, immutable,
+/// reference-counted. Observers copy and adjust only their own per-job
+/// fields (this job's frontend timing and cache flags).
+using CachedOutcome = std::shared_ptr<const DriverOutcome>;
+
+/// Content address of one completed analysis: the frontend artifact's
+/// address plus fingerprints of the MachineOptions and of the
+/// outcome-affecting request-level search options (which also fold in
+/// the static-analysis mode).
+struct ResultKey {
+  TranslationKey Translation;
+  uint64_t MachineFp = 0;
+  uint64_t SearchFp = 0;
+
+  bool operator==(const ResultKey &O) const {
+    return Translation == O.Translation && MachineFp == O.MachineFp &&
+           SearchFp == O.SearchFp;
+  }
+  bool operator!=(const ResultKey &O) const { return !(*this == O); }
+};
+
+/// Translation-cache counters: Misses counts frontend passes run.
+struct TranslationCacheStats : ContentCacheStats {};
+/// Result-cache counters: Misses counts searches run.
+struct ResultCacheStats : ContentCacheStats {};
 
 /// One translation unit of a submission.
 struct BatchInput {
@@ -145,11 +171,11 @@ struct EngineConfig {
   /// disables content-addressed reuse: every submission runs its own
   /// frontend pass (the kcc --translation-cache=off A/B mode).
   unsigned TranslationCacheEntries = 256;
-  /// Capacity (outcomes) of the engine-wide result cache
-  /// (driver/ResultCache.h): completed search outcomes keyed by
-  /// (translation key, machine fingerprint, search fingerprint), so a
-  /// resubmitted (source, config) pair skips its search entirely. 0
-  /// disables it (the kcc --result-cache=off A/B mode).
+  /// Capacity (outcomes) of the engine-wide result cache: completed
+  /// search outcomes keyed by (translation key, machine fingerprint,
+  /// search fingerprint), so a resubmitted (source, config) pair skips
+  /// its search entirely. 0 disables it (the kcc --result-cache=off A/B
+  /// mode).
   unsigned ResultCacheEntries = 256;
   /// Threads of the frontend pool, which compiles submissions off the
   /// submitting thread; every search runs on the search pool. 0 = auto
@@ -335,5 +361,16 @@ private:
 };
 
 } // namespace cundef
+
+namespace std {
+template <> struct hash<cundef::ResultKey> {
+  size_t operator()(const cundef::ResultKey &K) const {
+    uint64_t H = hash<cundef::TranslationKey>()(K.Translation);
+    H = cundef::mix64(H ^ (K.MachineFp * 0x9e3779b97f4a7c15ull));
+    H = cundef::mix64(H ^ (K.SearchFp * 0x9e3779b97f4a7c15ull));
+    return static_cast<size_t>(H);
+  }
+};
+} // namespace std
 
 #endif // CUNDEF_DRIVER_ENGINE_H

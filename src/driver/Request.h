@@ -107,7 +107,7 @@ public:
   /// prefixes.
   bool searchSnapshots() const { return SearchSnapshots; }
   /// Consult the engine's content-addressed result cache
-  /// (driver/ResultCache.h) for this submission. Off forces a full
+  /// (driver/Engine.cpp) for this submission. Off forces a full
   /// search even when an identical outcome is resident — the kcc
   /// --result-cache=off A/B mode. Per-request (not engine-wide) so a
   /// remote client can disable it over the wire against a shared

@@ -16,9 +16,10 @@
 /// type context are only mutated during the frontend pass), so one
 /// artifact can be searched by any number of concurrent jobs — within
 /// one program's parallel order search, across programs on a shared
-/// worker pool, and across submissions via the engine-wide
-/// TranslationCache (frontend/TranslationCache.h), which deduplicates
-/// identical translation units by content address (TranslationKey).
+/// worker pool, and across submissions via the engine-wide translation
+/// cache (support/ContentCache.h, instantiated in driver/Engine.cpp),
+/// which deduplicates identical translation units by content address
+/// (TranslationKey).
 ///
 /// Lifetime: whoever holds the shared_ptr keeps the arena alive. The
 /// cache holds one reference; every in-flight job holds its own; the
@@ -32,6 +33,7 @@
 #define CUNDEF_FRONTEND_COMPILEDPROGRAM_H
 
 #include "ast/Ast.h"
+#include "support/Hash.h"
 #include "support/StringInterner.h"
 #include "ub/Report.h"
 
@@ -112,5 +114,14 @@ private:
 using CompiledProgramRef = std::shared_ptr<const CompiledProgram>;
 
 } // namespace cundef
+
+namespace std {
+template <> struct hash<cundef::TranslationKey> {
+  size_t operator()(const cundef::TranslationKey &K) const {
+    return static_cast<size_t>(
+        cundef::mix64(K.SourceHash ^ (K.ContextHash * 0x9e3779b97f4a7c15ull)));
+  }
+};
+} // namespace std
 
 #endif // CUNDEF_FRONTEND_COMPILEDPROGRAM_H

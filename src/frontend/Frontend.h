@@ -11,7 +11,7 @@
 /// (driver/Engine.cpp used to run this inline in submit()) so that
 ///
 ///  * the artifact has exactly one producer, content-addressed by
-///    translationKeyFor — the TranslationCache's contract that equal
+///    translationKeyFor — the translation cache's contract that equal
 ///    keys mean interchangeable artifacts holds by construction;
 ///  * compilation can run on any thread (engine frontend workers, the
 ///    compile-only test entry points) against a const HeaderRegistry.

@@ -14,6 +14,7 @@
 //  * **Singleflight.** N concurrent identical submissions run exactly
 //    one search; joiners complete with the owner's outcome. Under
 //    -DCUNDEF_TSAN=ON this suite runs instrumented (ctest -L tsan).
+//    The cache's own unit tests are in tests/test_content_cache.cpp.
 //  * **The cache is invisible in the results.** Byte-identical outcomes
 //    with the cache on, off, hot, or cold — the honest counters
 //    (BatchStats::ResultCacheHits/Misses) are the only observable
@@ -23,7 +24,6 @@
 
 #include "core/Search.h"
 #include "driver/Driver.h"
-#include "driver/ResultCache.h"
 
 #include <gtest/gtest.h>
 
@@ -72,174 +72,7 @@ void expectIdentical(const DriverOutcome &A, const DriverOutcome &B,
   }
 }
 
-ResultKey rkey(uint64_t Source, uint64_t Context, uint64_t MachineFp = 1,
-               uint64_t SearchFp = 1) {
-  ResultKey K;
-  K.Translation.SourceHash = Source;
-  K.Translation.ContextHash = Context;
-  K.MachineFp = MachineFp;
-  K.SearchFp = SearchFp;
-  return K;
-}
-
-/// A distinguishable outcome for cache unit tests (the cache never
-/// looks inside what it stores).
-CachedOutcome makeOutcome(int ExitCode) {
-  auto O = std::make_shared<DriverOutcome>();
-  O->CompileOk = true;
-  O->ExitCode = ExitCode;
-  return O;
-}
-
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// ResultCache unit behavior.
-//===----------------------------------------------------------------------===//
-
-TEST(ResultCacheUnit, CapacityZeroDisables) {
-  ResultCache Cache(0);
-  EXPECT_FALSE(Cache.enabled());
-  ResultCache::Claim C = Cache.begin(rkey(1, 1), nullptr);
-  EXPECT_EQ(C.K, ResultCache::Claim::Kind::Disabled);
-  Cache.publish(rkey(1, 1), makeOutcome(0));
-  C = Cache.begin(rkey(1, 1), nullptr);
-  EXPECT_EQ(C.K, ResultCache::Claim::Kind::Disabled);
-  ResultCacheStats St = Cache.stats();
-  EXPECT_EQ(St.Lookups, 0u);
-  EXPECT_EQ(Cache.size(), 0u);
-}
-
-TEST(ResultCacheUnit, OwnerPublishesThenHitsShareOneOutcome) {
-  ResultCache Cache(8, /*ShardCount=*/1);
-  ResultCache::Claim First = Cache.begin(rkey(1, 1), nullptr);
-  ASSERT_EQ(First.K, ResultCache::Claim::Kind::Owner);
-
-  CachedOutcome Published = makeOutcome(7);
-  Cache.publish(rkey(1, 1), Published);
-  EXPECT_EQ(Cache.size(), 1u);
-
-  ResultCache::Claim Again = Cache.begin(rkey(1, 1), nullptr);
-  ASSERT_EQ(Again.K, ResultCache::Claim::Kind::Hit);
-  EXPECT_EQ(Again.Ready.get(), Published.get()) << "hits share one artifact";
-
-  // A different fingerprint is a different analysis: fresh claim.
-  ResultCache::Claim Other = Cache.begin(rkey(1, 1, 2), nullptr);
-  EXPECT_EQ(Other.K, ResultCache::Claim::Kind::Owner);
-
-  ResultCacheStats St = Cache.stats();
-  EXPECT_EQ(St.Lookups, 3u);
-  EXPECT_EQ(St.Hits, 1u);
-  EXPECT_EQ(St.Misses, 2u);
-  EXPECT_EQ(St.InflightJoins, 0u);
-}
-
-TEST(ResultCacheUnit, AbandonReleasesTheClaim) {
-  // An owner that finishes without a cacheable outcome (shutdown
-  // mid-job) must release the key: waiters fire with null, and the
-  // next submission starts fresh instead of joining a dead entry.
-  ResultCache Cache(8, /*ShardCount=*/1);
-  ASSERT_EQ(Cache.begin(rkey(1, 1), nullptr).K,
-            ResultCache::Claim::Kind::Owner);
-  bool WaiterFired = false;
-  bool WaiterGotOutcome = true;
-  ASSERT_EQ(Cache
-                .begin(rkey(1, 1),
-                       [&](CachedOutcome O) {
-                         WaiterFired = true;
-                         WaiterGotOutcome = O != nullptr;
-                       })
-                .K,
-            ResultCache::Claim::Kind::Joined);
-
-  Cache.publish(rkey(1, 1), nullptr);
-  EXPECT_TRUE(WaiterFired);
-  EXPECT_FALSE(WaiterGotOutcome) << "abandon fires waiters with null";
-  EXPECT_EQ(Cache.size(), 0u);
-  EXPECT_EQ(Cache.stats().Abandoned, 1u);
-  EXPECT_EQ(Cache.begin(rkey(1, 1), nullptr).K,
-            ResultCache::Claim::Kind::Owner)
-      << "the key is claimable again";
-}
-
-TEST(ResultCacheUnit, EvictsLeastRecentlyUsed) {
-  ResultCache Cache(2, /*ShardCount=*/1);
-  for (uint64_t K = 1; K <= 2; ++K) {
-    ASSERT_EQ(Cache.begin(rkey(K, 0), nullptr).K,
-              ResultCache::Claim::Kind::Owner);
-    Cache.publish(rkey(K, 0), makeOutcome(static_cast<int>(K)));
-  }
-  // Touch key 1: key 2 becomes the LRU victim.
-  ASSERT_EQ(Cache.begin(rkey(1, 0), nullptr).K,
-            ResultCache::Claim::Kind::Hit);
-  ASSERT_EQ(Cache.begin(rkey(3, 0), nullptr).K,
-            ResultCache::Claim::Kind::Owner);
-  Cache.publish(rkey(3, 0), makeOutcome(3));
-
-  EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_EQ(Cache.stats().Evictions, 1u);
-  EXPECT_EQ(Cache.begin(rkey(1, 0), nullptr).K, ResultCache::Claim::Kind::Hit)
-      << "the recently-touched entry survived";
-  EXPECT_EQ(Cache.begin(rkey(2, 0), nullptr).K,
-            ResultCache::Claim::Kind::Owner)
-      << "the LRU entry was evicted";
-}
-
-TEST(ResultCacheUnit, SingleflightJoinersRideTheOwner) {
-  // N threads race one cold key: exactly one Owner; every joiner's
-  // waiter fires exactly once with the owner's published outcome.
-  ResultCache Cache(8);
-  constexpr unsigned N = 8;
-  std::atomic<unsigned> Owners{0};
-  std::atomic<unsigned> WaitersFired{0};
-  CachedOutcome Published = makeOutcome(42);
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < N; ++T)
-    Threads.emplace_back([&] {
-      ResultCache::Claim C = Cache.begin(rkey(9, 9), [&](CachedOutcome O) {
-        EXPECT_EQ(O.get(), Published.get());
-        WaitersFired.fetch_add(1);
-      });
-      if (C.K == ResultCache::Claim::Kind::Owner) {
-        Owners.fetch_add(1);
-        // Linger so joiners really do arrive in flight on most runs.
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        Cache.publish(rkey(9, 9), Published);
-      } else if (C.K == ResultCache::Claim::Kind::Hit) {
-        EXPECT_EQ(C.Ready.get(), Published.get());
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
-
-  EXPECT_EQ(Owners.load(), 1u) << "exactly one search";
-  ResultCacheStats St = Cache.stats();
-  EXPECT_EQ(St.Lookups, N);
-  EXPECT_EQ(St.Misses, 1u);
-  EXPECT_EQ(St.Hits + St.InflightJoins, N - 1);
-  EXPECT_EQ(WaitersFired.load(), St.InflightJoins);
-}
-
-TEST(ResultCacheUnit, InvalidateContextsExceptSweepsStaleEntries) {
-  ResultCache Cache(16, /*ShardCount=*/1);
-  for (uint64_t K = 1; K <= 3; ++K) {
-    Cache.begin(rkey(K, /*Context=*/100), nullptr);
-    Cache.publish(rkey(K, 100), makeOutcome(static_cast<int>(K)));
-  }
-  Cache.begin(rkey(4, /*Context=*/200), nullptr);
-  Cache.publish(rkey(4, 200), makeOutcome(4));
-  ASSERT_EQ(Cache.size(), 4u);
-
-  // The live-header-edit sweep: everything not under the new context
-  // digest is dropped; the current context's entries survive.
-  Cache.invalidateContextsExcept(200);
-  EXPECT_EQ(Cache.size(), 1u);
-  EXPECT_EQ(Cache.stats().Evictions, 3u);
-  EXPECT_EQ(Cache.begin(rkey(4, 200), nullptr).K,
-            ResultCache::Claim::Kind::Hit);
-  EXPECT_EQ(Cache.begin(rkey(1, 100), nullptr).K,
-            ResultCache::Claim::Kind::Owner);
-}
 
 //===----------------------------------------------------------------------===//
 // Configuration fingerprints: the non-frontend half of the address.

@@ -14,6 +14,7 @@
 //    unit run exactly one frontend pass; everyone shares the immutable
 //    artifact. Under -DCUNDEF_TSAN=ON this suite runs instrumented
 //    (ctest -L tsan) — the stress tests below are its reason to exist.
+//    The cache's own unit tests are in tests/test_content_cache.cpp.
 //  * **The cache is invisible in the results.** Byte-identical
 //    outcomes with the cache on, off, hot, or cold, for single submits
 //    and duplicate-heavy batches.
@@ -26,7 +27,6 @@
 
 #include "driver/Driver.h"
 #include "frontend/Frontend.h"
-#include "frontend/TranslationCache.h"
 
 #include <gtest/gtest.h>
 
@@ -62,22 +62,6 @@ void expectIdentical(const DriverOutcome &A, const DriverOutcome &B,
     EXPECT_EQ(A.DynamicUb[I].Kind, B.DynamicUb[I].Kind) << Tag;
     EXPECT_EQ(A.DynamicUb[I].Loc.Line, B.DynamicUb[I].Loc.Line) << Tag;
   }
-}
-
-/// A trivial artifact for cache unit tests (the cache never looks
-/// inside what it stores).
-CompiledProgramRef makeArtifact() {
-  HeaderRegistry Headers;
-  FrontendOptions FO;
-  return compileTranslationUnit(FO, "int main(void) { return 0; }", "k.c",
-                                Headers);
-}
-
-TranslationKey keyOf(uint64_t A, uint64_t B) {
-  TranslationKey K;
-  K.SourceHash = A;
-  K.ContextHash = B;
-  return K;
 }
 
 } // namespace
@@ -125,100 +109,6 @@ TEST(TranslationKey, HeaderRegistryFingerprintTracksContent) {
   // ...and restoring it restores the digest (pure content address).
   A.add("cfg.h", "#define V 7\n");
   EXPECT_EQ(V7, A.fingerprint());
-}
-
-//===----------------------------------------------------------------------===//
-// TranslationCache unit behavior.
-//===----------------------------------------------------------------------===//
-
-TEST(TranslationCache, CapacityZeroDisablesReuse) {
-  TranslationCache Cache(0);
-  EXPECT_FALSE(Cache.enabled());
-  unsigned Compiles = 0;
-  auto Compile = [&] {
-    ++Compiles;
-    return makeArtifact();
-  };
-  bool Hit = true;
-  Cache.getOrCompile(keyOf(1, 1), Compile, &Hit);
-  EXPECT_FALSE(Hit);
-  Cache.getOrCompile(keyOf(1, 1), Compile, &Hit);
-  EXPECT_FALSE(Hit);
-  EXPECT_EQ(Compiles, 2u);
-  EXPECT_EQ(Cache.size(), 0u);
-}
-
-TEST(TranslationCache, ServesSharedArtifactOnHit) {
-  TranslationCache Cache(8, /*ShardCount=*/1);
-  unsigned Compiles = 0;
-  auto Compile = [&] {
-    ++Compiles;
-    return makeArtifact();
-  };
-  bool Hit = true;
-  CompiledProgramRef First = Cache.getOrCompile(keyOf(1, 1), Compile, &Hit);
-  EXPECT_FALSE(Hit);
-  CompiledProgramRef Again = Cache.getOrCompile(keyOf(1, 1), Compile, &Hit);
-  EXPECT_TRUE(Hit);
-  EXPECT_EQ(First.get(), Again.get()) << "hits share one artifact";
-  EXPECT_EQ(Compiles, 1u);
-  TranslationCacheStats St = Cache.stats();
-  EXPECT_EQ(St.Lookups, 2u);
-  EXPECT_EQ(St.Hits, 1u);
-  EXPECT_EQ(St.Misses, 1u);
-  EXPECT_DOUBLE_EQ(St.hitRate(), 0.5);
-}
-
-TEST(TranslationCache, EvictsLeastRecentlyUsed) {
-  TranslationCache Cache(2, /*ShardCount=*/1);
-  unsigned Compiles = 0;
-  auto Compile = [&] {
-    ++Compiles;
-    return makeArtifact();
-  };
-  Cache.getOrCompile(keyOf(1, 0), Compile);
-  Cache.getOrCompile(keyOf(2, 0), Compile);
-  // Touch key 1: key 2 becomes the LRU victim.
-  bool Hit = false;
-  Cache.getOrCompile(keyOf(1, 0), Compile, &Hit);
-  EXPECT_TRUE(Hit);
-  Cache.getOrCompile(keyOf(3, 0), Compile); // evicts key 2
-  EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_EQ(Cache.stats().Evictions, 1u);
-  Cache.getOrCompile(keyOf(1, 0), Compile, &Hit);
-  EXPECT_TRUE(Hit) << "the recently-touched entry survived";
-  Cache.getOrCompile(keyOf(2, 0), Compile, &Hit);
-  EXPECT_FALSE(Hit) << "the LRU entry was evicted";
-  EXPECT_EQ(Compiles, 4u); // keys 1, 2, 3, and 2 again
-}
-
-TEST(TranslationCache, SingleflightCompilesOncePerKey) {
-  // N threads race one cold key: exactly one compile; everyone gets
-  // the same artifact. (The compile sleeps a moment so joiners really
-  // do arrive while it is in flight — on most runs at least one lands
-  // as an InflightJoin, but the assertion only needs Hits + Joins.)
-  TranslationCache Cache(8);
-  std::atomic<unsigned> Compiles{0};
-  auto Compile = [&] {
-    Compiles.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return makeArtifact();
-  };
-  constexpr unsigned N = 8;
-  std::vector<CompiledProgramRef> Got(N);
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < N; ++T)
-    Threads.emplace_back(
-        [&, T] { Got[T] = Cache.getOrCompile(keyOf(7, 7), Compile); });
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Compiles.load(), 1u);
-  for (unsigned T = 1; T < N; ++T)
-    EXPECT_EQ(Got[0].get(), Got[T].get()) << T;
-  TranslationCacheStats St = Cache.stats();
-  EXPECT_EQ(St.Lookups, N);
-  EXPECT_EQ(St.Misses, 1u);
-  EXPECT_EQ(St.Hits + St.InflightJoins, N - 1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -281,27 +171,37 @@ TEST(TranslationCacheEngine, HeaderChangeInvalidatesCachedArtifact) {
   // The satellite regression: mutating the header registry after the
   // engine started must invalidate cached artifacts. With the registry
   // fingerprint outside the key, the second submission would reuse the
-  // V=7 artifact and exit 7.
-  AnalysisRequest Req = AnalysisRequest::Builder().buildOrDie();
-  const std::string Source = "#include <cfg.h>\n"
-                             "int main(void) { return V; }\n";
-  AnalysisEngine Eng;
-  Eng.headers().add("cfg.h", "#define V 7\n");
-  DriverOutcome First = Eng.submit(Req, Source, "cfg.c").take();
-  ASSERT_TRUE(First.CompileOk) << First.CompileErrors;
-  EXPECT_EQ(First.ExitCode, 7);
-  EXPECT_FALSE(First.TranslationCacheHit);
+  // V=7 artifact and exit 7. The edit also sweeps the stale artifact
+  // (a whole AST) out of the cache, whether or not the request uses
+  // the result cache.
+  for (bool ResultCache : {true, false}) {
+    SCOPED_TRACE(ResultCache ? "result cache on" : "result cache off");
+    AnalysisRequest Req =
+        AnalysisRequest::Builder().resultCache(ResultCache).buildOrDie();
+    const std::string Source = "#include <cfg.h>\n"
+                               "int main(void) { return V; }\n";
+    AnalysisEngine Eng;
+    Eng.headers().add("cfg.h", "#define V 7\n");
+    DriverOutcome First = Eng.submit(Req, Source, "cfg.c").take();
+    ASSERT_TRUE(First.CompileOk) << First.CompileErrors;
+    EXPECT_EQ(First.ExitCode, 7);
+    EXPECT_FALSE(First.TranslationCacheHit);
 
-  // Unchanged registry: the artifact is reused.
-  DriverOutcome Warm = Eng.submit(Req, Source, "cfg.c").take();
-  EXPECT_EQ(Warm.ExitCode, 7);
-  EXPECT_TRUE(Warm.TranslationCacheHit);
+    // Unchanged registry: the artifact is reused.
+    DriverOutcome Warm = Eng.submit(Req, Source, "cfg.c").take();
+    EXPECT_EQ(Warm.ExitCode, 7);
+    EXPECT_TRUE(Warm.TranslationCacheHit);
 
-  // Edited header: new fingerprint, new key, fresh compile.
-  Eng.headers().add("cfg.h", "#define V 9\n");
-  DriverOutcome Second = Eng.submit(Req, Source, "cfg.c").take();
-  EXPECT_EQ(Second.ExitCode, 9) << "stale artifact served after header edit";
-  EXPECT_FALSE(Second.TranslationCacheHit);
+    // Edited header: new fingerprint, new key, fresh compile, and the
+    // V=7 artifact is swept.
+    const uint64_t EvictionsBefore = Eng.translationStats().Evictions;
+    Eng.headers().add("cfg.h", "#define V 9\n");
+    DriverOutcome Second = Eng.submit(Req, Source, "cfg.c").take();
+    EXPECT_EQ(Second.ExitCode, 9) << "stale artifact served after header edit";
+    EXPECT_FALSE(Second.TranslationCacheHit);
+    EXPECT_EQ(Eng.translationStats().Evictions, EvictionsBefore + 1)
+        << "the old context's artifact was swept";
+  }
 }
 
 TEST(TranslationCacheEngine, DuplicateHeavyBatchMatchesFreshCompiles) {
