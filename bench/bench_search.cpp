@@ -137,7 +137,7 @@ Measured measureForced(const AstContext &Ast, const SearchOptions &SO,
   Cfg.SnapshotBudget = SO.SnapshotBudget;
   SearchScheduler Sched(Cfg);
   size_t Id = Sched.submit(Ast, MOpts, SO);
-  Sched.runAll();
+  Sched.drain();
   Measured M;
   M.Engine = Engine;
   M.Jobs = Workers;

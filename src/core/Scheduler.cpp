@@ -426,12 +426,9 @@ struct SearchScheduler::Impl {
   }
 
   explicit Impl(Config Cfg)
-      : Cfg(Cfg), Jobs(resolveJobs(Cfg)), Cache(Cfg.SnapshotBudget),
-        Deques(Jobs), ExecStripes(Jobs), StealStripes(Jobs) {
-    Stats.Jobs = Jobs;
-  }
+      : Jobs(resolveJobs(Cfg)), Cache(Cfg.SnapshotBudget), Deques(Jobs),
+        ExecStripes(Jobs), StealStripes(Jobs) {}
 
-  Config Cfg;
   const unsigned Jobs;
   SnapshotCache Cache;
 
@@ -457,7 +454,6 @@ struct SearchScheduler::Impl {
   }
   alignas(64) std::atomic<unsigned> NextPush{0};
   alignas(64) std::atomic<size_t> QueuedCount{0};
-  alignas(64) std::atomic<size_t> ProgramsLeft{0};
   alignas(64) std::atomic<uint64_t> PeakFrontier{0};
   /// Runs finalized by any program's commit wavefront (monotonic).
   alignas(64) std::atomic<uint64_t> RunsCommittedTotal{0};
@@ -472,28 +468,17 @@ struct SearchScheduler::Impl {
   /// free a completed program's arena without disturbing the index
   /// space; a null slot is a reclaimed program.
   std::deque<std::unique_ptr<ProgramState>> Programs;
-  /// Guards Programs growth/reclaim (service mode submits while
-  /// workers run; the deque's internal map is not safe to index
-  /// concurrently with push_back).
+  /// Guards Programs growth/reclaim (submits arrive while workers
+  /// run; the deque's internal map is not safe to index concurrently
+  /// with push_back) and the worker pool's Threads.
   mutable std::mutex SubmitMu;
-  SchedulerStats Stats;
-  bool Ran = false;
 
-  //===--- Service mode --------------------------------------------------===//
+  //===--- Pool lifecycle ------------------------------------------------===//
 
-  /// start() was called: workers are persistent, submit() is live.
-  std::atomic<bool> Persistent{false};
   std::atomic<bool> Stopping{false};
+  /// The worker pool, spawned by the first submit() (guarded by
+  /// SubmitMu).
   std::vector<std::thread> Threads;
-  /// One-shot lazy helpers: runAll() runs worker 0 on the calling
-  /// thread and spawns the remaining Jobs-1 helper threads only when
-  /// the frontier actually holds concurrent work. A tiny program
-  /// (frontier never exceeding 1 task) then runs entirely inline —
-  /// zero thread spawns, zero wakeup latency — which is what fixed the
-  /// ~8ms steal-vs-fork pathology on one-choice-point programs.
-  std::atomic<bool> LazySpawn{false};
-  std::atomic<unsigned> HelpersSpawned{0};
-  std::mutex HelperMu; ///< guards helper growth of Threads
   /// Tasks a worker currently holds (popped, not yet finished with);
   /// reclaimFinished() waits for 0 so no worker can be touching a
   /// program state it is about to free.
@@ -511,7 +496,7 @@ struct SearchScheduler::Impl {
   std::deque<size_t> CompletedQ;
   std::atomic<size_t> CompletedPending{0};
   std::function<void(size_t)> DoneCb;
-  /// Signals program completions (waitProgram / drain / reclaim).
+  /// Signals program completions (drain).
   std::mutex DoneMu;
   std::condition_variable DoneCv;
 
@@ -551,30 +536,9 @@ struct SearchScheduler::Impl {
                                                std::memory_order_relaxed))
       ;
     wakeWorker();
-    if (Now > 1)
-      maybeSpawnHelper();
   }
 
-  /// Lazily grows the one-shot helper pool (runAll() with Jobs > 1):
-  /// one helper per observation of genuinely concurrent work, up to
-  /// Jobs - 1. Called from pushTask, so possibly under a program's
-  /// commit mutex — HelperMu is a leaf lock and the spawn itself takes
-  /// no scheduler locks.
-  void maybeSpawnHelper() {
-    if (!LazySpawn.load(std::memory_order_acquire))
-      return;
-    if (HelpersSpawned.load(std::memory_order_relaxed) >= Jobs - 1)
-      return;
-    std::lock_guard<std::mutex> Lock(HelperMu);
-    unsigned N = HelpersSpawned.load(std::memory_order_relaxed);
-    if (N >= Jobs - 1)
-      return;
-    const unsigned W = N + 1; // worker 0 is the calling thread
-    Threads.emplace_back([this, W] { workerLoop(W); });
-    HelpersSpawned.store(N + 1, std::memory_order_relaxed);
-  }
-
-  /// Workers sleep on an untimed predicate wait (a persistent pool
+  /// Workers sleep on an untimed predicate wait (an idle pool
   /// must not poll while idle), so every event that can change the
   /// predicate pairs its notify with the wait mutex — otherwise a
   /// worker between its predicate check and its sleep would miss the
@@ -621,27 +585,33 @@ struct SearchScheduler::Impl {
 
   //===--- Worker loop ---------------------------------------------------===//
 
-  /// One-shot workers retire when every submitted program finished;
-  /// persistent workers idle until stop().
-  bool exhausted() const {
-    return Persistent.load(std::memory_order_acquire)
-               ? Stopping.load(std::memory_order_acquire)
-               : ProgramsLeft.load(std::memory_order_acquire) == 0;
+  /// Spawns the worker pool on the first submission (caller holds
+  /// SubmitMu). A stopped pool stays stopped: a completion callback
+  /// that submits while stop() joins must not respawn workers.
+  void spawnPool() {
+    if (!Threads.empty() || stopping())
+      return;
+    Threads.reserve(Jobs);
+    for (unsigned W = 0; W < Jobs; ++W)
+      Threads.emplace_back([this, W] { workerLoop(W); });
   }
 
+  bool stopping() const { return Stopping.load(std::memory_order_acquire); }
+
+  /// Workers idle between submissions until stop().
   void workerLoop(unsigned Worker) {
-    while (!exhausted()) {
+    while (!stopping()) {
       drainCompleted();
       Task *T = popTask(Worker);
       if (!T) {
-        // Untimed: an idle persistent pool sleeps, it does not poll.
+        // Untimed: an idle pool sleeps, it does not poll.
         // Every predicate input is paired with a locked notify
         // (wakeWorker/wakeAllWorkers), so no wakeup can be missed.
         std::unique_lock<std::mutex> Lock(IdleMu);
         IdleCv.wait(Lock, [&] {
           return QueuedCount.load(std::memory_order_relaxed) > 0 ||
                  CompletedPending.load(std::memory_order_acquire) > 0 ||
-                 exhausted();
+                 stopping();
         });
         continue;
       }
@@ -1083,10 +1053,10 @@ struct SearchScheduler::Impl {
 
   /// Marks the program complete and publishes its aggregate counters.
   /// Called under the commit mutex; the result is final here, so the
-  /// per-program wall-clock counters are published too (the one-shot
-  /// epilogue re-publishes them with end-of-run values, preserving the
-  /// PR-3 accounting). The completion callback is only *queued* —
-  /// workers invoke it outside every scheduler lock.
+  /// per-program wall-clock counters are published too. PeakFrontier is
+  /// the pool-wide high-water mark at this moment, not a per-program
+  /// count. The completion callback is only *queued* — workers invoke
+  /// it outside every scheduler lock.
   void finishProgram(ProgramState &P) {
     P.Result.RunsExplored = P.RunsFinalized;
     P.Result.SnapshotEvictions =
@@ -1100,7 +1070,6 @@ struct SearchScheduler::Impl {
         T.Abandoned.store(true, std::memory_order_release);
     DoneDedupHits.fetch_add(P.Result.DedupHits, std::memory_order_relaxed);
     FinishedCount.fetch_add(1, std::memory_order_acq_rel);
-    ProgramsLeft.fetch_sub(1, std::memory_order_acq_rel);
     {
       std::lock_guard<std::mutex> Lock(CompletedMu);
       CompletedQ.push_back(P.Id);
@@ -1118,8 +1087,7 @@ struct SearchScheduler::Impl {
 
   /// Seeds a program with its root task (the empty prefix = the policy
   /// default order), unless the budget cannot even run it — then the
-  /// program completes immediately as fully truncated. ProgramsLeft
-  /// must already account for the program.
+  /// program completes immediately as fully truncated.
   void seedProgram(ProgramState &P, unsigned Hint) {
     if (P.SOpts.MaxRuns == 0) {
       P.Result.FrontierTruncated = true;
@@ -1150,8 +1118,6 @@ SearchScheduler::~SearchScheduler() { stop(); }
 size_t SearchScheduler::submit(const AstContext &Ast, MachineOptions MOpts,
                                SearchOptions SOpts, bool RootGated) {
   Impl &S = *I;
-  assert((!S.Ran || S.Persistent.load(std::memory_order_acquire)) &&
-         "one-shot mode: submit all programs before runAll()");
   auto Slot = std::make_unique<ProgramState>();
   ProgramState &P = *Slot;
   P.Ast = &Ast;
@@ -1172,83 +1138,12 @@ size_t SearchScheduler::submit(const AstContext &Ast, MachineOptions MOpts,
   std::lock_guard<std::mutex> Lock(S.SubmitMu);
   P.Id = S.Programs.size();
   S.Programs.push_back(std::move(Slot));
+  // SubmittedCount is bumped before seeding so drain() can never
+  // observe a submitted-but-unaccounted program.
   S.SubmittedCount.fetch_add(1, std::memory_order_acq_rel);
-  if (S.Persistent.load(std::memory_order_acquire)) {
-    // Service mode: the program goes live immediately on the running
-    // pool. ProgramsLeft is bumped before seeding so drain() can never
-    // observe a submitted-but-unaccounted program.
-    S.ProgramsLeft.fetch_add(1, std::memory_order_acq_rel);
-    S.seedProgram(P, S.NextPush.fetch_add(1, std::memory_order_relaxed));
-  }
+  S.spawnPool();
+  S.seedProgram(P, S.NextPush.fetch_add(1, std::memory_order_relaxed));
   return P.Id;
-}
-
-void SearchScheduler::runAll() {
-  Impl &S = *I;
-  assert(!S.Ran && "runAll() may be called once");
-  assert(!S.Persistent.load(std::memory_order_acquire) &&
-         "runAll() is the one-shot interface; service mode uses "
-         "start()/drain()");
-  S.Ran = true;
-  S.Stats.Programs = static_cast<unsigned>(S.Programs.size());
-  S.ProgramsLeft.store(S.Programs.size(), std::memory_order_release);
-
-  // The calling thread is worker 0; with Jobs > 1 the remaining
-  // workers spawn lazily, on demand, from pushTask (maybeSpawnHelper).
-  // Seeding therefore happens with LazySpawn already live: a batch of
-  // N programs pushes N roots and grows the pool immediately, while a
-  // single tiny program never pays a thread spawn at all.
-  if (S.Jobs > 1)
-    S.LazySpawn.store(true, std::memory_order_release);
-  unsigned Spawn = 0;
-  for (auto &P : S.Programs)
-    S.seedProgram(*P, Spawn++);
-
-  if (S.ProgramsLeft.load(std::memory_order_acquire) > 0)
-    S.workerLoop(0);
-  if (S.Jobs > 1) {
-    // Worker 0 only returns once every program finished; helpers then
-    // observe exhausted() and retire (finishProgram woke them all).
-    // Join without holding HelperMu — a retiring helper may be blocked
-    // *in* maybeSpawnHelper on that mutex, and can even spawn one last
-    // (immediately-retiring) helper — so swap-and-join until the pool
-    // stays empty.
-    for (;;) {
-      std::vector<std::thread> Batch;
-      {
-        std::lock_guard<std::mutex> Lock(S.HelperMu);
-        Batch.swap(S.Threads);
-      }
-      if (Batch.empty())
-        break;
-      for (std::thread &T : Batch)
-        T.join();
-    }
-    S.LazySpawn.store(false, std::memory_order_release);
-  }
-
-  // Publish end-of-run aggregate counters (finishProgram already
-  // published per-program ones; the wall-clock details are re-stamped
-  // with final values to preserve the PR-3 accounting).
-  S.Stats.Steals = S.sumStripes(S.StealStripes);
-  S.Stats.SnapshotEvictions = S.Cache.evictions();
-  S.Stats.PeakFrontier = S.PeakFrontier.load(std::memory_order_relaxed);
-  S.Stats.RunsExecuted = S.sumStripes(S.ExecStripes);
-  S.Stats.RunsCommitted = S.RunsCommittedTotal.load(std::memory_order_relaxed);
-  S.Stats.ProvisionalHits = S.ProvisionalHits.load(std::memory_order_relaxed);
-  S.Stats.ProvisionalRequeues =
-      S.ProvisionalRequeues.load(std::memory_order_relaxed);
-  S.Stats.CommitLagPeak = S.CommitLagPeak.load(std::memory_order_relaxed);
-  const SnapshotCache::Counters SC = S.Cache.counters();
-  S.Stats.SnapshotShards = S.Cache.shards();
-  S.Stats.SnapshotTakes = SC.Takes;
-  S.Stats.SnapshotHits = SC.Hits;
-  S.Stats.SnapshotSlotSteals = SC.SlotSteals;
-  for (auto &P : S.Programs) {
-    P->Result.PeakFrontier =
-        static_cast<unsigned>(S.Stats.PeakFrontier); // scheduler-wide
-    S.Stats.DedupHits += P->Result.DedupHits;
-  }
 }
 
 SearchResult SearchScheduler::takeResult(size_t Program) {
@@ -1260,8 +1155,6 @@ SearchResult SearchScheduler::takeResult(size_t Program) {
 
 SchedulerStats SearchScheduler::stats() const {
   Impl &S = *I;
-  if (!S.Persistent.load(std::memory_order_acquire))
-    return S.Stats;
   // Live snapshot: every field is monotonic (peak included), so two
   // snapshots diff into per-batch numbers.
   SchedulerStats St;
@@ -1286,40 +1179,10 @@ SchedulerStats SearchScheduler::stats() const {
   return St;
 }
 
-//===----------------------------------------------------------------------===//
-// Service mode
-//===----------------------------------------------------------------------===//
-
-void SearchScheduler::start() {
-  Impl &S = *I;
-  assert(!S.Ran && "cannot mix start() with runAll()");
-  if (S.Persistent.exchange(true, std::memory_order_acq_rel))
-    return; // already started
-  S.Threads.reserve(S.Jobs);
-  for (unsigned W = 0; W < S.Jobs; ++W)
-    S.Threads.emplace_back([&S, W] { S.workerLoop(W); });
-}
-
-bool SearchScheduler::started() const {
-  return I->Persistent.load(std::memory_order_acquire);
-}
-
 void SearchScheduler::setProgramDoneCallback(std::function<void(size_t)> Fn) {
-  assert(!started() && "set the completion callback before start()");
+  assert(I->SubmittedCount.load(std::memory_order_acquire) == 0 &&
+         "set the completion callback before the first submit()");
   I->DoneCb = std::move(Fn);
-}
-
-void SearchScheduler::waitProgram(size_t Program) {
-  Impl &S = *I;
-  // The pointer is captured once: taking SubmitMu inside the wait
-  // predicate would invert the submit()->finishProgram lock order.
-  // Callers must not race this against reclaimFinished() for a
-  // program whose result they already took.
-  ProgramState *P = S.program(Program);
-  if (!P)
-    return; // reclaimed: finished long ago
-  std::unique_lock<std::mutex> Lock(S.DoneMu);
-  S.DoneCv.wait(Lock, [&] { return P->Done.load(std::memory_order_acquire); });
 }
 
 void SearchScheduler::drain() {
@@ -1333,8 +1196,6 @@ void SearchScheduler::drain() {
 
 bool SearchScheduler::reclaimFinished() {
   Impl &S = *I;
-  if (!S.Persistent.load(std::memory_order_acquire))
-    return false;
   std::lock_guard<std::mutex> Lock(S.SubmitMu);
   // Only a fully idle pool is safe: with every program finished, no
   // queued task can spawn children and no in-flight run can outlive
@@ -1362,10 +1223,9 @@ bool SearchScheduler::reclaimFinished() {
         !Slot->ResultTaken)
       continue;
     // Executed-but-never-finalized tasks (overtaken by an early UB
-    // winner) still pin their mid-run snapshot captures. In one-shot
-    // mode the cache dies with the scheduler; a persistent pool must
-    // sweep them here or they evict the next batch's snapshots and
-    // silently degrade forks into replays.
+    // winner) still pin their mid-run snapshot captures. A reused pool
+    // must sweep them here or they evict the next batch's snapshots
+    // and silently degrade forks into replays.
     for (Task &T : Slot->Arena) {
       S.Cache.drop(T.SnapId);
       for (const auto &[Depth, Id] : T.Snaps)
@@ -1387,17 +1247,20 @@ SchedulerMemoryStats SearchScheduler::memoryStats() const {
         ++M.RetainedPrograms;
   }
   M.PendingSnapshots = S.Cache.pending();
-  M.QueuedTasks = S.QueuedCount.load(std::memory_order_relaxed);
   return M;
 }
 
 void SearchScheduler::stop() {
   Impl &S = *I;
-  if (!S.Persistent.load(std::memory_order_acquire))
-    return;
   S.Stopping.store(true, std::memory_order_release);
   S.wakeAllWorkers();
-  for (std::thread &T : S.Threads)
+  // Join outside SubmitMu: a retiring worker may still be running a
+  // completion callback that re-enters submit().
+  std::vector<std::thread> Pool;
+  {
+    std::lock_guard<std::mutex> Lock(S.SubmitMu);
+    Pool.swap(S.Threads);
+  }
+  for (std::thread &T : Pool)
     T.join();
-  S.Threads.clear();
 }

@@ -211,42 +211,36 @@ struct SchedulerStats {
 
 /// Memory-observability counters: how much per-program state the
 /// scheduler currently retains. After drain() + reclaimFinished() on an
-/// idle service pool, RetainedPrograms, PendingSnapshots, and
-/// QueuedTasks are all zero (ProgramSlots is the monotonic index space,
-/// which reclamation nulls but never shrinks) — the reclaim contract
+/// idle pool, RetainedPrograms and PendingSnapshots are both zero
+/// (ProgramSlots is the monotonic index space, which reclamation nulls
+/// but never shrinks) — the reclaim contract
 /// tests/test_catalog_coverage.cpp pins down over a 200+-program batch.
 struct SchedulerMemoryStats {
   size_t ProgramSlots = 0;     ///< slots in the program index (monotonic)
   size_t RetainedPrograms = 0; ///< non-reclaimed program states (arenas)
   size_t PendingSnapshots = 0; ///< live entries in the snapshot cache
-  size_t QueuedTasks = 0;      ///< tasks sitting in worker deques
 };
 
-/// The work-stealing search scheduler. Two operating modes share one
-/// implementation:
+/// The work-stealing search scheduler. One lifecycle: the worker pool
+/// spawns on the first submit(); programs may then be submitted at any
+/// time, from any thread, and each completes asynchronously (the
+/// completion callback, or drain() for callers that block). The pool
+/// idles between submissions and the destructor stops it. This is the
+/// pool an AnalysisEngine keeps alive across batches, so consecutive
+/// submissions amortize worker startup and share one snapshot cache;
+/// OrderSearch::run() is the same lifecycle for a single program.
 ///
-///  * **One-shot** (the PR-3 interface): submit one or more programs,
-///    call runAll() once, read per-program SearchResults. Workers are
-///    spawned for the call and drained with it.
-///  * **Service** (persistent): call start() once to spawn the worker
-///    pool, then submit() programs at any time, from any thread; each
-///    program completes asynchronously (setProgramDoneCallback /
-///    waitProgram), the pool idles between submissions, and drain() /
-///    stop() end the session. This is the pool an AnalysisEngine keeps
-///    alive across batches, so consecutive submissions amortize worker
-///    startup and share one snapshot cache.
-///
-/// In both modes every committed per-program output (verdict, witness,
-/// reports, runs, dedup hits, pruned subtrees, truncation) is
-/// deterministic — byte-identical to the wave engine's — regardless of
-/// job count, steal interleaving, or how submissions interleave with
-/// running programs: all cross-program sharing (worker deques, the
-/// snapshot cache) affects wall-clock only.
+/// Every committed per-program output (verdict, witness, reports, runs,
+/// dedup hits, pruned subtrees, truncation) is deterministic —
+/// byte-identical to the wave engine's — regardless of job count, steal
+/// interleaving, or how submissions interleave with running programs:
+/// all cross-program sharing (worker deques, the snapshot cache)
+/// affects wall-clock only.
 class SearchScheduler {
 public:
   struct Config {
-    /// Requested worker threads; 1 = run on the calling thread, 0 =
-    /// auto-detect std::thread::hardware_concurrency().
+    /// Requested worker threads; 0 = auto-detect
+    /// std::thread::hardware_concurrency().
     unsigned Jobs = 1;
     /// Cap the pool at hardware_concurrency() (default). The search is
     /// CPU-bound, so oversubscribed workers only add context switches
@@ -265,52 +259,35 @@ public:
   SearchScheduler(const SearchScheduler &) = delete;
   SearchScheduler &operator=(const SearchScheduler &) = delete;
 
-  /// Registers one program's evaluation-order search. \p RootGated
-  /// reproduces the driver's single-program contract: the root (policy
-  /// default) run executes first, and the order search only fans out
-  /// when it completed cleanly — otherwise the program finishes with
-  /// the root's outcome and no truncation is reported. A per-program
-  /// SOpts.SnapshotBudget of 0 disables forking for that program; any
-  /// nonzero capacity is supplied by Config.SnapshotBudget, since the
-  /// cache is shared across programs. Returns the program id
-  /// (submission order; also the result index).
+  /// Registers one program's evaluation-order search and starts it on
+  /// the pool (spawning the pool on the first call). Thread-safe.
+  /// \p RootGated reproduces the driver's single-program contract: the
+  /// root (policy default) run executes first, and the order search
+  /// only fans out when it completed cleanly — otherwise the program
+  /// finishes with the root's outcome and no truncation is reported. A
+  /// per-program SOpts.SnapshotBudget of 0 disables forking for that
+  /// program; any nonzero capacity is supplied by Config.SnapshotBudget,
+  /// since the cache is shared across programs. Returns the program id
+  /// (submission order).
   size_t submit(const AstContext &Ast, MachineOptions MOpts,
                 SearchOptions SOpts, bool RootGated = false);
 
-  /// Runs every submitted program to completion on the shared worker
-  /// pool. Call once, after all submissions (one-shot mode; mutually
-  /// exclusive with start()).
-  void runAll();
-
-  /// The finished result for \p Program (valid after runAll(), or —
-  /// in service mode — once the program completed).
+  /// The finished result for \p Program (valid once it completed).
   SearchResult takeResult(size_t Program);
 
-  /// Aggregate pool counters. In one-shot mode, valid after runAll();
-  /// in service mode, a live monotonic snapshot (callers diff two
-  /// snapshots for per-batch numbers).
+  /// Live monotonic snapshot of the aggregate pool counters (callers
+  /// diff two snapshots for per-batch numbers).
   SchedulerStats stats() const;
-
-  //===--- Service mode --------------------------------------------------===//
-
-  /// Spawns the persistent worker pool (idempotent). After start(),
-  /// submit() is allowed at any time from any thread and programs run
-  /// as they arrive; runAll() must not be used.
-  void start();
-  bool started() const;
 
   /// Invoked once per program, with its id, after the program completed
   /// (its SearchResult is final and takeResult is safe). Called from a
   /// worker thread with no scheduler locks held, so the callback may
-  /// call back into the scheduler — including submit(). Set before
-  /// start().
+  /// call back into the scheduler — including submit(). Set before the
+  /// first submit().
   void setProgramDoneCallback(std::function<void(size_t)> Fn);
 
-  /// Blocks until \p Program completed (service mode).
-  void waitProgram(size_t Program);
-
-  /// Blocks until every submitted program completed (service mode).
-  /// The pool stays alive, idle, ready for the next submission.
+  /// Blocks until every submitted program completed. The pool stays
+  /// alive, idle, ready for the next submission.
   void drain();
 
   /// Reclaims the per-program search state (task arenas, visited sets)
@@ -327,9 +304,10 @@ public:
   /// SchedulerMemoryStats for the post-reclaim contract).
   SchedulerMemoryStats memoryStats() const;
 
-  /// Stops and joins the worker pool. Graceful shutdown is
-  /// drain()-then-stop(); stopping with unfinished programs abandons
-  /// their queued work (their results never become valid).
+  /// Stops and joins the worker pool (idempotent; the destructor calls
+  /// it). Graceful shutdown is drain()-then-stop(); stopping with
+  /// unfinished programs abandons their queued work (their results
+  /// never become valid).
   void stop();
 
 private:

@@ -103,7 +103,7 @@ SearchResult OrderSearch::run() {
   Cfg.SnapshotBudget = Opts.SnapshotBudget;
   SearchScheduler Scheduler(Cfg);
   size_t Prog = Scheduler.submit(Ctx, BaseOpts, Opts);
-  Scheduler.runAll();
+  Scheduler.drain();
   return Scheduler.takeResult(Prog);
 }
 

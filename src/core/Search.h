@@ -76,9 +76,10 @@ struct SearchOptions {
   /// Replay budget: at most this many machine runs (including runs the
   /// dedup cancels mid-flight).
   unsigned MaxRuns = 64;
-  /// Worker threads. 1 = run in-place on the calling thread; 0 =
-  /// auto-detect std::thread::hardware_concurrency(). The verdict and
-  /// witness do not depend on this; only wall-clock does.
+  /// OrderSearch::run()'s worker threads; 0 = auto-detect
+  /// std::thread::hardware_concurrency(). A shared scheduler sizes its
+  /// pool from its own Config and ignores this. The verdict and witness
+  /// do not depend on it; only wall-clock does.
   unsigned Jobs = 1;
   /// Deduplicate symmetric interleavings through configuration
   /// fingerprints. Off = pure prefix enumeration (the exhaustive
@@ -166,8 +167,10 @@ struct SearchResult {
   /// Tasks of this program taken from another worker's deque (stealing
   /// scheduler only; wall-clock detail).
   unsigned Steals = 0;
-  /// Peak frontier size: the stealing scheduler's maximum queued-task
-  /// count, or the wave engine's largest wave.
+  /// Peak frontier size. The stealing scheduler stamps its pool-wide
+  /// maximum queued-task count at the moment this program finished, so
+  /// on a shared pool it counts other programs' tasks too; the wave
+  /// engine reports this search's largest wave.
   unsigned PeakFrontier = 0;
   /// True when the search ran out of budget with unexplored subtrees
   /// still on the frontier: a clean verdict is then *not* exhaustive.
@@ -210,7 +213,9 @@ public:
               SearchOptions Opts)
       : Ctx(Ctx), BaseOpts(BaseOpts), Opts(Opts) {}
 
-  /// Runs the search on a one-shot work-stealing scheduler.
+  /// Runs the search on a work-stealing scheduler of its own: submit,
+  /// drain, take the result. The pool (Opts.Jobs workers, clamped to
+  /// the hardware) spawns for the call and is joined before it returns.
   SearchResult run();
 
   /// Runs the wave-synchronous reference engine: the oracle run() is

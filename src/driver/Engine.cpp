@@ -183,7 +183,7 @@ struct AnalysisEngine::Impl {
     std::string Source;
   };
 
-  /// Guards Pending, Graveyard, Started, ShutDown, and the frontend
+  /// Guards Pending, Graveyard, ShutDown, and the frontend
   /// pool state (FeQueue, FeThreads, FeStop).
   std::mutex Mu;
   /// Pooled jobs by scheduler program id.
@@ -191,7 +191,6 @@ struct AnalysisEngine::Impl {
   /// Artifact references of completed pooled jobs, released on drain()
   /// once the pool is provably idle (see the file header).
   std::vector<CompiledProgramRef> Graveyard;
-  bool Started = false;
   bool ShutDown = false;
 
   std::deque<FrontendTask> FeQueue;
@@ -411,17 +410,12 @@ struct AnalysisEngine::Impl {
     // run (root gating).
     SearchOptions SO;
     SO.MaxRuns = Req.searchRuns();
-    SO.Jobs = Req.searchJobs();
     SO.Dedup = Req.searchDedup();
     SO.UseSnapshots = Req.searchSnapshots();
     SO.SnapshotBudget = Cfg.SnapshotBudget;
 
     {
       std::lock_guard<std::mutex> Lock(Mu);
-      if (!Started) {
-        Sched.start();
-        Started = true;
-      }
       St.Artifact = Art;
       {
         std::lock_guard<std::mutex> StLock(St.Mu);
@@ -600,8 +594,6 @@ void AnalysisEngine::drain() {
       return S.Outstanding.load(std::memory_order_acquire) == 0;
     });
   }
-  if (!S.Sched.started())
-    return;
   // With nothing outstanding every scheduler program is finished;
   // reclaim confirms full idleness (no cancelling stragglers), after
   // which the graveyard artifacts are provably unreferenced by any

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The service layer: a long-lived AnalysisEngine owns one persistent
-/// work-stealing worker pool (core/Scheduler.h service mode), a shared
+/// work-stealing worker pool (core/Scheduler.h), a shared
 /// snapshot cache, and two engine-wide content-addressed caches
 /// (support/ContentCache.h) — a translation cache of compiled artifacts
 /// and a result cache of completed outcomes — and runs the whole kcc
@@ -91,6 +91,10 @@ struct DriverOutcome {
   /// turned one fork into a prefix replay.
   unsigned SearchSteals = 0;
   unsigned SearchEvictions = 0;
+  /// The pool-wide queued-task high-water mark at the moment this
+  /// program finished, not a per-program count: on a shared engine it
+  /// includes other jobs' tasks, and a result-cache hit replays the
+  /// original job's value.
   unsigned SearchPeakFrontier = 0;
   /// This job's artifact came from the engine's translation cache: no
   /// frontend pass ran for this submission (kcc --show-witness and the

@@ -86,7 +86,7 @@ SearchResult searchStealForced(const Driver::Compiled &C, SearchOptions SO,
   SearchScheduler Scheduler(Cfg);
   MachineOptions Opts;
   size_t Id = Scheduler.submit(C->ast(), Opts, SO);
-  Scheduler.runAll();
+  Scheduler.drain();
   return Scheduler.takeResult(Id);
 }
 
@@ -263,6 +263,56 @@ TEST(Scheduler, TruncationAccountingMatchesWave) {
         << "budget " << MaxRuns;
     EXPECT_EQ(RW.DroppedSubtrees, RS.DroppedSubtrees) << "budget " << MaxRuns;
     EXPECT_EQ(RW.RunsExplored, RS.RunsExplored) << "budget " << MaxRuns;
+  }
+}
+
+TEST(Scheduler, OneLifecycleAcrossDrainRounds) {
+  // The scheduler's single lifecycle: no explicit start (the pool
+  // spawns on the first submit), drain() ends a round and leaves the
+  // pool idle for the next, and the destructor stops it. Two rounds of
+  // the whole corpus on one scheduler, the second submitted only after
+  // the first drained, must each commit the wave engine's results.
+  Driver Drv;
+  std::vector<Driver::Compiled> Units;
+  std::vector<SearchResult> Ref;
+  SearchOptions SO;
+  SO.MaxRuns = 256;
+  for (const char *Source : Corpus) {
+    Units.push_back(Drv.compile(Source, "lifecycle.c"));
+    ASSERT_TRUE(Units.back()->ok()) << Units.back()->errors();
+    Ref.push_back(searchReference(Units.back(), SO));
+  }
+
+  for (unsigned Workers : {1u, 8u}) {
+    SearchScheduler::Config Cfg;
+    Cfg.Jobs = Workers;
+    Cfg.ClampJobsToHardware = false;
+    Cfg.SnapshotBudget = SO.SnapshotBudget;
+    SearchScheduler Sched(Cfg);
+    for (int Round = 0; Round < 2; ++Round) {
+      std::vector<size_t> Ids;
+      for (const Driver::Compiled &C : Units)
+        Ids.push_back(Sched.submit(C->ast(), MachineOptions(), SO));
+      Sched.drain();
+      for (size_t P = 0; P < Units.size(); ++P) {
+        const char *Source = Corpus[P];
+        SearchResult RS = Sched.takeResult(Ids[P]);
+        expectSameVerdict(Ref[P], RS, Source);
+        if (isClean(Source) || Workers == 1) {
+          EXPECT_EQ(Ref[P].RunsExplored, RS.RunsExplored)
+              << Source << " workers=" << Workers << " round=" << Round;
+          EXPECT_EQ(Ref[P].DedupHits, RS.DedupHits)
+              << Source << " workers=" << Workers << " round=" << Round;
+          EXPECT_EQ(Ref[P].SubtreesPruned, RS.SubtreesPruned)
+              << Source << " workers=" << Workers << " round=" << Round;
+          EXPECT_EQ(Ref[P].Waves, RS.Waves)
+              << Source << " workers=" << Workers << " round=" << Round;
+          EXPECT_EQ(Ref[P].FrontierTruncated, RS.FrontierTruncated) << Source;
+          EXPECT_EQ(Ref[P].DroppedSubtrees, RS.DroppedSubtrees) << Source;
+        }
+      }
+    }
+    // No stop(): the destructor stops and joins the idle pool.
   }
 }
 
