@@ -1,15 +1,14 @@
-//===- bench/BenchUtil.h - Shared bench helpers -----------------*- C++ -*-===//
+//===- bench/BenchUtil.h - Shared workload generators -----------*- C++ -*-===//
 //
 // Part of cundef, a semantics-based undefinedness checker for C.
 //
-// Workload generators and reporting helpers shared by the search and
-// batch benches, so the two measure the *same* program shapes and emit
-// their BENCH_*.json files the same way.
+// Program shapes shared by perfbench and the search, engine and serve
+// tests, so they all exercise the same searches.
 //
 //===----------------------------------------------------------------------===//
 
-#ifndef CUNDEF_BENCH_BENCHUTIL_H
-#define CUNDEF_BENCH_BENCHUTIL_H
+#ifndef CUNDEF_BENCHUTIL_H
+#define CUNDEF_BENCHUTIL_H
 
 #include <cstdio>
 #include <string>
@@ -42,22 +41,29 @@ inline std::string deepTreeProgram(unsigned K, unsigned Cells,
   return S;
 }
 
-/// Writes \p Json to \p Path, reporting on stdout like the benches'
-/// human-readable tail expects. Returns false (with a stderr note) on
-/// failure; the bench exit code should not depend on it.
-inline bool writeJsonFile(const char *Bench, const char *Path,
-                          const std::string &Json) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::fprintf(stderr, "%s: cannot write %s\n", Bench, Path);
-    return false;
+/// K statements of commuting pure-call sums: 2^K interleavings,
+/// linearly many distinct states — the worst honest case for
+/// enumeration and the best for deduplication. \p HiddenUb appends the
+/// paper's order-dependent division by zero (section 2.5.2), which the
+/// search must survive the exponential prefix space to reach.
+inline std::string symmetricSums(unsigned K, bool HiddenUb = false) {
+  std::string S = HiddenUb ? "int d = 5;\n" : "";
+  S += "static int g(int x) { return x + 1; }\n";
+  if (HiddenUb)
+    S += "static int setDenom(int x) { return d = x; }\n";
+  S += "int main(void) {\n  int t = 0;\n";
+  for (unsigned I = 0; I < K; ++I) {
+    char Line[64];
+    std::snprintf(Line, sizeof(Line), "  t += g(%u) + g(%u);\n", 2 * I,
+                  2 * I + 1);
+    S += Line;
   }
-  std::fputs(Json.c_str(), F);
-  std::fclose(F);
-  std::printf("wrote %s\n", Path);
-  return true;
+  if (HiddenUb)
+    S += "  t += (10 / d) + setDenom(0);\n";
+  S += "  return t > 0 ? 0 : 1;\n}\n";
+  return S;
 }
 
 } // namespace cundef_bench
 
-#endif // CUNDEF_BENCH_BENCHUTIL_H
+#endif // CUNDEF_BENCHUTIL_H

@@ -259,8 +259,7 @@ struct Configuration {
 
   /// The same digest recomputed from scratch, bypassing every cache.
   /// Always equals fingerprint(); the equivalence is the correctness
-  /// argument for the caches and is asserted by tests and by
-  /// bench_search's engine cross-check.
+  /// argument for the caches and is asserted by tests.
   uint64_t fingerprintFull() const;
 };
 

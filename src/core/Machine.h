@@ -206,8 +206,8 @@ public:
 
   /// The same fingerprint recomputed from scratch (no caches). Always
   /// equal to configFingerprint(); kept as the reference the
-  /// incremental path is tested against, and as bench_search's
-  /// PR-1-style full-rehash baseline.
+  /// incremental path is tested against, and as the full-rehash
+  /// baseline of test_scheduler's engine matrix.
   uint64_t configFingerprintFull() const {
     Fnv1a H;
     H.u64(Conf.fingerprintFull());

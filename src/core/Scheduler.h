@@ -185,8 +185,7 @@ struct SchedulerStats {
   uint64_t DedupHits = 0;
   /// Runs finalized by the commit wavefront (deterministic; equal to
   /// the wave engine's started-run count). RunsExecuted - RunsCommitted
-  /// is the speculative surplus; the waste ratio is that surplus over
-  /// RunsCommitted.
+  /// is the speculative surplus (see speculativeWaste()).
   uint64_t RunsCommitted = 0;
   /// Speculative runs stopped early by a *provisional* visited entry —
   /// one claimed by an in-flight run of an earlier generation, not yet
@@ -207,6 +206,16 @@ struct SchedulerStats {
   uint64_t SnapshotSlotSteals = 0; ///< inserts placed via a sibling shard
   /// Always 0: snapshots are never shared; kept because perfbench reads it.
   uint64_t SnapshotSharedHits = 0;
+
+  /// The speculative surplus over committed runs,
+  /// (RunsExecuted - RunsCommitted) / RunsCommitted; 0.0 when nothing
+  /// committed, and at jobs=1, where speculation cannot outrun the
+  /// wavefront.
+  double speculativeWaste() const {
+    return RunsCommitted ? static_cast<double>(RunsExecuted - RunsCommitted) /
+                               static_cast<double>(RunsCommitted)
+                         : 0.0;
+  }
 };
 
 /// Memory-observability counters: how much per-program state the

@@ -83,7 +83,7 @@ struct SearchOptions {
   unsigned Jobs = 1;
   /// Deduplicate symmetric interleavings through configuration
   /// fingerprints. Off = pure prefix enumeration (the exhaustive
-  /// baseline bench_search compares against). Ignored under
+  /// baseline test_scheduler compares against). Ignored under
   /// EvalOrderKind::Random: replay cannot reproduce the policy's
   /// shuffle stream, so the dedup invariant does not hold there (see
   /// Search.cpp).
@@ -91,7 +91,7 @@ struct SearchOptions {
   /// Fork children from configuration snapshots captured at their
   /// choice points instead of replaying prefixes from main(). Off =
   /// forced-replay mode (the PR-1 engine; the equivalence suite and
-  /// bench_search compare against it). Ignored under Random (the
+  /// test_scheduler compare against it). Ignored under Random (the
   /// chooser's RNG stream position would diverge between fork and
   /// replay) and under RuleStyle::Declarative (its monitors keep state
   /// outside the configuration).
@@ -106,7 +106,8 @@ struct SearchOptions {
   unsigned SnapshotBudget = 1024;
   /// Fingerprint via Configuration::fingerprintFull() (full-state
   /// rehash at every choice point) instead of the incremental digests.
-  /// Only bench_search uses this, as the PR-1 cost model baseline.
+  /// The oldest engine's cost model; test_scheduler's engine matrix
+  /// runs it as its exhaustive baseline.
   bool FullRehash = false;
   /// Record every run's decision trace and fingerprint stream in
   /// SearchResult::Runs (testing: the fork-vs-replay equivalence
@@ -219,8 +220,8 @@ public:
   SearchResult run();
 
   /// Runs the wave-synchronous reference engine: the oracle run() is
-  /// tested against (test_scheduler, bench_search). Committed outputs
-  /// are byte-identical to run()'s; only wall-clock differs.
+  /// tested against (test_scheduler). Committed outputs are
+  /// byte-identical to run()'s; only wall-clock differs.
   SearchResult runReference();
 
 private:

@@ -25,9 +25,9 @@
 /// UB found, frontier truncated) stream to an optional EngineSink from
 /// engine threads as programs complete.
 ///
-/// Every other entry point — Driver::runSource/runBatch, the batched
-/// tool runner, the suite scorers, the kcc CLI — is a thin adapter over
-/// this class, so the codebase has exactly one submission path, and a
+/// Every other entry point — Driver::runSource, the batched tool
+/// runner, the suite scorers, the kcc CLI — is a thin adapter over this
+/// class, so the codebase has exactly one submission path, and a
 /// service reusing one engine across batches amortizes pool startup
 /// AND frontend work while producing outcomes byte-identical to fresh
 /// per-batch drivers (tests/test_engine.cpp and

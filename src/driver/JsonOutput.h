@@ -62,13 +62,7 @@ template <typename Visit> void visitFields(SchedulerStats &P, Visit &&V) {
   V("workers", P.Jobs);
   V("runs_executed", P.RunsExecuted);
   V("runs_committed", P.RunsCommitted);
-  // Speculation accounting: the executed surplus over committed runs —
-  // 0.0 at jobs=1, where speculation cannot outrun the wavefront.
-  V("speculative_waste",
-    P.RunsCommitted ? static_cast<double>(P.RunsExecuted - P.RunsCommitted) /
-                          static_cast<double>(P.RunsCommitted)
-                    : 0.0,
-    4);
+  V("speculative_waste", P.speculativeWaste(), 4);
   V("provisional_hits", P.ProvisionalHits);
   V("provisional_requeues", P.ProvisionalRequeues);
   V("commit_lag_peak", P.CommitLagPeak);

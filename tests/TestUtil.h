@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the behavior-focused test binaries: run a source
-/// string through the kcc driver and assert on the verdict.
+/// Helpers shared by the test binaries: run a source string through the
+/// kcc driver and assert on the verdict, or a batch through an engine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,8 @@
 #include "driver/Driver.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 namespace cundef {
 
@@ -56,6 +58,17 @@ inline std::string outputOf(const std::string &Source) {
   EXPECT_TRUE(O.CompileOk) << O.CompileErrors;
   EXPECT_FALSE(O.anyUb()) << O.renderReport();
   return O.Output;
+}
+
+/// Submits \p Inputs to \p Eng as one batch and blocks on every job;
+/// the outcomes come back in input order.
+inline std::vector<DriverOutcome>
+analyzeBatch(AnalysisEngine &Eng, const AnalysisRequest &Req,
+             const std::vector<BatchInput> &Inputs) {
+  std::vector<DriverOutcome> Outcomes;
+  for (JobHandle &H : Eng.submitBatch(Req, Inputs))
+    Outcomes.push_back(H.take());
+  return Outcomes;
 }
 
 } // namespace cundef

@@ -16,6 +16,11 @@
 //    worker counts 1 and 8 (the hardware clamp disabled so 8 really
 //    means 8 interleaving workers, even on 1-core CI). Under
 //    -DCUNDEF_TSAN=ON this suite runs instrumented (ctest -L tsan).
+//  * Batching is invisible too: a mixed fleet gives the same outcomes
+//    run one by one, as one batch at 1 or 4 workers, or round after
+//    round on fresh or reused engines — and the result cache turns
+//    repeat traffic into at least a 3x wall-clock gain without
+//    changing a single outcome.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,10 +28,12 @@
 #include "driver/ToolRunner.h"
 
 #include "../bench/BenchUtil.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 
 using namespace cundef;
 
@@ -207,6 +214,106 @@ TEST(Engine, EachSnapshotGoesToExactlyOneChild) {
     EXPECT_GT(St.SnapshotTakes, 0u) << Tag << ": the search must fork";
     EXPECT_EQ(St.SnapshotHits, St.SnapshotTakes) << Tag;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Batches and repeat traffic.
+//===----------------------------------------------------------------------===//
+
+TEST(Engine, BatchedFleetMatchesSequentialRuns) {
+  // A mixed fleet — order-dependent UB, output passthrough, three salted
+  // deep trees (distinct programs of one shape), nested order
+  // dependence — at budget 96: sequential runSource, one batch at 1
+  // and at 4 workers, and three rounds on fresh engines against three
+  // rounds on one engine drained between them like a service.
+  std::vector<BatchInput> Fleet = {corpus()[0], corpus()[1]};
+  for (unsigned I = 0; I < 3; ++I)
+    Fleet.push_back({cundef_bench::deepTreeProgram(6, 128, I * 7),
+                     "deep" + std::to_string(I) + ".c"});
+  Fleet.push_back(corpus()[3]);
+  const AnalysisRequest Req1 =
+      AnalysisRequest::Builder().searchRuns(96).buildOrDie();
+  const AnalysisRequest Req4 =
+      AnalysisRequest::Builder().searchRuns(96).searchJobs(4).buildOrDie();
+  auto freshBatch = [&](const AnalysisRequest &Req) {
+    AnalysisEngine Eng(engineConfigFor(Req));
+    return analyzeBatch(Eng, Req, Fleet);
+  };
+
+  const std::vector<DriverOutcome> Batch1 = freshBatch(Req1);
+  const std::vector<DriverOutcome> Batch4 = freshBatch(Req4);
+  ASSERT_EQ(Batch1.size(), Fleet.size());
+  ASSERT_EQ(Batch4.size(), Fleet.size());
+  Driver Sequential(Req1);
+  for (size_t I = 0; I < Fleet.size(); ++I) {
+    expectIdentical(
+        Sequential.runSource(Fleet[I].Source, Fleet[I].Name), Batch1[I],
+        Fleet[I].Name + " sequential");
+    expectIdentical(Batch1[I], Batch4[I], Fleet[I].Name + " x4");
+  }
+
+  AnalysisEngine Reused(engineConfigFor(Req4));
+  for (int Round = 0; Round < 3; ++Round) {
+    const std::vector<DriverOutcome> Fresh = freshBatch(Req4);
+    const std::vector<DriverOutcome> Again = analyzeBatch(Reused, Req4, Fleet);
+    Reused.drain();
+    ASSERT_EQ(Fresh.size(), Fleet.size());
+    ASSERT_EQ(Again.size(), Fleet.size());
+    for (size_t I = 0; I < Fleet.size(); ++I) {
+      const std::string Tag =
+          Fleet[I].Name + " round=" + std::to_string(Round);
+      expectIdentical(Batch1[I], Fresh[I], Tag + " fresh");
+      expectIdentical(Batch1[I], Again[I], Tag + " reused");
+    }
+  }
+}
+
+TEST(Engine, ResultCacheMakesRepeatsThreeTimesFaster) {
+  // Repeat traffic where the search is the duplicated cost: one cold
+  // analysis of a deep tree publishes its outcome, and ten identical
+  // resubmissions must resolve warm. Cold plus warm (engine lifetime
+  // included) must take at most a third of the wall clock the same ten
+  // searches take on a cache-off engine, with identical outcomes. The
+  // repeats share one unit name: the name is part of the key.
+  const AnalysisRequest Req =
+      AnalysisRequest::Builder().searchRuns(96).searchJobs(4).buildOrDie();
+  const BatchInput Unit = {cundef_bench::deepTreeProgram(6, 128, 3),
+                           "rcdup.c"};
+  const std::vector<BatchInput> Repeats(10, Unit);
+
+  using Clock = std::chrono::steady_clock;
+  DriverOutcome Cold;
+  std::vector<DriverOutcome> Warm, Off;
+  ResultCacheStats Stats;
+  const Clock::time_point T0 = Clock::now();
+  {
+    AnalysisEngine Eng(engineConfigFor(Req));
+    Cold = Eng.submit(Req, Unit.Source, Unit.Name).take();
+    Warm = analyzeBatch(Eng, Req, Repeats);
+    Stats = Eng.resultCacheStats();
+  }
+  const Clock::time_point T1 = Clock::now();
+  {
+    EngineConfig Cfg = engineConfigFor(Req);
+    Cfg.ResultCacheEntries = 0;
+    AnalysisEngine Eng(Cfg);
+    Off = analyzeBatch(Eng, Req, Repeats);
+  }
+  const Clock::time_point T2 = Clock::now();
+
+  ASSERT_EQ(Warm.size(), Repeats.size());
+  ASSERT_EQ(Off.size(), Repeats.size());
+  for (size_t I = 0; I < Repeats.size(); ++I) {
+    expectIdentical(Cold, Warm[I], "warm #" + std::to_string(I));
+    expectIdentical(Cold, Off[I], "cache-off #" + std::to_string(I));
+  }
+  EXPECT_GT(Stats.hitRate(), 0.0);
+  const double OnMs =
+      std::chrono::duration<double, std::milli>(T1 - T0).count();
+  const double OffMs =
+      std::chrono::duration<double, std::milli>(T2 - T1).count();
+  EXPECT_GE(OffMs, 3.0 * OnMs)
+      << "cache-on " << OnMs << " ms, cache-off " << OffMs << " ms";
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,13 +17,15 @@
 //    The cache's own unit tests are in tests/test_content_cache.cpp.
 //  * **The cache is invisible in the results.** Byte-identical outcomes
 //    with the cache on, off, hot, or cold — the honest counters
-//    (BatchStats::ResultCacheHits/Misses) are the only observable
+//    (AnalysisEngine::resultCacheStats) are the only observable
 //    difference.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Search.h"
 #include "driver/Driver.h"
+
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -215,7 +217,7 @@ TEST(ResultCacheEngine, HeaderEditInvalidatesResidentOutcomes) {
 }
 
 TEST(ResultCacheEngine, CacheIsInvisibleInBatchResults) {
-  // Duplicate-heavy batch through a cache-enabled driver vs per-file
+  // Duplicate-heavy batch through a cache-enabled engine vs per-file
   // fresh cache-off engines: outcomes byte-identical; the honest
   // counters are the only observable difference (Hits + Misses ==
   // Programs, duplicates resolved without a search).
@@ -228,11 +230,12 @@ TEST(ResultCacheEngine, CacheIsInvisibleInBatchResults) {
   for (int I = 0; I < 3; ++I)
     Inputs.push_back({"int main(void) { return 0; }\n", "triv.c"});
 
-  Driver Batched(Req);
-  BatchResult Batch = Batched.runBatch(Inputs);
-  ASSERT_EQ(Batch.Outcomes.size(), Inputs.size());
-  EXPECT_EQ(Batch.Stats.ResultCacheMisses, 3u) << "three distinct analyses";
-  EXPECT_EQ(Batch.Stats.ResultCacheHits, Inputs.size() - 3);
+  AnalysisEngine Batched(engineConfigFor(Req));
+  std::vector<DriverOutcome> Batch = analyzeBatch(Batched, Req, Inputs);
+  ASSERT_EQ(Batch.size(), Inputs.size());
+  const ResultCacheStats Stats = Batched.resultCacheStats();
+  EXPECT_EQ(Stats.Misses, 3u) << "three distinct analyses";
+  EXPECT_EQ(Stats.Hits + Stats.InflightJoins, Inputs.size() - 3);
 
   EngineConfig Off;
   Off.ResultCacheEntries = 0;
@@ -241,7 +244,7 @@ TEST(ResultCacheEngine, CacheIsInvisibleInBatchResults) {
     DriverOutcome Ref =
         Fresh.submit(Req, Inputs[I].Source, Inputs[I].Name).take();
     EXPECT_FALSE(Ref.ResultCacheHit);
-    expectIdentical(Ref, Batch.Outcomes[I],
+    expectIdentical(Ref, Batch[I],
                     Inputs[I].Name + " #" + std::to_string(I));
   }
 }

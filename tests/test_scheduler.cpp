@@ -7,8 +7,10 @@
 // counts, dedup hits, pruned subtrees, and truncation accounting, at
 // any job count, because its canonical commit wavefront replays the
 // wave engine's barrier order while execution proceeds speculatively.
-// This suite asserts that equivalence, the LRU snapshot cache's
-// replay fallback under thrash, and the batched driver's per-program
+// This suite asserts that equivalence, the agreement of every engine
+// generation (exhaustive enumeration, replay, fork, steal) on the
+// paper's section 2.5.2 programs, the LRU snapshot cache's replay
+// fallback under thrash, and the batched driver's per-program
 // aggregation ordering.
 //
 //===----------------------------------------------------------------------===//
@@ -19,8 +21,13 @@
 #include "suites/JulietGen.h"
 #include "suites/SuiteRunner.h"
 
+#include "../bench/BenchUtil.h"
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <iterator>
 #include <thread>
 
@@ -264,6 +271,117 @@ TEST(Scheduler, TruncationAccountingMatchesWave) {
     EXPECT_EQ(RW.DroppedSubtrees, RS.DroppedSubtrees) << "budget " << MaxRuns;
     EXPECT_EQ(RW.RunsExplored, RS.RunsExplored) << "budget " << MaxRuns;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Engine generations (paper section 2.5.2).
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The section 2.5.2 program and its mirror, the other order-dependent
+/// shapes, and three trees where enumeration is exponential: commuting
+/// sums without and with hidden UB, and the deep tree.
+std::vector<std::string> generationCorpus() {
+  return {Corpus[0],
+          "int d = 5;\n"
+          "int setDenom(int x) { return d = x; }\n"
+          "int main(void) { return setDenom(0) + (10 / d); }\n",
+          Corpus[1],
+          Corpus[2],
+          cundef_bench::symmetricSums(6),
+          cundef_bench::symmetricSums(6, /*HiddenUb=*/true),
+          cundef_bench::deepTreeProgram(8, 256)};
+}
+
+/// The fork engine's options at budget 192: dedup, snapshots and
+/// incremental digests all on.
+SearchOptions forkOptions(unsigned Jobs = 1) {
+  SearchOptions SO;
+  SO.MaxRuns = 192;
+  SO.Jobs = Jobs;
+  return SO;
+}
+
+} // namespace
+
+TEST(Scheduler, EngineGenerationsAgree) {
+  // Every engine generation must commit the same verdict and witness:
+  //   seq     exhaustive prefix enumeration, no dedup, every child
+  //           replayed from main(), full-state rehash at every choice,
+  //   replay  + the fingerprint visited-set,
+  //   fork    + snapshots and incremental digests (wave reference),
+  //   steal   the production scheduler at 1 and 4 jobs, and forced
+  //           to 16 and 32 workers past the hardware clamp,
+  //   wave4   the wave reference at 4 jobs.
+  // Committed dedup decisions are deterministic, so dedup hits agree
+  // exactly across replay/fork/steal, wave4/steal4 and steal1/16/32,
+  // for the undefined programs as well as the clean ones. Run counts
+  // are compared only where the wave engine runs on one worker: at
+  // jobs > 1 a witness cuts its wave short at a timing-dependent point.
+  for (const std::string &Source : generationCorpus()) {
+    Driver Drv;
+    Driver::Compiled C = Drv.compile(Source, "order.c");
+    ASSERT_TRUE(C->ok()) << C->errors();
+
+    SearchOptions Seq = forkOptions();
+    Seq.Dedup = false;
+    Seq.UseSnapshots = false;
+    Seq.FullRehash = true;
+    SearchOptions Replay = Seq;
+    Replay.Dedup = true;
+
+    const SearchResult RSeq = searchReference(C, Seq);
+    const SearchResult RReplay = searchReference(C, Replay);
+    const SearchResult RFork = searchReference(C, forkOptions());
+    const SearchResult RSteal = searchWith(C, forkOptions());
+    const SearchResult RWave4 = searchReference(C, forkOptions(4));
+    const SearchResult RSteal4 = searchWith(C, forkOptions(4));
+    const SearchResult RSteal16 = searchStealForced(C, forkOptions(), 16);
+    const SearchResult RSteal32 = searchStealForced(C, forkOptions(), 32);
+
+    for (const SearchResult *R :
+         {&RReplay, &RFork, &RSteal, &RWave4, &RSteal4, &RSteal16,
+          &RSteal32}) {
+      EXPECT_EQ(R->UbFound, RSeq.UbFound) << Source;
+      EXPECT_EQ(R->Witness, RSeq.Witness) << Source;
+    }
+    EXPECT_EQ(RFork.DedupHits, RReplay.DedupHits) << Source;
+    EXPECT_EQ(RSteal.DedupHits, RFork.DedupHits) << Source;
+    EXPECT_EQ(RSteal4.DedupHits, RWave4.DedupHits) << Source;
+    EXPECT_EQ(RSteal16.DedupHits, RSteal.DedupHits) << Source;
+    EXPECT_EQ(RSteal32.DedupHits, RSteal.DedupHits) << Source;
+    EXPECT_EQ(RFork.RunsExplored, RReplay.RunsExplored) << Source;
+    EXPECT_EQ(RSteal.RunsExplored, RFork.RunsExplored) << Source;
+    EXPECT_EQ(RSteal16.RunsExplored, RSteal.RunsExplored) << Source;
+    EXPECT_EQ(RSteal32.RunsExplored, RSteal.RunsExplored) << Source;
+  }
+}
+
+TEST(Scheduler, SixteenWorkersHalveTheDeepTree) {
+  // Wall-clock scaling: on the deep tree, sixteen stealing workers must
+  // finish the search at least 2x faster than four. The number only
+  // means something when the host can run sixteen workers at once.
+  const unsigned Hw = std::max(1u, std::thread::hardware_concurrency());
+  if (Hw < 16)
+    GTEST_SKIP() << "needs 16 hardware threads, the host has " << Hw;
+  Driver Drv;
+  Driver::Compiled C =
+      Drv.compile(cundef_bench::deepTreeProgram(8, 256), "deep.c");
+  ASSERT_TRUE(C->ok()) << C->errors();
+
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point T0 = Clock::now();
+  searchWith(C, forkOptions(4));
+  const Clock::time_point T1 = Clock::now();
+  searchStealForced(C, forkOptions(), 16);
+  const Clock::time_point T2 = Clock::now();
+  const double Steal4Ms =
+      std::chrono::duration<double, std::milli>(T1 - T0).count();
+  const double Steal16Ms =
+      std::chrono::duration<double, std::milli>(T2 - T1).count();
+  EXPECT_GE(Steal4Ms, 2.0 * Steal16Ms)
+      << "steal4 " << Steal4Ms << " ms, steal16 " << Steal16Ms << " ms";
 }
 
 TEST(Scheduler, OneLifecycleAcrossDrainRounds) {
@@ -565,14 +683,14 @@ TEST(Scheduler, BatchedDriverMatchesRunSource) {
                               .searchJobs(Jobs)
                               .buildOrDie();
     Driver Batched(Req);
-    BatchResult Batch = Batched.runBatch(Inputs);
-    ASSERT_EQ(Batch.Outcomes.size(), Inputs.size());
-    EXPECT_EQ(Batch.Stats.Programs, Inputs.size());
+    std::vector<DriverOutcome> Batch =
+        analyzeBatch(Batched.engine(), Req, Inputs);
+    ASSERT_EQ(Batch.size(), Inputs.size());
 
     for (size_t I = 0; I < Inputs.size(); ++I) {
       Driver Single(Req);
       DriverOutcome Ref = Single.runSource(Inputs[I].Source, Inputs[I].Name);
-      const DriverOutcome &Got = Batch.Outcomes[I];
+      const DriverOutcome &Got = Batch[I];
       EXPECT_EQ(Ref.CompileOk, Got.CompileOk) << I;
       EXPECT_EQ(Ref.CompileErrors, Got.CompileErrors) << I;
       EXPECT_EQ(Ref.anyUb(), Got.anyUb()) << I;
@@ -587,10 +705,8 @@ TEST(Scheduler, BatchedDriverMatchesRunSource) {
       }
     }
     // Duplicate submissions aggregate independently and identically.
-    EXPECT_EQ(Batch.Outcomes[0].SearchWitness,
-              Batch.Outcomes[5].SearchWitness);
-    EXPECT_EQ(Batch.Outcomes[0].OrdersExplored,
-              Batch.Outcomes[5].OrdersExplored);
+    EXPECT_EQ(Batch[0].SearchWitness, Batch[5].SearchWitness);
+    EXPECT_EQ(Batch[0].OrdersExplored, Batch[5].OrdersExplored);
   }
 }
 
@@ -600,24 +716,26 @@ TEST(Scheduler, BatchedAggregationIsDeterministic) {
   std::vector<BatchInput> Inputs;
   for (const char *Source : Corpus)
     Inputs.push_back({Source, "det.c"});
-  Driver Ref(AnalysisRequest::Builder().searchRuns(64).buildOrDie());
-  BatchResult Base = Ref.runBatch(Inputs);
+  const AnalysisRequest BaseReq =
+      AnalysisRequest::Builder().searchRuns(64).buildOrDie();
+  Driver Ref(BaseReq);
+  std::vector<DriverOutcome> Base = analyzeBatch(Ref.engine(), BaseReq, Inputs);
 
   for (unsigned Jobs : {2u, 8u}) {
     for (int Round = 0; Round < 3; ++Round) {
-      Driver Drv(AnalysisRequest::Builder()
-                     .searchRuns(64)
-                     .searchJobs(Jobs)
-                     .buildOrDie());
-      BatchResult Got = Drv.runBatch(Inputs);
-      ASSERT_EQ(Got.Outcomes.size(), Base.Outcomes.size());
-      for (size_t I = 0; I < Base.Outcomes.size(); ++I) {
-        EXPECT_EQ(Base.Outcomes[I].anyUb(), Got.Outcomes[I].anyUb()) << I;
-        EXPECT_EQ(Base.Outcomes[I].SearchWitness,
-                  Got.Outcomes[I].SearchWitness)
+      const AnalysisRequest Req = AnalysisRequest::Builder()
+                                      .searchRuns(64)
+                                      .searchJobs(Jobs)
+                                      .buildOrDie();
+      Driver Drv(Req);
+      std::vector<DriverOutcome> Got = analyzeBatch(Drv.engine(), Req, Inputs);
+      ASSERT_EQ(Got.size(), Base.size());
+      for (size_t I = 0; I < Base.size(); ++I) {
+        EXPECT_EQ(Base[I].anyUb(), Got[I].anyUb()) << I;
+        EXPECT_EQ(Base[I].SearchWitness, Got[I].SearchWitness)
             << I << " jobs=" << Jobs;
-        EXPECT_EQ(Base.Outcomes[I].Output, Got.Outcomes[I].Output) << I;
-        EXPECT_EQ(Base.Outcomes[I].ExitCode, Got.Outcomes[I].ExitCode) << I;
+        EXPECT_EQ(Base[I].Output, Got[I].Output) << I;
+        EXPECT_EQ(Base[I].ExitCode, Got[I].ExitCode) << I;
       }
     }
   }

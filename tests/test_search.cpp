@@ -7,6 +7,8 @@
 #include "core/Search.h"
 #include "driver/Driver.h"
 
+#include "../bench/BenchUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace cundef;
@@ -140,21 +142,6 @@ const char *PaperSource =
     "int setDenom(int x) { return d = x; }\n"
     "int main(void) { return (10 / d) + setDenom(0); }\n";
 
-/// K statements of commuting pure-call sums: 2^K interleavings that all
-/// converge, the dedup's best case.
-std::string symmetricSource(unsigned K) {
-  std::string S = "static int g(int x) { return x + 1; }\n"
-                  "int main(void) {\n  int t = 0;\n";
-  for (unsigned I = 0; I < K; ++I) {
-    char Line[64];
-    std::snprintf(Line, sizeof(Line), "  t += g(%u) + g(%u);\n", 2 * I,
-                  2 * I + 1);
-    S += Line;
-  }
-  S += "  return t > 0 ? 0 : 1;\n}\n";
-  return S;
-}
-
 SearchResult searchWith(const Driver::Compiled &C, SearchOptions SO) {
   MachineOptions Opts;
   OrderSearch Search(C->ast(), Opts, SO);
@@ -238,7 +225,7 @@ TEST(ParallelSearch, DedupPreservesVerdictAndReports) {
 
 TEST(ParallelSearch, DedupCollapsesSymmetricInterleavings) {
   Driver Drv;
-  Driver::Compiled C = Drv.compile(symmetricSource(5), "sym.c");
+  Driver::Compiled C = Drv.compile(cundef_bench::symmetricSums(5), "sym.c");
   ASSERT_TRUE(C->ok()) << C->errors();
   SearchOptions On, Off;
   On.MaxRuns = Off.MaxRuns = 20000;
@@ -277,7 +264,7 @@ TEST(ParallelSearch, FingerprintIsReplayStable) {
   // The dedup's foundation: identical decision prefixes must produce
   // identical configuration fingerprints in independent machines.
   Driver Drv;
-  Driver::Compiled C = Drv.compile(symmetricSource(2), "fp.c");
+  Driver::Compiled C = Drv.compile(cundef_bench::symmetricSums(2), "fp.c");
   ASSERT_TRUE(C->ok());
   MachineOptions Opts;
   auto FinalFp = [&](std::vector<uint8_t> Decisions) {

@@ -8,7 +8,8 @@
 //
 //  * Fidelity: outcomes that cross the wire are the outcomes a local
 //    engine produces — N concurrent clients submitting a
-//    duplicate-heavy corpus get results identical to a local run, for
+//    duplicate-heavy corpus, or 1, 4 and 16 clients submitting one
+//    program at a time, get results identical to a local run, for
 //    every deterministic field (verdicts, reports, output, exit codes,
 //    witnesses, order counts).
 //  * Backpressure is structured: past the per-client or engine-wide
@@ -34,6 +35,7 @@
 #include "support/Strings.h"
 
 #include "../bench/BenchUtil.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -483,9 +485,7 @@ TEST(ServeDaemonTest, ConcurrentClientsMatchLocalEngine) {
   std::vector<DriverOutcome> Local;
   {
     AnalysisEngine Eng(engineConfigFor(Req));
-    std::vector<JobHandle> Handles = Eng.submitBatch(Req, Inputs);
-    for (JobHandle &H : Handles)
-      Local.push_back(H.take());
+    Local = analyzeBatch(Eng, Req, Inputs);
   }
 
   DaemonFixture D;
@@ -527,6 +527,68 @@ TEST(ServeDaemonTest, ConcurrentClientsMatchLocalEngine) {
   EXPECT_EQ(Counters.Submitted, NumClients * Inputs.size());
   EXPECT_EQ(Counters.Completed, NumClients * Inputs.size());
   EXPECT_EQ(Counters.Rejected, 0u);
+  D.stop();
+}
+
+TEST(ServeDaemonTest, OneProgramSubmitsMatchLocalEngine) {
+  // The interactive shape: 1, then 4, then 16 concurrent clients on one
+  // daemon, each sending six one-program submits and waiting for every
+  // verdict, client C's J-th submit picking program (C + J) % 4.
+  // Every remote outcome must equal the local engine's, and the daemon
+  // must still drain to exit 0 afterwards (DaemonFixture::stop).
+  const AnalysisRequest Req = defaultRequest(32);
+  const std::vector<BatchInput> Programs = {
+      corpus()[0], corpus()[1],
+      {cundef_bench::deepTreeProgram(5, 64, 11), "deep.c"},
+      {"int main(void) { return 0; }\n", "clean.c"}};
+  std::vector<DriverOutcome> Local;
+  {
+    AnalysisEngine Eng(engineConfigFor(Req));
+    Local = analyzeBatch(Eng, Req, Programs);
+  }
+
+  ServeConfig Cfg;
+  Cfg.MaxClients = 32;
+  Cfg.MaxInflightPerClient = 32;
+  DaemonFixture D;
+  D.start(std::move(Cfg));
+  if (HasFatalFailure())
+    return;
+
+  constexpr unsigned SubmitsPerClient = 6;
+  for (unsigned NumClients : {1u, 4u, 16u}) {
+    std::vector<std::vector<DriverOutcome>> Results(NumClients);
+    std::vector<std::string> Errors(NumClients);
+    std::vector<std::thread> Clients;
+    for (unsigned C = 0; C < NumClients; ++C) {
+      Clients.emplace_back([&, C] {
+        RemoteClient Client;
+        if (!Client.connect(D.endpoint(), Errors[C]))
+          return;
+        for (unsigned J = 0; J < SubmitsPerClient; ++J) {
+          std::vector<DriverOutcome> Out;
+          std::vector<double> Micros;
+          if (!Client.runBatch(Req, {Programs[(C + J) % Programs.size()]},
+                               Out, Micros, Errors[C]))
+            return;
+          Results[C].push_back(std::move(Out.at(0)));
+        }
+      });
+    }
+    for (std::thread &T : Clients)
+      T.join();
+
+    for (unsigned C = 0; C < NumClients; ++C) {
+      ASSERT_TRUE(Errors[C].empty()) << "client " << C << ": " << Errors[C];
+      ASSERT_EQ(Results[C].size(), SubmitsPerClient);
+      for (unsigned J = 0; J < SubmitsPerClient; ++J) {
+        const size_t Pick = (C + J) % Programs.size();
+        expectSameOutcome(Local[Pick], Results[C][J],
+                          strFormat("%u clients, client %u, %s", NumClients,
+                                    C, Programs[Pick].Name.c_str()));
+      }
+    }
+  }
   D.stop();
 }
 

@@ -28,6 +28,8 @@
 #include "driver/Driver.h"
 #include "frontend/Frontend.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -205,10 +207,12 @@ TEST(TranslationCacheEngine, HeaderChangeInvalidatesCachedArtifact) {
 }
 
 TEST(TranslationCacheEngine, DuplicateHeavyBatchMatchesFreshCompiles) {
-  // Driver::runBatch over a duplicate-heavy input list (same file xN
-  // plus distinct ones) vs per-file fresh cache-off drivers: outcomes
-  // byte-identical, and the batch stats show the duplicates resolved
-  // as cache hits.
+  // One batch over a duplicate-heavy input list (same files xN plus
+  // distinct ones) vs per-file fresh cache-off engines: outcomes
+  // byte-identical, and the engine's counters show the duplicates
+  // resolved as cache hits. The twelve copies of a 240-function unit,
+  // of which main() calls one, are the shape where the frontend is the
+  // duplicated cost.
   AnalysisRequest Req =
       AnalysisRequest::Builder().searchRuns(64).searchJobs(2).buildOrDie();
   std::vector<BatchInput> Inputs;
@@ -219,12 +223,23 @@ TEST(TranslationCacheEngine, DuplicateHeavyBatchMatchesFreshCompiles) {
                     "hello.c"});
   for (int I = 0; I < 3; ++I)
     Inputs.push_back({"int main(void) { return 0; }\n", "triv.c"});
+  std::string Big;
+  for (unsigned F = 0; F < 240; ++F) {
+    const std::string N = std::to_string(F);
+    Big += "static int f" + N + "(int x) {\n  int a = x + " + N +
+           "; int b = a * 3;\n  int c = b - a; int d = c + (a > 0 ? 1 : 2);\n"
+           "  return d + b;\n}\n";
+  }
+  Big += "int main(void) { return f0(1) > 0 ? 0 : 1; }\n";
+  for (int I = 0; I < 12; ++I)
+    Inputs.push_back({Big, "big.c"});
 
-  Driver Batched(Req);
-  BatchResult Batch = Batched.runBatch(Inputs);
-  ASSERT_EQ(Batch.Outcomes.size(), Inputs.size());
-  EXPECT_EQ(Batch.Stats.TranslationMisses, 3u) << "three distinct units";
-  EXPECT_EQ(Batch.Stats.TranslationHits, Inputs.size() - 3);
+  AnalysisEngine Batched(engineConfigFor(Req));
+  std::vector<DriverOutcome> Batch = analyzeBatch(Batched, Req, Inputs);
+  ASSERT_EQ(Batch.size(), Inputs.size());
+  const TranslationCacheStats Stats = Batched.translationStats();
+  EXPECT_EQ(Stats.Misses, 4u) << "four distinct units";
+  EXPECT_EQ(Stats.Hits + Stats.InflightJoins, Inputs.size() - 4);
 
   EngineConfig Off;
   Off.TranslationCacheEntries = 0;
@@ -233,7 +248,7 @@ TEST(TranslationCacheEngine, DuplicateHeavyBatchMatchesFreshCompiles) {
     DriverOutcome Ref =
         Fresh.submit(Req, Inputs[I].Source, Inputs[I].Name).take();
     EXPECT_FALSE(Ref.TranslationCacheHit);
-    expectIdentical(Ref, Batch.Outcomes[I],
+    expectIdentical(Ref, Batch[I],
                     Inputs[I].Name + " #" + std::to_string(I));
   }
 }

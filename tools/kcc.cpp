@@ -197,11 +197,6 @@ static void printSearchStats(const DriverOutcome &O) {
 /// The --show-witness pool block: scheduler-wide speculation and
 /// snapshot-cache contention counters (one line each).
 static void printPoolStats(const cundef::SchedulerStats &Pool) {
-  const double Waste =
-      Pool.RunsCommitted
-          ? static_cast<double>(Pool.RunsExecuted - Pool.RunsCommitted) /
-                static_cast<double>(Pool.RunsCommitted)
-          : 0.0;
   std::fprintf(stderr,
                "Pool stats: workers=%u runs-executed=%llu "
                "runs-committed=%llu waste=%.2f%% provisional-hits=%llu "
@@ -209,7 +204,7 @@ static void printPoolStats(const cundef::SchedulerStats &Pool) {
                Pool.Jobs,
                static_cast<unsigned long long>(Pool.RunsExecuted),
                static_cast<unsigned long long>(Pool.RunsCommitted),
-               Waste * 100.0,
+               Pool.speculativeWaste() * 100.0,
                static_cast<unsigned long long>(Pool.ProvisionalHits),
                static_cast<unsigned long long>(Pool.ProvisionalRequeues),
                static_cast<unsigned long long>(Pool.CommitLagPeak));
@@ -571,12 +566,7 @@ int main(int argc, char **argv) {
                  Pool.Programs, Pool.Jobs,
                  static_cast<unsigned long long>(Pool.RunsExecuted),
                  static_cast<unsigned long long>(Pool.RunsCommitted),
-                 Pool.RunsCommitted
-                     ? 100.0 *
-                           static_cast<double>(Pool.RunsExecuted -
-                                               Pool.RunsCommitted) /
-                           static_cast<double>(Pool.RunsCommitted)
-                     : 0.0,
+                 Pool.speculativeWaste() * 100.0,
                  static_cast<unsigned long long>(Pool.Steals),
                  static_cast<unsigned long long>(Pool.DedupHits),
                  static_cast<unsigned long long>(Pool.SnapshotEvictions),
