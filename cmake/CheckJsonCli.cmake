@@ -16,7 +16,7 @@ endif()
 #   kcc ... | sed -E "$MASK" > tests/golden/<name>
 # (json_ub.c and json_ok.c below, run from their directory).
 function(expect_golden NAME TEXT)
-  set(VOLATILE "wall_ms|wall_micros|frontend_micros|search_micros|steals|peak_frontier|runs_executed|speculative_waste|provisional_hits|provisional_requeues|commit_lag_peak|snapshot_takes|snapshot_hits|snapshot_slot_steals|snapshot_shards|snapshot_evictions|workers|lookups|hits|misses|inflight_joins|evictions|abandoned|cache_hit|result_cache_hit|runs_committed")
+  set(VOLATILE "wall_ms|wall_micros|frontend_micros|search_micros|steals|peak_frontier|runs_executed|speculative_waste|provisional_hits|provisional_requeues|commit_lag_peak|snapshot_captures|snapshot_takes|snapshot_hits|snapshot_slot_steals|snapshot_shards|snapshot_evictions|workers|lookups|hits|misses|inflight_joins|evictions|abandoned|cache_hit|result_cache_hit|runs_committed")
   string(REGEX REPLACE "\"(${VOLATILE})\": [^,}\n]+" "\"\\1\": X" MASKED "${TEXT}")
   file(READ ${GOLDEN_DIR}/${NAME} WANT)
   if(NOT MASKED STREQUAL WANT)

@@ -93,8 +93,15 @@ Machine::Machine(const AstContext &Ctx, MachineOptions Opts, UbSink &Sink,
                  const MachineSnapshot &Snap, std::vector<uint8_t> Decisions)
     : Ctx(Ctx), Opts(Opts), Sink(Sink), Conf(Snap.Conf),
       Chooser(Snap.Chooser) {
-  // The configuration copy is cheap: memory objects are shared
-  // copy-on-write and only cloned when this fork first writes them.
+  // The configuration is copied, not moved out of the snapshot, and the
+  // caller keeps the snapshot alive until this run ends. That second
+  // reference is the copy-on-write lifetime invariant: every memory
+  // object this fork inherits has use_count() > 1 for the whole run, so
+  // SymbolicMemory::owned() clones it before the first write and never
+  // writes it in place while a sibling fork of the same ancestor may be
+  // copying it on another thread. Moving the configuration in would
+  // save a few microseconds per fork and lose that guarantee (TSan then
+  // reports SymbolicMemory::mutate racing a sibling's MemObject copy).
   Chooser.resumeReplay(std::move(Decisions));
   buildRuleChains();
   assert(Opts.Style != RuleStyle::Declarative &&

@@ -38,6 +38,11 @@
 // speculatively; their results are discarded, keeping the accounting
 // identical to the wave engine's truncation.
 //
+// The last generation the budget can run is known before it runs: the
+// *leaf generation*. Its runs capture no snapshots and spawn no
+// children; finalization only counts the children it would have
+// spawned, which is exactly what the final seal would have dropped.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/Scheduler.h"
@@ -396,6 +401,18 @@ struct ProgramState {
   /// Runs finalized and kept (= the wave engine's RunsStarted on the
   /// deterministic path).
   unsigned RunsFinalized = 0;
+  /// The budget the next generation gets at its seal, fixed when CurGen
+  /// seals: MaxRuns - (RunsFinalized + |CurGen|).
+  unsigned NextBudget = 0;
+  /// The first generation none of whose children the budget can run
+  /// (kNoLeaf until known). Written under CommitMu; the capture hook
+  /// reads it relaxed, and a stale read only captures a snapshot that
+  /// goes unused.
+  static constexpr uint32_t kNoLeaf = 0xffffffffu;
+  std::atomic<uint32_t> LeafGen{kNoLeaf};
+  /// Children the leaf generation's finalized runs did not spawn: the
+  /// subtrees the final seal reports dropped.
+  unsigned LeafDropped = 0;
   /// In-generation divergence twins (reset per generation).
   std::unordered_set<uint64_t> SeenDivergence;
   /// Dedup hits / twin prunes committed within the current generation.
@@ -661,6 +678,8 @@ struct SearchScheduler::Impl {
         1, std::memory_order_relaxed);
 
     UbSink Sink;
+    // Declared before Run so it outlives the forked machine: the
+    // copy-on-write invariant documented at Machine's fork constructor.
     std::unique_ptr<MachineSnapshot> Snap = Cache.take(T.SnapId);
     std::unique_ptr<Machine> Run;
     if (P.Snapshots && Snap) {
@@ -681,7 +700,8 @@ struct SearchScheduler::Impl {
       M.setBeforeChoiceHook([&](Machine &Mach, unsigned) {
         const size_t Depth = Mach.decisionTrace().size();
         if (Depth < PinnedLen || Mach.inSyncCall() ||
-            P.Done.load(std::memory_order_relaxed))
+            P.Done.load(std::memory_order_relaxed) ||
+            T.Gen >= P.LeafGen.load(std::memory_order_relaxed))
           return;
         uint64_t Id = Cache.insert(Mach.captureChoiceSnapshot(),
                                    &P.EvictionsAtomic, Worker);
@@ -833,21 +853,22 @@ struct SearchScheduler::Impl {
   /// applies the run budget exactly as the wave engine's barrier did.
   /// Returns false when the program is complete.
   bool sealNextGen(ProgramState &P) {
-    if (P.NextGen.empty()) {
-      finishProgram(P);
-      return false;
-    }
     const unsigned Budget =
         P.SOpts.MaxRuns > P.RunsFinalized ? P.SOpts.MaxRuns - P.RunsFinalized
                                           : 0;
     if (Budget == 0) {
-      // Mirrors the wave loop's exit with a non-empty frontier: every
-      // remaining subtree is dropped unexplored and reported.
-      P.Result.FrontierTruncated = true;
-      P.Result.DroppedSubtrees += static_cast<unsigned>(P.NextGen.size());
-      for (Task *T : P.NextGen)
-        abandonTask(*T);
-      P.NextGen.clear();
+      // The leaf generation just finalized. Mirrors the wave loop's
+      // exit with a non-empty frontier: every child it counted instead
+      // of spawning is an unexplored subtree, reported here.
+      assert(P.NextGen.empty() && "the leaf generation spawns no children");
+      if (P.LeafDropped) {
+        P.Result.FrontierTruncated = true;
+        P.Result.DroppedSubtrees += P.LeafDropped;
+      }
+      finishProgram(P);
+      return false;
+    }
+    if (P.NextGen.empty()) {
       finishProgram(P);
       return false;
     }
@@ -870,7 +891,17 @@ struct SearchScheduler::Impl {
     P.SeenDivergence.clear();
     P.GenDedupHits = 0;
     P.GenSubtreesPruned = 0;
+    fixNextBudget(P);
     return true;
+  }
+
+  /// Called once CurGen is sealed: fixes the budget its successor will
+  /// get, and makes CurGen the leaf generation when that budget is 0.
+  void fixNextBudget(ProgramState &P) {
+    P.NextBudget = P.SOpts.MaxRuns - P.RunsFinalized -
+                   static_cast<unsigned>(P.CurGen.size());
+    if (P.NextBudget == 0)
+      P.LeafGen.store(P.CurGen.front()->Gen, std::memory_order_relaxed);
   }
 
   /// Marks a task irrelevant (budget truncation). The start-snapshot
@@ -1014,7 +1045,9 @@ struct SearchScheduler::Impl {
     // trace, exactly as the wave engine did — including for runs whose
     // effective outcome is a dedup cancellation (alternatives branching
     // off before the duplicate state are not covered by the earlier
-    // visit).
+    // visit). The leaf generation only counts them: the budget will
+    // drop every one unexplored.
+    const bool Leaf = T.Gen >= P.LeafGen.load(std::memory_order_relaxed);
     size_t SnapIdx = 0;
     std::vector<Task *> NewTasks;
     for (size_t D = PinnedLen; D < EffTraceLen; ++D) {
@@ -1022,6 +1055,10 @@ struct SearchScheduler::Impl {
         Cache.drop(T.Snaps[SnapIdx++].second);
       if (T.Trace[D].second < 2)
         continue;
+      if (Leaf) {
+        ++P.LeafDropped;
+        continue;
+      }
       P.Arena.emplace_back();
       Task &Child = P.Arena.back();
       Child.Prog = &P;
@@ -1035,6 +1072,11 @@ struct SearchScheduler::Impl {
       P.NextGen.push_back(&Child);
       NewTasks.push_back(&Child);
     }
+    // Once the next generation holds its whole budget, its seal will
+    // exhaust MaxRuns, so it is the leaf generation. Published before
+    // the children are queued, so their runs already skip captures.
+    if (!Leaf && P.NextGen.size() >= P.NextBudget)
+      P.LeafGen.store(T.Gen + 1, std::memory_order_relaxed);
     // Queue deepest-flip-first: under the left-to-right default a
     // deeper flip keeps a longer run of 0-decisions, so it is
     // lex-*smaller* — reversing makes FIFO execution track canonical
@@ -1102,6 +1144,7 @@ struct SearchScheduler::Impl {
     P.CurGen.push_back(&Root);
     P.NextFinal = 0;
     ++P.Result.Waves;
+    fixNextBudget(P);
     pushTask(&Root, Hint);
   }
 };
@@ -1173,6 +1216,7 @@ SchedulerStats SearchScheduler::stats() const {
   St.CommitLagPeak = S.CommitLagPeak.load(std::memory_order_relaxed);
   const SnapshotCache::Counters SC = S.Cache.counters();
   St.SnapshotShards = S.Cache.shards();
+  St.SnapshotCaptures = SC.Inserts;
   St.SnapshotTakes = SC.Takes;
   St.SnapshotHits = SC.Hits;
   St.SnapshotSlotSteals = SC.SlotSteals;

@@ -201,6 +201,7 @@ struct SchedulerStats {
   uint64_t CommitLagPeak = 0;
   /// Snapshot-cache shard count and aggregated shard counters.
   unsigned SnapshotShards = 0;
+  uint64_t SnapshotCaptures = 0;   ///< snapshots captured at choice points
   uint64_t SnapshotTakes = 0;      ///< child fork attempts
   uint64_t SnapshotHits = 0;       ///< forks served (entry still cached)
   uint64_t SnapshotSlotSteals = 0; ///< inserts placed via a sibling shard

@@ -69,6 +69,7 @@ template <typename Visit> void visitFields(SchedulerStats &P, Visit &&V) {
   V("steals", P.Steals);
   V("dedup_hits", P.DedupHits);
   V("snapshot_shards", P.SnapshotShards);
+  V("snapshot_captures", P.SnapshotCaptures);
   V("snapshot_takes", P.SnapshotTakes);
   V("snapshot_hits", P.SnapshotHits);
   V("snapshot_slot_steals", P.SnapshotSlotSteals);

@@ -350,7 +350,7 @@ bool builtinStrcat(BuiltinCtx &C, Value &Result) {
 /// The printf formatting core, shared by printf/sprintf/snprintf:
 /// renders the conversion of Fmt against the arguments starting at
 /// C.Args[FirstArg] into \p Out, checking argument types against the
-/// conversion specifications (UB 34/72/73).
+/// conversion specifications (UB 34/72/73/74).
 bool formatPrintf(BuiltinCtx &C, SymPointer FmtPtr, size_t FirstArg,
                   std::string &Out) {
   std::string Fmt;
@@ -384,6 +384,10 @@ bool formatPrintf(BuiltinCtx &C, SymPointer FmtPtr, size_t FirstArg,
         Value W;
         if (!NextArg(W))
           return false;
+        if (!W.isInt() || W.Ty != Types.intTy()) {
+          C.M.flagUbCode(74, C.Loc); // width or precision is not int
+          return false;
+        }
         Spec += strFormat("%lld", (long long)W.asSigned(Types));
       } else {
         Spec += Fmt[I];

@@ -151,6 +151,12 @@ private:
   /// The object's digest, recomputed from content (ignoring the cache).
   static uint64_t computeDigest(const MemObject &Obj);
   /// Clones \p Slot's object if it is shared with a forked copy.
+  /// use_count() is a relaxed read, so a count of 1 orders nothing
+  /// against another thread's last read of the object. The test is
+  /// race-free only because a fork's snapshot outlives its run (see
+  /// Machine's fork constructor): an inherited object never drops to
+  /// one reference under a running fork, so it is never written in
+  /// place.
   static MemObject *owned(std::shared_ptr<MemObject> &Slot);
 
   std::map<uint32_t, std::shared_ptr<MemObject>> Objects;

@@ -208,8 +208,7 @@ std::vector<RowSpec> buildSpecs() {
   R.push_back({74,
       "#include <stdio.h>\n"
       "int main(void) { printf(\"%*d\\n\", 1.5, 7); return 0; }\n",
-      {34}, "a non-int width argument is a variadic-argument type "
-            "mismatch"});
+      {74}, "strict: the printf builtin checks the width argument is int"});
   R.push_back({75,
       "#include <stdlib.h>\n"
       "int main(void) {\n"

@@ -148,6 +148,23 @@ TEST(Libc, PrintfWrongType) {
            UbKind::VaArgTypeMismatch);
 }
 
+TEST(Libc, PrintfStarWidthMustBeInt) {
+  // C11 7.21.6.1:5: a '*' width or precision takes an int argument
+  // (a promoted char is one).
+  std::string Out = outputOf("#include <stdio.h>\n"
+                             "int main(void) {\n"
+                             "  printf(\"[%*d|%.*d]\\n\", (char)3, 7, 2, 5);\n"
+                             "  return 0;\n}\n");
+  EXPECT_EQ(Out, "[  7|05]\n");
+  for (const char *Arg : {"1.5", "3L"}) {
+    DriverOutcome O = runKcc(std::string("#include <stdio.h>\n"
+                                         "int main(void) { printf(\"%*d\\n\", ") +
+                             Arg + ", 7); return 0; }\n");
+    ASSERT_TRUE(O.anyUb()) << Arg;
+    EXPECT_EQ(ubCode(O.DynamicUb.front().Kind), 74u) << Arg;
+  }
+}
+
 TEST(Libc, AtoiParses) {
   expectClean("#include <stdlib.h>\n"
               "int main(void) { return atoi(\"42\") - 42; }\n");

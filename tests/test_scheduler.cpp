@@ -254,25 +254,6 @@ TEST(Scheduler, ProvisionalRollbackNeverChangesCommittedResults) {
   }
 }
 
-TEST(Scheduler, TruncationAccountingMatchesWave) {
-  // Budget edges must report the identical dropped-subtree counts: the
-  // stealing scheduler applies the budget at generation seal, exactly
-  // where the wave engine's barrier applied it.
-  for (unsigned MaxRuns : {1u, 2u, 5u, 9u}) {
-    Driver Drv;
-    Driver::Compiled C = Drv.compile(Corpus[4], "trunc.c");
-    ASSERT_TRUE(C->ok());
-    SearchOptions SO;
-    SO.MaxRuns = MaxRuns;
-    SearchResult RW = searchReference(C, SO);
-    SearchResult RS = searchWith(C, SO);
-    EXPECT_EQ(RW.FrontierTruncated, RS.FrontierTruncated)
-        << "budget " << MaxRuns;
-    EXPECT_EQ(RW.DroppedSubtrees, RS.DroppedSubtrees) << "budget " << MaxRuns;
-    EXPECT_EQ(RW.RunsExplored, RS.RunsExplored) << "budget " << MaxRuns;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Engine generations (paper section 2.5.2).
 //===----------------------------------------------------------------------===//
@@ -304,6 +285,72 @@ SearchOptions forkOptions(unsigned Jobs = 1) {
 }
 
 } // namespace
+
+TEST(Scheduler, TruncationAccountingMatchesWave) {
+  // Every budget edge must commit the wave engine's counters: the
+  // stealing scheduler applies the budget at generation seal, exactly
+  // where the wave engine's barrier applied it, and its leaf generation
+  // (the last one the budget runs) counts the children it never
+  // spawns, which must equal what the wave engine dropped.
+  std::vector<std::string> Sources = generationCorpus();
+  Sources.push_back(Corpus[4]);
+  for (const std::string &Source : Sources) {
+    Driver Drv;
+    Driver::Compiled C = Drv.compile(Source, "trunc.c");
+    ASSERT_TRUE(C->ok()) << C->errors();
+    for (unsigned MaxRuns = 1; MaxRuns <= 40; ++MaxRuns) {
+      SearchOptions SO;
+      SO.MaxRuns = MaxRuns;
+      const SearchResult RW = searchReference(C, SO);
+      for (unsigned Workers : {1u, 4u}) {
+        const SearchResult RS = searchStealForced(C, SO, Workers);
+        const std::string Tag = "budget " + std::to_string(MaxRuns) +
+                                " workers " + std::to_string(Workers) +
+                                "\n" + Source;
+        EXPECT_EQ(RW.Witness, RS.Witness) << Tag;
+        EXPECT_EQ(RW.RunsExplored, RS.RunsExplored) << Tag;
+        EXPECT_EQ(RW.DedupHits, RS.DedupHits) << Tag;
+        EXPECT_EQ(RW.SubtreesPruned, RS.SubtreesPruned) << Tag;
+        EXPECT_EQ(RW.Waves, RS.Waves) << Tag;
+        EXPECT_EQ(RW.DroppedSubtrees, RS.DroppedSubtrees) << Tag;
+        EXPECT_EQ(RW.FrontierTruncated, RS.FrontierTruncated) << Tag;
+      }
+    }
+  }
+}
+
+TEST(Scheduler, LeafGenerationCapturesNoSnapshots) {
+  // At budget 1 + |generation 1| the root's children are the last
+  // generation the budget runs. They capture nothing, so every capture
+  // is the root's, taken by the child it was captured for.
+  Driver Drv;
+  Driver::Compiled C =
+      Drv.compile(cundef_bench::deepTreeProgram(8, 256), "leaf.c");
+  ASSERT_TRUE(C->ok()) << C->errors();
+  SearchOptions Probe;
+  Probe.MaxRuns = 1;
+  const unsigned Gen1 = searchReference(C, Probe).DroppedSubtrees;
+  ASSERT_GT(Gen1, 1u);
+
+  SearchOptions SO;
+  SO.MaxRuns = 1 + Gen1;
+  const SearchResult RW = searchReference(C, SO);
+  for (unsigned Workers : {1u, 4u}) {
+    SearchScheduler::Config Cfg;
+    Cfg.Jobs = Workers;
+    Cfg.ClampJobsToHardware = false;
+    Cfg.SnapshotBudget = SO.SnapshotBudget;
+    SearchScheduler Sched(Cfg);
+    size_t Id = Sched.submit(C->ast(), MachineOptions(), SO);
+    Sched.drain();
+    const SearchResult RS = Sched.takeResult(Id);
+    EXPECT_EQ(RS.RunsExplored, 1 + Gen1) << "workers " << Workers;
+    EXPECT_EQ(RS.DroppedSubtrees, RW.DroppedSubtrees) << "workers " << Workers;
+    const SchedulerStats St = Sched.stats();
+    EXPECT_GT(St.SnapshotTakes, 0u) << "workers " << Workers;
+    EXPECT_EQ(St.SnapshotCaptures, St.SnapshotTakes) << "workers " << Workers;
+  }
+}
 
 TEST(Scheduler, EngineGenerationsAgree) {
   // Every engine generation must commit the same verdict and witness:

@@ -402,6 +402,7 @@ TEST(ServeProtocol, StatsRoundtrip) {
   P.RunsExecuted = 100;
   P.RunsCommitted = 90;
   P.DedupHits = 7;
+  P.SnapshotCaptures = 6;
   P.SnapshotTakes = 5;
   EngineMemoryStats M;
   M.PendingJobs = 1;
@@ -434,6 +435,7 @@ TEST(ServeProtocol, StatsRoundtrip) {
   EXPECT_EQ(P2.RunsExecuted, 100u);
   EXPECT_EQ(P2.RunsCommitted, 90u);
   EXPECT_EQ(P2.DedupHits, 7u);
+  EXPECT_EQ(P2.SnapshotCaptures, 6u);
   EXPECT_EQ(P2.SnapshotTakes, 5u);
   EXPECT_EQ(M2.PendingJobs, 1u);
   EXPECT_EQ(M2.ProgramSlots, 9u);

@@ -209,9 +209,10 @@ static void printPoolStats(const cundef::SchedulerStats &Pool) {
                static_cast<unsigned long long>(Pool.ProvisionalRequeues),
                static_cast<unsigned long long>(Pool.CommitLagPeak));
   std::fprintf(stderr,
-               "Snapshot cache: shards=%u takes=%llu hits=%llu "
-               "slot-steals=%llu evictions=%llu\n",
+               "Snapshot cache: shards=%u captures=%llu takes=%llu "
+               "hits=%llu slot-steals=%llu evictions=%llu\n",
                Pool.SnapshotShards,
+               static_cast<unsigned long long>(Pool.SnapshotCaptures),
                static_cast<unsigned long long>(Pool.SnapshotTakes),
                static_cast<unsigned long long>(Pool.SnapshotHits),
                static_cast<unsigned long long>(Pool.SnapshotSlotSteals),
