@@ -78,7 +78,7 @@ run_pair "multi-file batch"  --search=8 --batch-stats \
 # legitimately nondeterministic (and, remotely, engine-lifetime
 # monotonic); mask exactly those fields, then demand byte equality on
 # everything else — findings, outcomes, program output, exit codes.
-MASK='s/"(wall_ms|wall_micros|frontend_micros|search_micros|steals|peak_frontier|runs_executed|speculative_waste|provisional_hits|provisional_requeues|commit_lag_peak|snapshot_captures|snapshot_takes|snapshot_hits|snapshot_slot_steals|snapshot_shards|snapshot_evictions|workers|lookups|hits|misses|inflight_joins|evictions|abandoned|cache_hit|result_cache_hit|runs_committed)": [^,}]+/"\1": X/g'
+MASK='s/"(wall_ms|wall_micros|frontend_micros|search_micros|steals|peak_frontier|runs_executed|speculative_waste|commit_lag_peak|snapshot_captures|snapshot_takes|snapshot_hits|snapshot_evictions|workers|lookups|hits|misses|inflight_joins|evictions|abandoned|cache_hit|result_cache_hit|runs_committed)": [^,}]+/"\1": X/g'
 LRC=0; RRC=0
 "$KCC" --json --search=16 "$WORKDIR/ub.c" "$WORKDIR/clean.c" \
   >"$WORKDIR/local.json" 2>/dev/null || LRC=$?

@@ -24,6 +24,19 @@ const char *cundef::toolName(ToolKind Kind) {
   return "?";
 }
 
+ToolResult ToolResult::fromOutcome(DriverOutcome Outcome, double Micros) {
+  ToolResult Result;
+  Result.CompileOk = Outcome.CompileOk;
+  Result.Findings = std::move(Outcome.StaticUb);
+  Result.Findings.insert(Result.Findings.end(), Outcome.DynamicUb.begin(),
+                         Outcome.DynamicUb.end());
+  Result.Status = Outcome.Status;
+  Result.ExitCode = Outcome.ExitCode;
+  Result.Output = std::move(Outcome.Output);
+  Result.Micros = Micros;
+  return Result;
+}
+
 namespace {
 
 /// kcc: the strict semantics with static checks and order search.
@@ -44,17 +57,9 @@ public:
     auto Start = std::chrono::steady_clock::now();
     DriverOutcome Outcome = Drv->runSource(Source, Name);
     auto End = std::chrono::steady_clock::now();
-    ToolResult Result;
-    Result.CompileOk = Outcome.CompileOk;
-    Result.Findings = Outcome.StaticUb;
-    Result.Findings.insert(Result.Findings.end(), Outcome.DynamicUb.begin(),
-                           Outcome.DynamicUb.end());
-    Result.Status = Outcome.Status;
-    Result.ExitCode = Outcome.ExitCode;
-    Result.Output = Outcome.Output;
-    Result.Micros = std::chrono::duration<double, std::micro>(End - Start)
-                        .count();
-    return Result;
+    return ToolResult::fromOutcome(
+        std::move(Outcome),
+        std::chrono::duration<double, std::micro>(End - Start).count());
   }
   const char *name() const override { return "kcc"; }
 

@@ -47,6 +47,9 @@ struct ToolResult {
   std::string Output;
   double Micros = 0.0;
 
+  /// kcc's result: static findings first, then dynamic ones.
+  static ToolResult fromOutcome(DriverOutcome Outcome, double Micros);
+
   bool flagged() const { return !Findings.empty(); }
   bool flaggedKind(UbKind Kind) const {
     for (const UbReport &R : Findings)

@@ -53,6 +53,7 @@
 #include <condition_variable>
 #include <deque>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 
 using namespace cundef;
@@ -61,152 +62,62 @@ using namespace cundef;
 // SnapshotCache
 //===----------------------------------------------------------------------===//
 
-unsigned SnapshotCache::shardCountFor(unsigned Capacity) {
-  // Shards must each hold a meaningful LRU slice (>= 64 slots) or the
-  // split would change eviction behavior where tests pin it down
-  // (capacity 0/1/2 contracts, exact-victim assertions); a single shard
-  // reproduces the original global-LRU cache bit for bit. Power of two
-  // so ids can encode the shard in their low bits.
-  unsigned N = 1;
-  while (N < (1u << kShardBits) && Capacity / (N * 2) >= 64)
-    N *= 2;
-  return N;
-}
-
-SnapshotCache::SnapshotCache(unsigned Capacity)
-    : Capacity(Capacity), NumShards(shardCountFor(Capacity)),
-      ShardVec(NumShards) {
-  // Distribute the capacity exactly (sum of slices == Capacity), with
-  // the remainder on the first shards, so "pending() never exceeds
-  // capacity" stays a precise invariant.
-  for (unsigned S = 0; S < NumShards; ++S)
-    ShardVec[S].Capacity =
-        Capacity / NumShards + (S < Capacity % NumShards ? 1 : 0);
-}
-
-uint64_t SnapshotCache::insertInto(Shard &S, unsigned ShardIdx,
-                                   MachineSnapshot &&Snap,
-                                   std::atomic<unsigned> *EvictCounter) {
-  uint64_t Id = (S.NextSeq++ << kShardBits) | ShardIdx;
-  S.Lru.push_back(Id);
-  Entry E;
-  E.Snap = std::make_unique<MachineSnapshot>(std::move(Snap));
-  E.LruIt = std::prev(S.Lru.end());
-  E.EvictCounter = EvictCounter;
-  S.Entries.emplace(Id, std::move(E));
-  ++S.Inserts;
-  return Id;
-}
-
 uint64_t SnapshotCache::insert(MachineSnapshot Snap,
-                               std::atomic<unsigned> *EvictCounter,
-                               unsigned ShardHint) {
+                               std::atomic<unsigned> *EvictCounter) {
   if (Capacity == 0)
     return 0;
-  const unsigned Home = ShardHint & (NumShards - 1);
-  uint64_t Id = 0;
-  {
-    Shard &S = ShardVec[Home];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    if (S.Entries.size() < S.Capacity)
-      Id = insertInto(S, Home, std::move(Snap), EvictCounter);
+  std::unique_ptr<MachineSnapshot> Victim; // destroyed outside the lock
+  std::lock_guard<std::mutex> Lock(Mu);
+  if (Entries.size() >= Capacity) {
+    auto Oldest = Entries.begin();
+    Victim = std::move(Oldest->second.Snap);
+    if (Oldest->second.EvictCounter)
+      Oldest->second.EvictCounter->fetch_add(1, std::memory_order_relaxed);
+    ++Count.Evictions;
+    Entries.erase(Oldest);
   }
-  // Home shard full: steal a free slot from a sibling before evicting
-  // anything — an imbalanced pool must not waste total capacity. One
-  // shard lock at a time, never nested.
-  if (!Id)
-    for (unsigned I = 1; I < NumShards && !Id; ++I) {
-      const unsigned Idx = (Home + I) & (NumShards - 1);
-      Shard &S = ShardVec[Idx];
-      std::lock_guard<std::mutex> Lock(S.Mu);
-      if (S.Entries.size() < S.Capacity) {
-        ++S.SlotSteals;
-        Id = insertInto(S, Idx, std::move(Snap), EvictCounter);
-      }
-    }
-  if (!Id) {
-    // Every shard full: evict from the home shard. Eviction is
-    // program-affine — the oldest pending entry of the *inserting*
-    // program when one exists (a deep program then thrashes against
-    // itself), else the shard's global oldest.
-    std::unique_ptr<MachineSnapshot> Victim; // destroyed outside the lock
-    Shard &S = ShardVec[Home];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    if (S.Entries.size() < S.Capacity) { // re-check: a take() raced us
-      Id = insertInto(S, Home, std::move(Snap), EvictCounter);
-    } else {
-      auto VictimIt = S.Entries.end();
-      for (uint64_t Old : S.Lru) {
-        auto It = S.Entries.find(Old);
-        if (It->second.EvictCounter == EvictCounter) {
-          VictimIt = It;
-          break;
-        }
-      }
-      if (VictimIt == S.Entries.end())
-        VictimIt = S.Entries.find(S.Lru.front());
-      Victim = std::move(VictimIt->second.Snap);
-      if (VictimIt->second.EvictCounter)
-        VictimIt->second.EvictCounter->fetch_add(1, std::memory_order_relaxed);
-      Evictions.fetch_add(1, std::memory_order_relaxed);
-      S.Lru.erase(VictimIt->second.LruIt);
-      S.Entries.erase(VictimIt);
-      Id = insertInto(S, Home, std::move(Snap), EvictCounter);
-    }
-  }
+  const uint64_t Id = NextId++;
+  Entries.emplace_hint(
+      Entries.end(), Id,
+      Entry{std::make_unique<MachineSnapshot>(std::move(Snap)), EvictCounter});
+  ++Count.Inserts;
   return Id;
 }
 
 std::unique_ptr<MachineSnapshot> SnapshotCache::take(uint64_t Id) {
   if (!Id)
     return nullptr;
-  Shard &S = shardOf(Id);
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  ++S.Takes;
-  auto It = S.Entries.find(Id);
-  if (It == S.Entries.end())
+  std::lock_guard<std::mutex> Lock(Mu);
+  ++Count.Takes;
+  auto It = Entries.find(Id);
+  if (It == Entries.end())
     return nullptr; // evicted: the caller replays its prefix instead
-  ++S.Hits;
+  ++Count.Hits;
   std::unique_ptr<MachineSnapshot> Snap = std::move(It->second.Snap);
-  S.Lru.erase(It->second.LruIt);
-  S.Entries.erase(It);
+  Entries.erase(It);
   return Snap;
 }
 
 void SnapshotCache::drop(uint64_t Id) {
   if (!Id)
     return;
-  std::unique_ptr<MachineSnapshot> Dead;
-  Shard &S = shardOf(Id);
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  auto It = S.Entries.find(Id);
-  if (It == S.Entries.end())
+  std::unique_ptr<MachineSnapshot> Dead; // destroyed outside the lock
+  std::lock_guard<std::mutex> Lock(Mu);
+  auto It = Entries.find(Id);
+  if (It == Entries.end())
     return;
   Dead = std::move(It->second.Snap);
-  S.Lru.erase(It->second.LruIt);
-  S.Entries.erase(It);
+  Entries.erase(It);
 }
 
 size_t SnapshotCache::pending() const {
-  size_t N = 0;
-  for (const Shard &S : ShardVec) {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    N += S.Entries.size();
-  }
-  return N;
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Entries.size();
 }
 
 SnapshotCache::Counters SnapshotCache::counters() const {
-  Counters C;
-  for (const Shard &S : ShardVec) {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    C.Inserts += S.Inserts;
-    C.Takes += S.Takes;
-    C.Hits += S.Hits;
-    C.SlotSteals += S.SlotSteals;
-  }
-  C.Evictions = Evictions.load(std::memory_order_relaxed);
-  return C;
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Count;
 }
 
 //===----------------------------------------------------------------------===//
@@ -215,114 +126,29 @@ SnapshotCache::Counters SnapshotCache::counters() const {
 
 namespace {
 
-/// Per-program visited-set with sharded locks. Each key carries up to
-/// two marks:
-///
-///  * a **committed** generation — the smallest generation whose
-///    finalization published the key. Speculative lookups accept a
-///    committed hit only from a strictly earlier generation, which
-///    makes every in-flight answer a subset of the committed truth.
-///  * a **provisional** (generation, owner) claim — an in-flight run of
-///    that generation observed this state and *may* commit it. At most
-///    one owner holds a claim at a time; the owner retracts it at
-///    finalization (keys it commits are promoted, the rest erased) and
-///    on abandonment. A later-generation speculative run that sees a
-///    provisional claim may stop early: if the claim commits, the stop
-///    was exactly the wave engine's cancellation; if it does not, the
-///    commit wavefront detects the unjustified stop and re-executes the
-///    run against the committed set (rollback). Either way no committed
-///    output changes — provisional marks only steer speculation.
+/// Per-program visited-set: each committed key maps to the smallest
+/// generation whose finalization published it. Speculative lookups
+/// accept a hit only from a strictly earlier generation, which makes
+/// every in-flight answer a subset of the committed truth.
 class VisitedMap {
 public:
-  enum class Hit : uint8_t { None, Committed, Provisional };
-
   bool hitBefore(uint64_t Key, uint32_t Gen) const {
-    const Shard &S = Shards[shardOf(Key)];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    auto It = S.Map.find(Key);
-    return It != S.Map.end() && It->second.CommitGen < Gen;
+    std::lock_guard<std::mutex> Lock(Mu);
+    auto It = Map.find(Key);
+    return It != Map.end() && It->second < Gen;
   }
 
-  /// Speculative lookup: a committed hit (sound, final), a provisional
-  /// hit (an earlier-generation in-flight run claimed the key), or
-  /// nothing.
-  Hit hitBeforeSpec(uint64_t Key, uint32_t Gen) const {
-    const Shard &S = Shards[shardOf(Key)];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    auto It = S.Map.find(Key);
-    if (It == S.Map.end())
-      return Hit::None;
-    if (It->second.CommitGen < Gen)
-      return Hit::Committed;
-    if (It->second.ProvOwner && It->second.ProvGen < Gen)
-      return Hit::Provisional;
-    return Hit::None;
-  }
-
-  /// Claims \p Key provisionally for \p Owner. First claimant wins;
-  /// returns false (nothing to retract later) when another owner
-  /// already holds the claim.
-  bool publishProvisional(uint64_t Key, uint32_t Gen, const void *Owner) {
-    Shard &S = Shards[shardOf(Key)];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    VEntry &E = S.Map[Key];
-    if (E.ProvOwner)
-      return E.ProvOwner == Owner;
-    E.ProvOwner = Owner;
-    E.ProvGen = Gen;
-    return true;
-  }
-
-  /// Drops \p Owner's provisional claim on \p Key (no-op for another
-  /// owner's claim); erases the entry when no committed mark keeps it
-  /// alive.
-  void retractProvisional(uint64_t Key, const void *Owner) {
-    Shard &S = Shards[shardOf(Key)];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    auto It = S.Map.find(Key);
-    if (It == S.Map.end() || It->second.ProvOwner != Owner)
-      return;
-    It->second.ProvOwner = nullptr;
-    It->second.ProvGen = VEntry::kNoGen;
-    if (It->second.CommitGen == VEntry::kNoGen)
-      S.Map.erase(It);
-  }
-
-  /// Commits \p Key at \p Gen (keeps the smallest committed
-  /// generation) and releases \p Owner's provisional claim on it.
-  void publish(uint64_t Key, uint32_t Gen, const void *Owner) {
-    Shard &S = Shards[shardOf(Key)];
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    VEntry &E = S.Map[Key];
-    if (Gen < E.CommitGen)
-      E.CommitGen = Gen;
-    if (E.ProvOwner == Owner) {
-      E.ProvOwner = nullptr;
-      E.ProvGen = VEntry::kNoGen;
-    }
+  /// Commits \p Key at \p Gen (keeps the smallest committed generation).
+  void publish(uint64_t Key, uint32_t Gen) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    auto [It, Inserted] = Map.emplace(Key, Gen);
+    if (!Inserted && Gen < It->second)
+      It->second = Gen;
   }
 
 private:
-  struct VEntry {
-    static constexpr uint32_t kNoGen = 0xffffffffu;
-    uint32_t CommitGen = kNoGen;
-    uint32_t ProvGen = kNoGen;
-    const void *ProvOwner = nullptr;
-  };
-  // 64 shards (up from 16): with 16-64 workers streaming one lookup +
-  // one provisional claim per choice point, shard-lock collisions are
-  // the hottest contention in the whole scheduler.
-  static constexpr size_t NumShards = 64;
-  static size_t shardOf(uint64_t Key) {
-    // The keys are already splitmix-mixed (searchVisitKey); the top
-    // bits are as good as any.
-    return static_cast<size_t>(Key >> 58) & (NumShards - 1);
-  }
-  struct alignas(64) Shard {
-    mutable std::mutex Mu;
-    std::unordered_map<uint64_t, VEntry> Map;
-  };
-  Shard Shards[NumShards];
+  mutable std::mutex Mu;
+  std::unordered_map<uint64_t, uint32_t> Map;
 };
 
 struct ProgramState;
@@ -354,17 +180,6 @@ struct Task {
   std::vector<std::pair<size_t, uint64_t>> Stream;
   /// (depth, snapshot-cache handle) captured during the run.
   std::vector<std::pair<size_t, uint64_t>> Snaps;
-  /// Visited keys this run claimed provisionally (retracted or
-  /// promoted at finalization; retracted on abandonment).
-  std::vector<uint64_t> ProvKeys;
-  /// The run stopped on a *provisional* hit (not a committed one). If
-  /// commit-time recomputation finds no committed justification, the
-  /// run is re-executed with CommittedOnly set.
-  bool ProvisionalStop = false;
-  /// Rollback re-execution: consult only committed visited entries
-  /// (the pre-provisional behavior), guaranteeing the re-run
-  /// reproduces the wave engine's exactly.
-  bool CommittedOnly = false;
   uint64_t DivergenceFp = 0;
   bool HasDivergence = false;
   /// Root only: the program-visible results of the default-order run.
@@ -424,10 +239,8 @@ struct ProgramState {
 
   VisitedMap Visited;
   std::atomic<bool> Done{false};
-  // Cacheline-separated: these are the only ProgramState fields many
-  // workers write concurrently; packed together they false-share.
-  alignas(64) std::atomic<unsigned> EvictionsAtomic{0};
-  alignas(64) std::atomic<unsigned> StealsAtomic{0};
+  std::atomic<unsigned> EvictionsAtomic{0};
+  std::atomic<unsigned> StealsAtomic{0};
   SearchResult Result;
 };
 
@@ -443,41 +256,25 @@ struct SearchScheduler::Impl {
   }
 
   explicit Impl(Config Cfg)
-      : Jobs(resolveJobs(Cfg)), Cache(Cfg.SnapshotBudget), Deques(Jobs),
-        ExecStripes(Jobs), StealStripes(Jobs) {}
+      : Jobs(resolveJobs(Cfg)), Cache(Cfg.SnapshotBudget), Deques(Jobs) {}
 
   const unsigned Jobs;
   SnapshotCache Cache;
 
-  struct alignas(64) WorkerDeque {
+  struct WorkerDeque {
     std::mutex Mu;
     std::deque<Task *> Q;
   };
   std::vector<WorkerDeque> Deques;
-  /// One counter per cacheline: the per-run/per-steal counters are
-  /// written by every worker on the hot path, so they are **striped**
-  /// per worker (summed only at stats/commit points); the rest are
-  /// merely **padded** apart so no two hot atomics false-share.
-  struct alignas(64) PaddedCounter {
-    std::atomic<uint64_t> V{0};
-  };
-  std::vector<PaddedCounter> ExecStripes;  ///< runs executed, per worker
-  std::vector<PaddedCounter> StealStripes; ///< steals, per worker
-  uint64_t sumStripes(const std::vector<PaddedCounter> &Stripes) const {
-    uint64_t N = 0;
-    for (const PaddedCounter &C : Stripes)
-      N += C.V.load(std::memory_order_relaxed);
-    return N;
-  }
-  alignas(64) std::atomic<unsigned> NextPush{0};
-  alignas(64) std::atomic<size_t> QueuedCount{0};
-  alignas(64) std::atomic<uint64_t> PeakFrontier{0};
+  std::atomic<uint64_t> RunsExecuted{0};
+  std::atomic<uint64_t> Steals{0};
+  std::atomic<unsigned> NextPush{0};
+  std::atomic<size_t> QueuedCount{0};
+  std::atomic<uint64_t> PeakFrontier{0};
   /// Runs finalized by any program's commit wavefront (monotonic).
-  alignas(64) std::atomic<uint64_t> RunsCommittedTotal{0};
+  std::atomic<uint64_t> RunsCommittedTotal{0};
   /// Peak of (executed - committed): the speculation wavefront lag.
-  alignas(64) std::atomic<uint64_t> CommitLagPeak{0};
-  alignas(64) std::atomic<uint64_t> ProvisionalHits{0};
-  alignas(64) std::atomic<uint64_t> ProvisionalRequeues{0};
+  std::atomic<uint64_t> CommitLagPeak{0};
   std::mutex IdleMu;
   std::condition_variable IdleCv;
 
@@ -591,8 +388,7 @@ struct SearchScheduler::Impl {
       InFlight.fetch_add(1, std::memory_order_acq_rel);
       QueuedCount.fetch_sub(1, std::memory_order_relaxed);
       if (I != 0) {
-        StealStripes[Worker % StealStripes.size()].V.fetch_add(
-            1, std::memory_order_relaxed);
+        Steals.fetch_add(1, std::memory_order_relaxed);
         T->Prog->StealsAtomic.fetch_add(1, std::memory_order_relaxed);
       }
       return T;
@@ -643,23 +439,18 @@ struct SearchScheduler::Impl {
         InFlight.fetch_sub(1, std::memory_order_acq_rel);
         continue;
       }
-      executeTask(*T, Worker);
+      executeTask(*T);
       if (T->Abandoned.load(std::memory_order_acquire) ||
           P.Done.load(std::memory_order_acquire)) {
         // The run was overtaken (budget truncation or a finished
         // program) and will never finalize: release its snapshots so
-        // they do not squat in the cache, and retract its provisional
-        // visited claims so they stop steering live speculation. A
-        // race that misses a snapshot is harmless — the LRU evicts
-        // strays, and the cache dies with the scheduler (or is swept
-        // by reclaimFinished()).
+        // they do not squat in the cache. A race that misses a
+        // snapshot is harmless — the LRU evicts strays, and the cache
+        // dies with the scheduler (or is swept by reclaimFinished()).
         Cache.drop(T->SnapId);
         for (const auto &[Depth, Id] : T->Snaps)
           Cache.drop(Id);
         T->Snaps.clear();
-        for (uint64_t Key : T->ProvKeys)
-          P.Visited.retractProvisional(Key, T);
-        T->ProvKeys.clear();
       }
       T->State.store(Task::Executed, std::memory_order_release);
       advance(P);
@@ -671,11 +462,10 @@ struct SearchScheduler::Impl {
 
   //===--- Execution plane (speculative) ---------------------------------===//
 
-  void executeTask(Task &T, unsigned Worker) {
+  void executeTask(Task &T) {
     ProgramState &P = *T.Prog;
     const size_t PinnedLen = T.Pinned.size();
-    ExecStripes[Worker % ExecStripes.size()].V.fetch_add(
-        1, std::memory_order_relaxed);
+    RunsExecuted.fetch_add(1, std::memory_order_relaxed);
 
     UbSink Sink;
     // Declared before Run so it outlives the forked machine: the
@@ -703,8 +493,8 @@ struct SearchScheduler::Impl {
             P.Done.load(std::memory_order_relaxed) ||
             T.Gen >= P.LeafGen.load(std::memory_order_relaxed))
           return;
-        uint64_t Id = Cache.insert(Mach.captureChoiceSnapshot(),
-                                   &P.EvictionsAtomic, Worker);
+        uint64_t Id =
+            Cache.insert(Mach.captureChoiceSnapshot(), &P.EvictionsAtomic);
         if (Id)
           T.Snaps.emplace_back(Depth, Id);
       });
@@ -727,33 +517,11 @@ struct SearchScheduler::Impl {
       T.Stream.emplace_back(Depth, Fp);
       if (!P.Dedup)
         return true;
-      const uint64_t Key = searchVisitKey(Depth, Fp);
-      if (T.CommittedOnly)
-        // Rollback re-execution: the committed set for generations
-        // < T.Gen is complete by now (the commit wavefront reached this
-        // task), so this consults exactly what the wave engine saw.
-        return !P.Visited.hitBefore(Key, T.Gen);
-      // Speculative cancellation. A *committed* earlier-generation key
-      // is final: the wave engine cancelled here too. A *provisional*
-      // one — claimed by an in-flight earlier-generation run — stops
-      // this run as well (re-exploring a claimed subtree is the
-      // speculation waste this exists to kill), but is flagged: if the
-      // claim fails to commit, finalization re-executes this run.
-      // Missing either kind only defers the cancellation to commit
-      // time; finalization recomputes the exact cut.
-      switch (P.Visited.hitBeforeSpec(Key, T.Gen)) {
-      case VisitedMap::Hit::Committed:
-        return false;
-      case VisitedMap::Hit::Provisional:
-        T.ProvisionalStop = true;
-        ProvisionalHits.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      case VisitedMap::Hit::None:
-        break;
-      }
-      if (P.Visited.publishProvisional(Key, T.Gen, &T))
-        T.ProvKeys.push_back(Key);
-      return true;
+      // Speculative cancellation: a key an earlier generation committed
+      // is final — the wave engine cancelled here too. Missing one only
+      // defers the cancellation to commit time; finalization recomputes
+      // the exact cut.
+      return !P.Visited.hitBefore(searchVisitKey(Depth, Fp), T.Gen);
     });
 
     T.Status = T.Forked ? M.resume() : M.run();
@@ -787,66 +555,12 @@ struct SearchScheduler::Impl {
       uint8_t S = T->State.load(std::memory_order_acquire);
       if (S != Task::Executed)
         return; // the wavefront waits for this task's run
-      if (needsRerun(P, *T)) {
-        // The run stopped on a provisional claim that never committed:
-        // its recorded stream is shorter than the wave engine's run
-        // would have been. Re-execute it against the now-complete
-        // committed set (CommittedOnly) — the one case where rollback
-        // costs a run. The wavefront waits exactly as it would for a
-        // still-executing task.
-        requeueTask(P, *T);
-        return;
-      }
       finalizeTask(P, *T);
       T->State.store(Task::Finalized, std::memory_order_release);
       ++P.NextFinal;
       if (P.Done.load(std::memory_order_relaxed))
         return;
     }
-  }
-
-  /// True when the task's early stop was justified only provisionally:
-  /// it stopped on an in-flight claim, and commit-time truth (complete
-  /// for generations < T.Gen once the wavefront reaches T) holds no
-  /// committed hit anywhere in its recorded stream. Finalizing it as-is
-  /// would commit a shorter run than the wave engine's.
-  bool needsRerun(ProgramState &P, Task &T) const {
-    if (!T.ProvisionalStop || !P.Dedup)
-      return false;
-    for (const auto &[Depth, Fp] : T.Stream)
-      if (P.Visited.hitBefore(searchVisitKey(Depth, Fp), T.Gen))
-        return false;
-    return true;
-  }
-
-  /// Rolls a provisionally-stopped task back to Queued for a
-  /// committed-only re-execution. Runs under the commit mutex; the
-  /// task is not in any deque and no worker holds it (it already
-  /// executed), so resetting its outputs is race-free.
-  void requeueTask(ProgramState &P, Task &T) {
-    for (uint64_t Key : T.ProvKeys)
-      P.Visited.retractProvisional(Key, &T);
-    T.ProvKeys.clear();
-    Cache.drop(T.SnapId); // consumed by the first execution; 0 is a no-op
-    T.SnapId = 0;
-    for (const auto &[Depth, Id] : T.Snaps)
-      Cache.drop(Id);
-    T.Snaps.clear();
-    T.Trace.clear();
-    T.Stream.clear();
-    T.Reports.clear();
-    T.Output.clear();
-    T.Status = RunStatus::Running;
-    T.UbFound = false;
-    T.Forked = false;
-    T.HasDivergence = false;
-    T.DivergenceFp = 0;
-    T.ExitCode = 0;
-    T.ProvisionalStop = false;
-    T.CommittedOnly = true;
-    ProvisionalRequeues.fetch_add(1, std::memory_order_relaxed);
-    T.State.store(Task::Queued, std::memory_order_release);
-    pushTask(&T, NextPush.fetch_add(1, std::memory_order_relaxed));
   }
 
   /// Seals the accumulated next generation: sorts it canonically and
@@ -919,9 +633,6 @@ struct SearchScheduler::Impl {
       for (const auto &[Depth, Id] : T.Snaps)
         Cache.drop(Id);
       T.Snaps.clear();
-      for (uint64_t Key : T.ProvKeys)
-        T.Prog->Visited.retractProvisional(Key, &T);
-      T.ProvKeys.clear();
     }
   }
 
@@ -933,18 +644,12 @@ struct SearchScheduler::Impl {
     ++P.RunsFinalized;
     const uint64_t Comm =
         RunsCommittedTotal.fetch_add(1, std::memory_order_relaxed) + 1;
-    const uint64_t Exec = sumStripes(ExecStripes);
+    const uint64_t Exec = RunsExecuted.load(std::memory_order_relaxed);
     uint64_t Lag = Exec > Comm ? Exec - Comm : 0;
     uint64_t Peak = CommitLagPeak.load(std::memory_order_relaxed);
     while (Lag > Peak && !CommitLagPeak.compare_exchange_weak(
                              Peak, Lag, std::memory_order_relaxed))
       ;
-    // Release every provisional claim up front (before any early
-    // return): keys the commit loop below publishes become committed
-    // truth, the rest must stop steering speculation now.
-    for (uint64_t Key : T.ProvKeys)
-      P.Visited.retractProvisional(Key, &T);
-    T.ProvKeys.clear();
 
     // The wave engine's cancellation point: the first stream entry
     // whose key an earlier generation committed. Everything before it
@@ -1015,7 +720,7 @@ struct SearchScheduler::Impl {
     if (P.Dedup) {
       for (size_t I = 0; I < Cut; ++I)
         P.Visited.publish(
-            searchVisitKey(T.Stream[I].first, T.Stream[I].second), T.Gen, &T);
+            searchVisitKey(T.Stream[I].first, T.Stream[I].second), T.Gen);
       if (T.HasDivergence) {
         uint64_t Key = searchVisitKey(PinnedLen, T.DivergenceFp);
         if (!P.SeenDivergence.insert(Key).second) {
@@ -1204,22 +909,17 @@ SchedulerStats SearchScheduler::stats() const {
   St.Programs =
       static_cast<unsigned>(S.SubmittedCount.load(std::memory_order_acquire));
   St.Jobs = S.Jobs;
-  St.Steals = S.sumStripes(S.StealStripes);
-  St.SnapshotEvictions = S.Cache.evictions();
+  St.Steals = S.Steals.load(std::memory_order_relaxed);
   St.PeakFrontier = S.PeakFrontier.load(std::memory_order_relaxed);
-  St.RunsExecuted = S.sumStripes(S.ExecStripes);
+  St.RunsExecuted = S.RunsExecuted.load(std::memory_order_relaxed);
   St.DedupHits = S.DoneDedupHits.load(std::memory_order_relaxed);
   St.RunsCommitted = S.RunsCommittedTotal.load(std::memory_order_relaxed);
-  St.ProvisionalHits = S.ProvisionalHits.load(std::memory_order_relaxed);
-  St.ProvisionalRequeues =
-      S.ProvisionalRequeues.load(std::memory_order_relaxed);
   St.CommitLagPeak = S.CommitLagPeak.load(std::memory_order_relaxed);
   const SnapshotCache::Counters SC = S.Cache.counters();
-  St.SnapshotShards = S.Cache.shards();
+  St.SnapshotEvictions = SC.Evictions;
   St.SnapshotCaptures = SC.Inserts;
   St.SnapshotTakes = SC.Takes;
   St.SnapshotHits = SC.Hits;
-  St.SnapshotSlotSteals = SC.SlotSteals;
   return St;
 }
 

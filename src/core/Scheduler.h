@@ -27,16 +27,16 @@
 ///    wall-clock, never change a result (docs/SEARCH.md has the full
 ///    argument).
 ///
-/// The layer also owns the two shared structures both engines use:
+/// The layer also owns the two shared structures both engines use,
+/// each behind one lock:
 ///
-///  * SnapshotCache — an LRU cache of choice-point snapshots replacing
-///    the old admission-only SnapshotBudget: new captures are always
-///    admitted and the *oldest* pending snapshot is evicted instead,
-///    so deep programs stop thrashing against a full budget. A child
-///    whose snapshot was evicted falls back to prefix replay; evictions
-///    are counted in SearchResult::SnapshotEvictions.
-///  * A sharded-lock visited-set (per program) tagging each committed
-///    (depth, fingerprint) key with the generation that published it,
+///  * SnapshotCache — an LRU cache of choice-point snapshots: new
+///    captures are always admitted and the *oldest* pending snapshot is
+///    evicted instead, so deep programs stop thrashing against a full
+///    budget. A child whose snapshot was evicted falls back to prefix
+///    replay; evictions are counted in SearchResult::SnapshotEvictions.
+///  * A visited-set (per program) tagging each committed (depth,
+///    fingerprint) key with the smallest generation that published it,
 ///    so speculative runs may consult it mid-flight: a key published by
 ///    an earlier generation is always a sound cancellation, and missing
 ///    one only defers the cancellation to commit time.
@@ -54,57 +54,39 @@
 
 #include <atomic>
 #include <functional>
-#include <list>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace cundef {
 
 /// LRU cache of choice-point snapshots, shared by every run of a
-/// scheduler (and by the wave engine). Thread-safe. Each snapshot is
-/// handed to exactly one child: take() moves it out and the cache
-/// forgets it. Capacity bounds the number of *pending* snapshots
-/// (captured, not yet taken by the child that will fork from them);
-/// inserting beyond capacity evicts a pending entry, whose child then
-/// replays its prefix from main() instead — the eviction is counted,
-/// never an error.
-///
-/// Internally the capacity is split across per-worker **shards** (one
-/// mutex + LRU list each) so 16-64 workers capturing snapshots stop
-/// serializing on one global lock. Small capacities (< 64) keep a
-/// single shard, preserving the original global-LRU behavior exactly.
-/// An insert goes to the caller's home shard (the \p ShardHint, worker
-/// index); when that shard is full it first *steals a free slot* from a
-/// sibling shard (so total capacity is never wasted on an imbalanced
-/// pool), and only evicts when every shard is full. Eviction is
-/// **program-affine**: the victim is the oldest pending entry of the
-/// *same program* as the incoming snapshot when one exists (one
-/// deep program then thrashes against its own snapshots instead of
-/// evicting every other program's), else the home shard's oldest.
+/// scheduler (and by the wave engine). Thread-safe: one mutex guards
+/// the whole cache. Each snapshot is handed to exactly one child:
+/// take() moves it out and the cache forgets it. Capacity bounds the
+/// number of *pending* snapshots (captured, not yet taken by the child
+/// that will fork from them); inserting beyond capacity evicts the
+/// oldest pending entry, whose child then replays its prefix from
+/// main() instead — the eviction is counted, never an error.
 class SnapshotCache {
 public:
-  explicit SnapshotCache(unsigned Capacity);
+  explicit SnapshotCache(unsigned Capacity) : Capacity(Capacity) {}
 
-  /// Aggregated shard counters (monotonic).
+  /// Monotonic counters.
   struct Counters {
-    uint64_t Inserts = 0;    ///< admitted captures
-    uint64_t Takes = 0;      ///< take() calls with a nonzero id
-    uint64_t Hits = 0;       ///< takes that found the entry (child forked)
-    uint64_t SlotSteals = 0; ///< inserts placed in a sibling shard
-    uint64_t Evictions = 0;  ///< pending entries evicted
+    uint64_t Inserts = 0;   ///< admitted captures
+    uint64_t Takes = 0;     ///< take() calls with a nonzero id
+    uint64_t Hits = 0;      ///< takes that found the entry (child forked)
+    uint64_t Evictions = 0; ///< pending entries evicted
   };
 
   /// Admits \p Snap and returns its handle (0 when Capacity is 0: the
   /// snapshot is dropped immediately, which keeps the "budget 0 means
-  /// pure replay" contract). May evict a pending entry; the eviction is
-  /// charged to that entry's \p EvictCounter. \p EvictCounter doubles
-  /// as the inserting program's identity for affinity decisions.
-  /// \p ShardHint selects the home shard (callers pass their worker
-  /// index; any value is valid).
-  uint64_t insert(MachineSnapshot Snap, std::atomic<unsigned> *EvictCounter,
-                  unsigned ShardHint = 0);
+  /// pure replay" contract). When full, evicts the oldest pending entry
+  /// and charges the eviction to *that entry's* \p EvictCounter (one
+  /// counter per program), not to the inserter's.
+  uint64_t insert(MachineSnapshot Snap, std::atomic<unsigned> *EvictCounter);
 
   /// Removes and returns the snapshot for \p Id; null when the entry
   /// was evicted (or \p Id is 0).
@@ -116,52 +98,24 @@ public:
   /// no-op.
   void drop(uint64_t Id);
 
-  unsigned evictions() const {
-    return Evictions.load(std::memory_order_relaxed);
-  }
   size_t pending() const;
-  unsigned shards() const { return NumShards; }
   Counters counters() const;
 
 private:
   struct Entry {
     std::unique_ptr<MachineSnapshot> Snap;
-    std::list<uint64_t>::iterator LruIt;
-    /// Eviction accounting target; also the owning program's identity
-    /// (one counter per program) for affinity-aware victim selection.
+    /// Eviction accounting target (the owning program's counter).
     std::atomic<unsigned> *EvictCounter = nullptr;
   };
 
-  /// One shard: its own lock, map, LRU list, and slice of the
-  /// capacity. Cacheline-aligned so neighboring shard locks never
-  /// false-share.
-  struct alignas(64) Shard {
-    mutable std::mutex Mu;
-    std::unordered_map<uint64_t, Entry> Entries;
-    std::list<uint64_t> Lru; ///< front = oldest = next eviction victim
-    uint64_t NextSeq = 1;
-    unsigned Capacity = 0;
-    uint64_t Inserts = 0;
-    uint64_t Takes = 0;
-    uint64_t Hits = 0;
-    uint64_t SlotSteals = 0;
-  };
-
-  /// Ids encode their shard in the low bits so take/drop touch exactly
-  /// one shard lock.
-  static constexpr unsigned kShardBits = 5; ///< up to 32 shards
-  static unsigned shardCountFor(unsigned Capacity);
-  Shard &shardOf(uint64_t Id) {
-    return ShardVec[static_cast<size_t>(Id) & (NumShards - 1)];
-  }
-  /// Inserts into \p S (caller holds S.Mu; S must have a free slot).
-  uint64_t insertInto(Shard &S, unsigned ShardIdx, MachineSnapshot &&Snap,
-                      std::atomic<unsigned> *EvictCounter);
-
   const unsigned Capacity;
-  const unsigned NumShards;
-  std::vector<Shard> ShardVec;
-  std::atomic<unsigned> Evictions{0};
+  mutable std::mutex Mu;
+  /// Keyed by increasing id and never reordered (take/drop remove an
+  /// entry, nothing refreshes one), so begin() is the oldest pending
+  /// entry: the map is its own LRU list.
+  std::map<uint64_t, Entry> Entries;
+  uint64_t NextId = 1;
+  Counters Count;
 };
 
 /// Scheduler-wide counters (aggregated across all submitted programs;
@@ -178,8 +132,7 @@ struct SchedulerStats {
   /// Machine runs actually executed, including speculative runs whose
   /// effective outcome was a dedup cancellation (the wave engine never
   /// executes those past the cancellation point; the surplus is the
-  /// price of barrier-free scheduling, bounded by the run budget) and
-  /// re-executions forced by a provisional-publication rollback.
+  /// price of barrier-free scheduling, bounded by the run budget).
   uint64_t RunsExecuted = 0;
   /// Sum of per-program dedup hits (committed, deterministic).
   uint64_t DedupHits = 0;
@@ -187,25 +140,18 @@ struct SchedulerStats {
   /// the wave engine's started-run count). RunsExecuted - RunsCommitted
   /// is the speculative surplus (see speculativeWaste()).
   uint64_t RunsCommitted = 0;
-  /// Speculative runs stopped early by a *provisional* visited entry —
-  /// one claimed by an in-flight run of an earlier generation, not yet
-  /// committed. Each hit is execution the pre-provisional scheduler
-  /// would have wasted re-exploring a claimed subtree.
-  uint64_t ProvisionalHits = 0;
-  /// Provisionally-stopped runs whose claim did not survive commit
-  /// (no committed entry justified the stop), re-executed against the
-  /// committed set. Determinism's rollback cost; typically tiny.
-  uint64_t ProvisionalRequeues = 0;
   /// Peak of (runs executed - runs committed): how far speculation ran
   /// ahead of the commit wavefront.
   uint64_t CommitLagPeak = 0;
-  /// Snapshot-cache shard count and aggregated shard counters.
-  unsigned SnapshotShards = 0;
-  uint64_t SnapshotCaptures = 0;   ///< snapshots captured at choice points
-  uint64_t SnapshotTakes = 0;      ///< child fork attempts
-  uint64_t SnapshotHits = 0;       ///< forks served (entry still cached)
-  uint64_t SnapshotSlotSteals = 0; ///< inserts placed via a sibling shard
-  /// Always 0: snapshots are never shared; kept because perfbench reads it.
+  uint64_t SnapshotCaptures = 0; ///< snapshots captured at choice points
+  uint64_t SnapshotTakes = 0;    ///< child fork attempts
+  uint64_t SnapshotHits = 0;     ///< forks served (entry still cached)
+  /// Always 0: the mechanisms they counted (provisional visited claims,
+  /// snapshot-cache slot stealing, cross-program snapshot sharing) are
+  /// gone. Kept, unrendered, because perfbench/ still reads them.
+  uint64_t ProvisionalHits = 0;
+  uint64_t ProvisionalRequeues = 0;
+  uint64_t SnapshotSlotSteals = 0;
   uint64_t SnapshotSharedHits = 0;
 
   /// The speculative surplus over committed runs,

@@ -63,16 +63,12 @@ template <typename Visit> void visitFields(SchedulerStats &P, Visit &&V) {
   V("runs_executed", P.RunsExecuted);
   V("runs_committed", P.RunsCommitted);
   V("speculative_waste", P.speculativeWaste(), 4);
-  V("provisional_hits", P.ProvisionalHits);
-  V("provisional_requeues", P.ProvisionalRequeues);
   V("commit_lag_peak", P.CommitLagPeak);
   V("steals", P.Steals);
   V("dedup_hits", P.DedupHits);
-  V("snapshot_shards", P.SnapshotShards);
   V("snapshot_captures", P.SnapshotCaptures);
   V("snapshot_takes", P.SnapshotTakes);
   V("snapshot_hits", P.SnapshotHits);
-  V("snapshot_slot_steals", P.SnapshotSlotSteals);
   V("snapshot_evictions", P.SnapshotEvictions);
   V("peak_frontier", P.PeakFrontier);
 }

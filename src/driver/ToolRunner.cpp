@@ -51,17 +51,7 @@ cundef::runKccBatched(const AnalysisRequest &Req,
     // wallMicros blocks until this job completed; later handles were
     // already running on the shared pool the whole time.
     const double Micros = H.wallMicros();
-    DriverOutcome O = H.take();
-    ToolResult R;
-    R.CompileOk = O.CompileOk;
-    R.Findings = O.StaticUb;
-    R.Findings.insert(R.Findings.end(), O.DynamicUb.begin(),
-                      O.DynamicUb.end());
-    R.Status = O.Status;
-    R.ExitCode = O.ExitCode;
-    R.Output = std::move(O.Output);
-    R.Micros = Micros;
-    Results.push_back(std::move(R));
+    Results.push_back(ToolResult::fromOutcome(H.take(), Micros));
   }
   return Results;
 }

@@ -234,6 +234,7 @@ Parser::DeclSpec Parser::parseDeclSpecifiers() {
 }
 
 const Type *Parser::parseRecordSpecifier(bool IsUnion) {
+  NestingScope Nest(*this);
   SourceLoc Loc = loc();
   Symbol Tag = NoSymbol;
   if (at(TokenKind::Identifier))
@@ -362,6 +363,7 @@ struct DeclSuffix {
 
 Parser::Declarator Parser::parseDeclarator(QualType Base,
                                            bool AllowAbstract) {
+  NestingScope Nest(*this);
   Declarator Result;
   Result.Loc = loc();
 
@@ -524,6 +526,7 @@ QualType Parser::parseTypeName() {
 }
 
 Expr *Parser::parseInitializer() {
+  NestingScope Nest(*this);
   if (!at(TokenKind::LBrace))
     return parseAssign();
   SourceLoc Loc = take().Loc; // {

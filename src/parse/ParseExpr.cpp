@@ -29,6 +29,7 @@ Expr *Parser::parseExpr() {
 }
 
 Expr *Parser::parseAssign() {
+  NestingScope Nest(*this);
   Expr *Lhs = parseCond();
   AssignOp Op;
   switch (peek().Kind) {
@@ -52,6 +53,7 @@ Expr *Parser::parseAssign() {
 }
 
 Expr *Parser::parseCond() {
+  NestingScope Nest(*this);
   Expr *Cond = parseBinary(0);
   if (!at(TokenKind::Question))
     return Cond;
@@ -107,6 +109,7 @@ Expr *Parser::parseBinary(int MinPrec) {
 }
 
 Expr *Parser::parseCastExpr() {
+  NestingScope Nest(*this);
   // "( type-name )" followed by a cast-expression.
   if (at(TokenKind::LParen) && startsTypeName(peek(1))) {
     SourceLoc Loc = take().Loc; // (
@@ -119,6 +122,7 @@ Expr *Parser::parseCastExpr() {
 }
 
 Expr *Parser::parseUnary() {
+  NestingScope Nest(*this);
   SourceLoc Loc = loc();
   switch (peek().Kind) {
   case TokenKind::PlusPlus: {

@@ -31,6 +31,7 @@ CompoundStmt *Parser::parseCompound() {
 }
 
 Stmt *Parser::parseStmt() {
+  NestingScope Nest(*this);
   SourceLoc Loc = loc();
   switch (peek().Kind) {
   case TokenKind::LBrace:

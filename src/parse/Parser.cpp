@@ -66,6 +66,16 @@ void Parser::synchronize() {
   }
 }
 
+Parser::NestingScope::NestingScope(Parser &P) : P(P) {
+  if (P.NestingDepth == kMaxNestingDepth) {
+    P.Diags.error(P.loc(), strFormat("nesting exceeds the parser's depth "
+                                     "limit of %u",
+                                     kMaxNestingDepth));
+    throw NestingLimitExceeded{};
+  }
+  ++P.NestingDepth;
+}
+
 VarDecl *Parser::lookupVar(Symbol Name) const {
   for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
     auto Found = It->Vars.find(Name);
@@ -108,7 +118,11 @@ Type *Parser::lookupTag(Symbol Name) const {
 }
 
 bool Parser::parseTranslationUnit() {
-  while (!at(TokenKind::Eof))
-    parseExternalDeclaration();
+  try {
+    while (!at(TokenKind::Eof))
+      parseExternalDeclaration();
+  } catch (const NestingLimitExceeded &) {
+    // Reported where it was detected; the unit is abandoned.
+  }
   return !Diags.hasErrors();
 }

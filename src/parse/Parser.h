@@ -46,6 +46,31 @@ private:
   /// Skips tokens until a likely statement/declaration boundary.
   void synchronize();
 
+  //===--- Nesting depth -------------------------------------------------===//
+  /// Bound on nested entries into the self-recursive productions
+  /// (assignment and conditional expressions, cast and unary operands,
+  /// statements, declarators, initializers, struct bodies), so deep
+  /// input is a compile error instead of a stack overflow. A
+  /// parenthesis level costs four entries and a nested block one, so
+  /// about 255 parentheses or 1023 blocks nest: well above the 63 and
+  /// 127 levels C11 5.2.4.1 requires.
+  static constexpr unsigned kMaxNestingDepth = 1024;
+  unsigned NestingDepth = 0;
+  /// Thrown past the limit (after reporting it) and caught by
+  /// parseTranslationUnit, which abandons the unit.
+  struct NestingLimitExceeded {};
+  /// Counts one nesting entry for its lifetime.
+  class NestingScope {
+  public:
+    explicit NestingScope(Parser &P);
+    ~NestingScope() { --P.NestingDepth; }
+    NestingScope(const NestingScope &) = delete;
+    NestingScope &operator=(const NestingScope &) = delete;
+
+  private:
+    Parser &P;
+  };
+
   //===--- Scopes --------------------------------------------------------===//
   struct Scope {
     std::map<Symbol, VarDecl *> Vars;

@@ -183,21 +183,18 @@ TEST(Scheduler, WaveVsStealingTraceByteEquality) {
   }
 }
 
-TEST(Scheduler, ProvisionalRollbackNeverChangesCommittedResults) {
-  // Provisional visited publication lets a speculative run stop on a
-  // key an *in-flight* earlier-generation run merely claimed; if the
-  // claim never commits, the commit wavefront must detect it and
-  // re-execute the run (rollback). This is the strongest equality we
-  // can demand: at forced 16 and 32 workers — far past this tree's
-  // frontier, so provisional consumption and rollback genuinely occur
-  // — every per-run record (pinned prefix, decision trace, fingerprint
-  // stream, status, dedup outcome) must still be byte-identical to the
-  // wave engine's, every round. An unjustified provisional stop that
-  // survived to commit would surface here as a shortened trace or a
-  // flipped DedupAborted.
+TEST(Scheduler, SpeculationNeverChangesCommittedRunRecords) {
+  // Speculative runs consult the visited-set mid-flight and may run
+  // ahead of the commit wavefront by whole generations. This is the
+  // strongest equality we can demand: at forced 16 and 32 workers —
+  // far past this tree's frontier — every per-run record (pinned
+  // prefix, decision trace, fingerprint stream, status, dedup outcome)
+  // must still be byte-identical to the wave engine's, every round. A
+  // speculative stop that finalization failed to recompute would
+  // surface here as a shortened trace or a flipped DedupAborted.
   for (const char *Source : {Corpus[3], Corpus[4]}) {
     Driver Drv;
-    Driver::Compiled C = Drv.compile(Source, "prov.c");
+    Driver::Compiled C = Drv.compile(Source, "spec.c");
     ASSERT_TRUE(C->ok()) << C->errors();
     SearchOptions Wave;
     Wave.MaxRuns = 256;
@@ -243,7 +240,7 @@ TEST(Scheduler, ProvisionalRollbackNeverChangesCommittedResults) {
   // contract; a winning witness ends the wave engine mid-generation).
   for (const char *Source : {Corpus[0], Corpus[2]}) {
     Driver Drv;
-    Driver::Compiled C = Drv.compile(Source, "provub.c");
+    Driver::Compiled C = Drv.compile(Source, "specub.c");
     ASSERT_TRUE(C->ok()) << C->errors();
     SearchOptions Wave;
     Wave.MaxRuns = 256;
@@ -571,29 +568,34 @@ TEST(Scheduler, SnapshotCacheBasics) {
   EXPECT_EQ(Zero.insert(Snap, &Evictions), 0u)
       << "capacity 0 admits nothing";
   EXPECT_EQ(Evictions.load(), 1u);
+
+  // With two programs' counters, overflow evicts the globally oldest
+  // entry and charges its owner, not the inserter.
+  std::atomic<unsigned> ProgA{0}, ProgB{0};
+  SnapshotCache Shared(2);
+  uint64_t A1 = Shared.insert(Snap, &ProgA); // globally oldest
+  uint64_t B1 = Shared.insert(Snap, &ProgB);
+  ASSERT_NE(A1, 0u);
+  ASSERT_NE(B1, 0u);
+  Shared.insert(Snap, &ProgB); // full: evicts A1
+  EXPECT_EQ(ProgA.load(), 1u) << "the victim's owner is charged";
+  EXPECT_EQ(ProgB.load(), 0u) << "the inserter is not";
+  EXPECT_EQ(Shared.take(A1), nullptr) << "A1 was evicted";
+  EXPECT_NE(Shared.take(B1), nullptr) << "B1 is still pending";
 }
 
-TEST(Scheduler, SnapshotCacheShardedContract) {
-  // The resharded cache: large capacities split across shards; tiny
-  // capacities stay single-shard so the exact-victim LRU contract
-  // above is untouched; ids stay live across shards; dropping an
-  // already-evicted (or already-dropped) id is a no-op everywhere.
+TEST(Scheduler, SnapshotCacheDropContract) {
+  // Ids stay live until taken below capacity; dropping an
+  // already-evicted (or already-dropped) id is a no-op, and the
+  // counters account exactly for what happened.
   MachineSnapshot Snap{Configuration(),
                        OrderChooser(EvalOrderKind::LeftToRight, 1)};
   std::atomic<unsigned> Evictions{0};
 
-  SnapshotCache Small(2);
-  EXPECT_EQ(Small.shards(), 1u) << "tiny capacities must not shard";
-  SnapshotCache Zero(0);
-  EXPECT_EQ(Zero.shards(), 1u);
-
   SnapshotCache Big(1024);
-  EXPECT_GT(Big.shards(), 1u) << "the default budget must shard";
-  // Every shard admits and serves entries; slot stealing fills sibling
-  // shards once a hinted home shard is full.
   std::vector<uint64_t> Ids;
-  for (unsigned I = 0; I < 4 * Big.shards(); ++I) {
-    uint64_t Id = Big.insert(Snap, &Evictions, /*ShardHint=*/I);
+  for (unsigned I = 0; I < 64; ++I) {
+    uint64_t Id = Big.insert(Snap, &Evictions);
     ASSERT_NE(Id, 0u);
     Ids.push_back(Id);
   }
@@ -623,52 +625,23 @@ TEST(Scheduler, SnapshotCacheShardedContract) {
   EXPECT_EQ(C.Takes, 0u);
 }
 
-TEST(Scheduler, SnapshotCacheAffinityEviction) {
-  // Program-affine victim selection: when every slot is full, the
-  // incoming program evicts *its own* oldest pending snapshot when it
-  // has one — even when another program's entry is globally older —
-  // and falls back to the global oldest otherwise.
-  MachineSnapshot Snap{Configuration(),
-                       OrderChooser(EvalOrderKind::LeftToRight, 1)};
-  std::atomic<unsigned> ProgA{0}, ProgB{0};
-  SnapshotCache Cache(2); // single shard: deterministic victim
-  uint64_t A1 = Cache.insert(Snap, &ProgA); // globally oldest
-  uint64_t B1 = Cache.insert(Snap, &ProgB);
-  ASSERT_NE(A1, 0u);
-  ASSERT_NE(B1, 0u);
-
-  Cache.insert(Snap, &ProgB); // full: B thrashes against itself
-  EXPECT_EQ(ProgB.load(), 1u) << "B's oldest entry is the victim";
-  EXPECT_EQ(ProgA.load(), 0u) << "A's older entry survives";
-  EXPECT_EQ(Cache.take(B1), nullptr) << "B1 was evicted";
-  EXPECT_NE(Cache.take(A1), nullptr) << "A1 is still pending";
-
-  // With no same-program entry pending, the global oldest goes.
-  uint64_t B3 = Cache.insert(Snap, &ProgB);
-  Cache.insert(Snap, &ProgA); // cache holds {B2, B3}; A evicts B2
-  EXPECT_EQ(ProgB.load(), 2u);
-  EXPECT_EQ(ProgA.load(), 0u);
-  EXPECT_NE(Cache.take(B3), nullptr) << "only the older B entry was evicted";
-}
-
 TEST(Scheduler, SnapshotCacheConcurrentStress) {
-  // Concurrent insert/take/drop races across shards, including double
-  // drops and drops of evicted ids: accounting must stay exact and
-  // every id must resolve exactly once.
+  // Concurrent insert/take/drop races, including double drops and
+  // drops of evicted ids: accounting must stay exact and every id must
+  // resolve exactly once.
   SnapshotCache Cache(1024);
-  ASSERT_GT(Cache.shards(), 1u);
   constexpr unsigned NumThreads = 8;
   constexpr unsigned OpsPerThread = 400;
   std::atomic<unsigned> Evictions{0};
   std::atomic<uint64_t> TakenHits{0};
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T < NumThreads; ++T)
-    Threads.emplace_back([&, T] {
+    Threads.emplace_back([&] {
       MachineSnapshot Snap{Configuration(),
                            OrderChooser(EvalOrderKind::LeftToRight, 1)};
       std::vector<uint64_t> Mine;
       for (unsigned I = 0; I < OpsPerThread; ++I) {
-        uint64_t Id = Cache.insert(Snap, &Evictions, /*ShardHint=*/T);
+        uint64_t Id = Cache.insert(Snap, &Evictions);
         ASSERT_NE(Id, 0u);
         Mine.push_back(Id);
         switch (I % 4) {

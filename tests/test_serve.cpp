@@ -724,6 +724,43 @@ TEST(ServeDaemonTest, HalfWrittenFrameDoesNotWedgeTheDaemon) {
   D.stop();
 }
 
+TEST(ServeDaemonTest, DeeplyNestedSubmissionIsACompileError) {
+  // 30 000 nested parentheses used to overflow the parser's stack and
+  // take the daemon down for every client. Now it is a compile error,
+  // and the next ordinary job on the same daemon still matches the
+  // local engine.
+  const AnalysisRequest Req = defaultRequest();
+  const BatchInput Deep{"int main(void) { return " + std::string(30000, '(') +
+                            "0" + std::string(30000, ')') + "; }\n",
+                        "deep.c"};
+  const BatchInput Next = corpus()[0];
+  std::vector<DriverOutcome> Local;
+  {
+    AnalysisEngine Eng(engineConfigFor(Req));
+    Local = analyzeBatch(Eng, Req, {Next});
+  }
+
+  DaemonFixture D;
+  D.start();
+  if (HasFatalFailure())
+    return;
+  RemoteClient Client;
+  std::string Err;
+  ASSERT_TRUE(Client.connect(D.endpoint(), Err)) << Err;
+  std::vector<DriverOutcome> Out;
+  std::vector<double> Micros;
+  ASSERT_TRUE(Client.runBatch(Req, {Deep}, Out, Micros, Err)) << Err;
+  ASSERT_EQ(Out.size(), 1u);
+  EXPECT_FALSE(Out[0].CompileOk);
+  EXPECT_NE(Out[0].CompileErrors.find("depth limit"), std::string::npos)
+      << Out[0].CompileErrors;
+
+  ASSERT_TRUE(Client.runBatch(Req, {Next}, Out, Micros, Err)) << Err;
+  ASSERT_EQ(Out.size(), 1u);
+  expectSameOutcome(Local[0], Out[0], "after the deep submission");
+  D.stop();
+}
+
 TEST(ServeDaemonTest, GarbageFrameGetsProtocolErrorAndClose) {
   DaemonFixture D;
   D.start();

@@ -195,27 +195,22 @@ static void printSearchStats(const DriverOutcome &O) {
 }
 
 /// The --show-witness pool block: scheduler-wide speculation and
-/// snapshot-cache contention counters (one line each).
+/// snapshot-cache counters (one line each).
 static void printPoolStats(const cundef::SchedulerStats &Pool) {
   std::fprintf(stderr,
                "Pool stats: workers=%u runs-executed=%llu "
-               "runs-committed=%llu waste=%.2f%% provisional-hits=%llu "
-               "provisional-requeues=%llu commit-lag-peak=%llu\n",
+               "runs-committed=%llu waste=%.2f%% commit-lag-peak=%llu\n",
                Pool.Jobs,
                static_cast<unsigned long long>(Pool.RunsExecuted),
                static_cast<unsigned long long>(Pool.RunsCommitted),
                Pool.speculativeWaste() * 100.0,
-               static_cast<unsigned long long>(Pool.ProvisionalHits),
-               static_cast<unsigned long long>(Pool.ProvisionalRequeues),
                static_cast<unsigned long long>(Pool.CommitLagPeak));
   std::fprintf(stderr,
-               "Snapshot cache: shards=%u captures=%llu takes=%llu "
-               "hits=%llu slot-steals=%llu evictions=%llu\n",
-               Pool.SnapshotShards,
+               "Snapshot cache: captures=%llu takes=%llu hits=%llu "
+               "evictions=%llu\n",
                static_cast<unsigned long long>(Pool.SnapshotCaptures),
                static_cast<unsigned long long>(Pool.SnapshotTakes),
                static_cast<unsigned long long>(Pool.SnapshotHits),
-               static_cast<unsigned long long>(Pool.SnapshotSlotSteals),
                static_cast<unsigned long long>(Pool.SnapshotEvictions));
 }
 
