@@ -2,7 +2,10 @@
 # parentheses and 50 000 nested blocks must exit 1 with the parser's
 # depth-limit diagnostic (a stack overflow used to end kcc with SIGSEGV,
 # whose shell status 139 is also kcc's "undefined" exit code), with and
-# without the dynamic search. Nesting within the limit still runs.
+# without the dynamic search. Nesting within the limit still runs. A
+# declarator with 100 000 '*' must exit 0 or 1, never with a signal or a
+# sanitizer report (sema's type walk used to recurse once per pointer
+# level and overflow the stack under AddressSanitizer).
 # Run via ctest (test name: kcc_deep_nesting).
 if(NOT DEFINED KCC OR NOT DEFINED WORKDIR)
   message(FATAL_ERROR "usage: cmake -DKCC=<kcc> -DWORKDIR=<dir> -P CheckDeepNesting.cmake")
@@ -56,6 +59,27 @@ foreach(INPUT nested_parens.c nested_blocks.c)
     ERROR_VARIABLE ERR)
   if(NOT RC EQUAL 0)
     message(FATAL_ERROR "kcc ${INPUT}: expected exit 0, got ${RC}: ${ERR}")
+  endif()
+endforeach()
+
+# 100 000 pointer levels in a typedef, a global, a return type, a
+# parameter and a local. The parser reads '*' in a loop, so this is no
+# nesting error; every later pass must walk the chain without recursing.
+# An AddressSanitizer stack overflow also exits 1, so its report fails
+# the check too.
+string(REPEAT "*" 100000 STARS)
+file(WRITE ${WORKDIR}/deep_pointers.c
+  "typedef int ${STARS}T;\nint ${STARS}g;\n"
+  "int ${STARS}f(int ${STARS}q) { return q; }\n"
+  "int main(void) { int ${STARS}p = 0; T t = f(p); return t != 0; }\n")
+foreach(MODE "--static-analyze=on" "--static-analyze=only")
+  execute_process(
+    COMMAND ${KCC} ${MODE} ${WORKDIR}/deep_pointers.c
+    RESULT_VARIABLE RC
+    OUTPUT_VARIABLE OUT
+    ERROR_VARIABLE ERR)
+  if(NOT (RC STREQUAL "0" OR RC STREQUAL "1") OR ERR MATCHES "Sanitizer")
+    message(FATAL_ERROR "kcc ${MODE} deep_pointers.c: expected exit 0 or 1 and no sanitizer report, got ${RC}: ${ERR}")
   endif()
 endforeach()
 

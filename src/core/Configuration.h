@@ -13,10 +13,13 @@
 ///
 /// The whole configuration is a value type: search over unspecified
 /// evaluation orders clones it at choice points (paper section 2.5.2).
-/// Copies are cheap — the mem cell shares objects copy-on-write
-/// (mem/SymbolicMemory.h) — and the cells that change on every step (k
-/// stack, sequencing sets, memory, frames) maintain incremental digests
-/// so fingerprint() is O(what changed), not O(total state).
+/// A copy costs one allocation per cell plus one reference-count
+/// increment per memory object (the mem cell shares objects
+/// copy-on-write, mem/SymbolicMemory.h); map and set cells and the
+/// vectors inside k items still allocate per entry. The cells that
+/// change on every step (k stack, sequencing sets, memory, frames)
+/// maintain incremental digests so fingerprint() is O(what changed), not
+/// O(total state).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +52,22 @@ uint64_t kItemDigest(const KItem &Item);
 /// ordinary runs skip the per-push hashing entirely.
 class KCell {
 public:
+  KCell() = default;
+  /// A copied vector's capacity equals its size, so the first push after
+  /// a snapshot capture or a fork would reallocate and move the whole
+  /// stack. Copies reserve a little headroom instead.
+  KCell(const KCell &Other) : Tracking(Other.Tracking) {
+    Items.reserve(Other.Items.size() + CopyHeadroom);
+    Items.assign(Other.Items.begin(), Other.Items.end());
+    if (Tracking) {
+      Digests.reserve(Other.Digests.size() + CopyHeadroom);
+      Digests.assign(Other.Digests.begin(), Other.Digests.end());
+    }
+  }
+  KCell(KCell &&) = default;
+  KCell &operator=(const KCell &) = default;
+  KCell &operator=(KCell &&) = default;
+
   void push_back(KItem Item) {
     if (Tracking)
       Digests.push_back(combine(digest(), kItemDigest(Item)));
@@ -96,6 +115,7 @@ public:
 
 private:
   static constexpr uint64_t Seed = 0x243f6a8885a308d3ull;
+  static constexpr size_t CopyHeadroom = 8;
   static uint64_t combine(uint64_t Prefix, uint64_t Item) {
     return mix64(Prefix * 0x100000001b3ull ^ Item);
   }

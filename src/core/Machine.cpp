@@ -81,7 +81,6 @@ std::vector<std::string> RuleChain::names() const {
 Machine::Machine(const AstContext &Ctx, MachineOptions Opts, UbSink &Sink)
     : Ctx(Ctx), Opts(Opts), Sink(Sink),
       Chooser(Opts.Order, Opts.Seed) {
-  buildRuleChains();
   if (Opts.Style == RuleStyle::Declarative && Opts.Strict) {
     OwnedMonitors = makeDeclarativeMonitors();
     for (auto &M : OwnedMonitors)
@@ -103,7 +102,6 @@ Machine::Machine(const AstContext &Ctx, MachineOptions Opts, UbSink &Sink,
   // save a few microseconds per fork and lose that guarantee (TSan then
   // reports SymbolicMemory::mutate racing a sibling's MemObject copy).
   Chooser.resumeReplay(std::move(Decisions));
-  buildRuleChains();
   assert(Opts.Style != RuleStyle::Declarative &&
          "declarative monitors carry state a snapshot cannot capture");
 }

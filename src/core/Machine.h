@@ -108,7 +108,7 @@ inline uint64_t machineOptionsFingerprint(const MachineOptions &M) {
 /// SnapshotCache (core/Scheduler.h): a capture the cache evicted simply
 /// means that child replays — forking is never load-bearing.
 /// Everything that determines future behavior lives in these two
-/// members; rule chains and monitors are rebuilt/stateless (snapshots
+/// members; rule chains are shared and monitors stateless (snapshots
 /// are not taken under the stateful Declarative style).
 struct MachineSnapshot {
   Configuration Conf;
@@ -291,7 +291,6 @@ private:
   //===--- Program setup (Machine.cpp) ----------------------------------===//
   void initStaticStorage();
   uint32_t createObjectForDecl(const VarDecl *D, StorageKind Storage);
-  void runStaticInitializer(const VarDecl *D, uint32_t ObjId);
   uint32_t functionObject(const FunctionDecl *F);
   uint32_t literalObject(const StringLitExpr *S);
 
@@ -372,13 +371,13 @@ private:
   const Type *layoutTypeAt(QualType DeclTy, uint64_t Off,
                            uint64_t Len) const;
 
-  //===--- Rule chains (section 4.5.1) ------------------------------------===//
-  void buildRuleChains();
-  RuleChain DerefChain;
-  RuleChain DivChain;
 public:
-  const RuleChain &derefChain() const { return DerefChain; }
-  const RuleChain &divChain() const { return DivChain; }
+  //===--- Rule chains (section 4.5.1) ------------------------------------===//
+  /// The PrecedenceChain style's rules. They are stateless and do not
+  /// depend on MachineOptions, so every machine shares one pair, built
+  /// on first use (RulesMem.cpp).
+  static const RuleChain &derefChain();
+  static const RuleChain &divChain();
 
 private:
   const AstContext &Ctx;

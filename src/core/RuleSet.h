@@ -12,9 +12,10 @@
 /// earlier rules". A RuleChain holds rules in registration order and
 /// applies them newest-first, which realizes exactly that precedence.
 ///
-/// The machine builds chains for dereference and division when
-/// MachineOptions::Style is PrecedenceChain; the ablation bench
-/// verifies the three styles give identical verdicts.
+/// The machine applies chains for dereference and division when
+/// MachineOptions::Style is PrecedenceChain; one pair, built once per
+/// process, serves every machine. The ablation bench verifies the three
+/// styles give identical verdicts.
 ///
 //===----------------------------------------------------------------------===//
 

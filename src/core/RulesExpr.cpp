@@ -353,7 +353,7 @@ bool Machine::divisionRule(BinaryOp Op, const Value &L, const Value &R,
     RC.Node = nullptr;
     // The chain carries the result type through Operand0's type slot;
     // rules read machine state directly.
-    const char *Applied = DivChain.apply(*this, RC);
+    const char *Applied = divChain().apply(*this, RC);
     (void)Applied;
     if (!RC.ProducedResult)
       return false; // a negative rule reported undefinedness

@@ -48,7 +48,7 @@ bool Machine::derefCheck(const Value &P, QualType Pointee, SourceLoc Loc) {
     RuleContext RC;
     RC.Operand0 = P;
     RC.Loc = Loc;
-    const char *Applied = DerefChain.apply(*this, RC);
+    const char *Applied = derefChain().apply(*this, RC);
     (void)Applied;
     return RC.ProducedResult;
   }
@@ -766,11 +766,19 @@ Value Machine::convertForMachine(const Value &V, const Type *To,
 // Rule chains (paper section 4.5.1)
 //===----------------------------------------------------------------------===//
 
-void Machine::buildRuleChains() {
+namespace {
+
+struct RuleChains {
+  RuleChain Deref;
+  RuleChain Div;
+};
+
+RuleChains buildRuleChains() {
+  RuleChains Chains;
   // Division: the positive rule first, negative refinements after.
   // Chains are applied newest-first, so the negative rules win -- the
   // paper's "later rules must be applied before earlier rules".
-  DivChain.add("div-int", [](Machine &M, RuleContext &RC) {
+  Chains.Div.add("div-int", [](Machine &M, RuleContext &RC) {
     const TypeContext &Types = M.ast().Types;
     const Type *Ty = RC.Operand0.Ty;
     ArithOutcome Out = evalIntBinary(BinaryOp::Div, RC.Operand0,
@@ -779,7 +787,7 @@ void Machine::buildRuleChains() {
     RC.ProducedResult = true;
     return true;
   });
-  DivChain.add("div-overflow", [](Machine &M, RuleContext &RC) {
+  Chains.Div.add("div-overflow", [](Machine &M, RuleContext &RC) {
     const TypeContext &Types = M.ast().Types;
     if (RC.Operand0.Ty->isUnsignedInteger(Types.config()))
       return false;
@@ -791,7 +799,7 @@ void Machine::buildRuleChains() {
     M.flagUb(UbKind::SignedOverflow, RC.Loc);
     return true;
   });
-  DivChain.add("div-by-zero", [](Machine &M, RuleContext &RC) {
+  Chains.Div.add("div-by-zero", [](Machine &M, RuleContext &RC) {
     const TypeContext &Types = M.ast().Types;
     if (RC.Operand1.asUnsigned(Types) != 0)
       return false;
@@ -803,12 +811,12 @@ void Machine::buildRuleChains() {
   // the refinements; registration order is bounds < lifetime < forged <
   // null < void so that application order is void, null, forged,
   // lifetime, bounds, deref.
-  DerefChain.add("deref", [](Machine &M, RuleContext &RC) {
+  Chains.Deref.add("deref", [](Machine &M, RuleContext &RC) {
     (void)M;
     RC.ProducedResult = true; // [L] : T
     return true;
   });
-  DerefChain.add("deref-neg-bounds", [](Machine &M, RuleContext &RC) {
+  Chains.Deref.add("deref-neg-bounds", [](Machine &M, RuleContext &RC) {
     const MemObject *Obj = M.config().Mem.find(RC.Operand0.Ptr.Base);
     if (!Obj)
       return false;
@@ -826,7 +834,7 @@ void Machine::buildRuleChains() {
              RC.Loc);
     return true;
   });
-  DerefChain.add("deref-neg-lifetime", [](Machine &M, RuleContext &RC) {
+  Chains.Deref.add("deref-neg-lifetime", [](Machine &M, RuleContext &RC) {
     if (RC.Operand0.Ptr.Base == 0)
       return false; // null/forged handled by later (earlier-applied) rules
     const MemObject *Obj = M.config().Mem.find(RC.Operand0.Ptr.Base);
@@ -844,26 +852,37 @@ void Machine::buildRuleChains() {
     }
     return false;
   });
-  DerefChain.add("deref-neg-forged", [](Machine &M, RuleContext &RC) {
+  Chains.Deref.add("deref-neg-forged", [](Machine &M, RuleContext &RC) {
     if (!RC.Operand0.Ptr.FromInteger)
       return false;
     M.flagUb(UbKind::DerefDanglingPointer, RC.Loc);
     return true;
   });
-  DerefChain.add("deref-neg-null", [](Machine &M, RuleContext &RC) {
+  Chains.Deref.add("deref-neg-null", [](Machine &M, RuleContext &RC) {
     if (!RC.Operand0.Ptr.isNull())
       return false;
     M.flagUb(UbKind::DerefNullPointer, RC.Loc);
     return true;
   });
-  DerefChain.add("deref-neg-void", [](Machine &M, RuleContext &RC) {
+  Chains.Deref.add("deref-neg-void", [](Machine &M, RuleContext &RC) {
     if (!RC.Operand0.Ty->Pointee.Ty ||
         !RC.Operand0.Ty->Pointee.Ty->isVoid())
       return false;
     M.flagUb(UbKind::DerefVoidPointer, RC.Loc);
     return true;
   });
+  return Chains;
 }
+
+const RuleChains &ruleChains() {
+  static const RuleChains Chains = buildRuleChains();
+  return Chains;
+}
+
+} // namespace
+
+const RuleChain &Machine::derefChain() { return ruleChains().Deref; }
+const RuleChain &Machine::divChain() { return ruleChains().Div; }
 
 //===----------------------------------------------------------------------===//
 // Raw byte helpers for the library builtins

@@ -95,7 +95,7 @@ uint64_t SymbolicMemory::assignAddress(StorageKind Storage, uint64_t Size) {
 
 uint32_t SymbolicMemory::create(StorageKind Storage, uint64_t Size,
                                 QualType DeclTy, Symbol Name) {
-  uint32_t Id = NextId++;
+  uint32_t Id = static_cast<uint32_t>(Objects.size() + 1);
   auto Obj = std::make_shared<MemObject>();
   Obj->Id = Id;
   Obj->Storage = Storage;
@@ -104,7 +104,7 @@ uint32_t SymbolicMemory::create(StorageKind Storage, uint64_t Size,
   Obj->Name = Name;
   Obj->ConcreteAddr = assignAddress(Storage, Size);
   Obj->Bytes.assign(Size, Byte::unknown());
-  Objects.emplace(Id, std::move(Obj));
+  Objects.push_back(std::move(Obj));
   return Id;
 }
 
@@ -133,15 +133,14 @@ void SymbolicMemory::markFreed(uint32_t Id) {
 }
 
 const MemObject *SymbolicMemory::find(uint32_t Id) const {
-  auto It = Objects.find(Id);
-  return It == Objects.end() ? nullptr : It->second.get();
+  // Id 0 wraps to UINT32_MAX, past any table.
+  return Id - 1 < Objects.size() ? Objects[Id - 1].get() : nullptr;
 }
 
 MemObject *SymbolicMemory::mutate(uint32_t Id) {
-  auto It = Objects.find(Id);
-  if (It == Objects.end())
+  if (Id - 1 >= Objects.size())
     return nullptr;
-  MemObject *Obj = owned(It->second);
+  MemObject *Obj = owned(Objects[Id - 1]);
   Obj->DigestValid = false;
   return Obj;
 }
@@ -174,7 +173,7 @@ MemStatus SymbolicMemory::writeByte(uint32_t Id, int64_t Offset,
   MemStatus Status = probe(Id, Offset, 1);
   if (Status != MemStatus::Ok)
     return Status;
-  MemObject *Obj = owned(Objects.find(Id)->second);
+  MemObject *Obj = owned(Objects[Id - 1]);
   Byte &Slot = Obj->Bytes[static_cast<size_t>(Offset)];
   // Keep the cached digest current by delta instead of invalidating:
   // the digest is a plain sum over per-byte item hashes, so one write
@@ -191,10 +190,10 @@ uint32_t SymbolicMemory::findByAddress(uint64_t Addr,
   // Linear scan is acceptable: the permissive machine is used on small
   // generated tests, and correctness of the model matters more here
   // than lookup speed.
-  for (const auto &[Id, Obj] : Objects) {
+  for (const auto &Obj : Objects) {
     if (Addr >= Obj->ConcreteAddr && Addr < Obj->ConcreteAddr + Obj->Size) {
       OffsetOut = static_cast<int64_t>(Addr - Obj->ConcreteAddr);
-      return Id;
+      return Obj->Id;
     }
   }
   return 0;
@@ -202,7 +201,7 @@ uint32_t SymbolicMemory::findByAddress(uint64_t Addr,
 
 unsigned SymbolicMemory::countAlive(StorageKind Storage) const {
   unsigned Count = 0;
-  for (const auto &[Id, Obj] : Objects)
+  for (const auto &Obj : Objects)
     if (Obj->Storage == Storage && Obj->isAlive())
       ++Count;
   return Count;
@@ -218,7 +217,7 @@ uint64_t SymbolicMemory::computeDigest(const MemObject &Obj) {
 }
 
 void SymbolicMemory::hashInto(Fnv1a &H, bool Full) const {
-  H.u32(NextId);
+  H.u32(static_cast<uint32_t>(Objects.size() + 1)); // the next id
   H.u64(GlobalCursor);
   H.u64(FunctionCursor);
   H.u64(LiteralCursor);
@@ -230,7 +229,7 @@ void SymbolicMemory::hashInto(Fnv1a &H, bool Full) const {
   // mutated. The Full path recomputes everything and must agree — the
   // equivalence is what makes the cache safe (tests/test_search_fork).
   uint64_t Sum = 0;
-  for (const auto &[Id, Obj] : Objects) {
+  for (const auto &Obj : Objects) {
     if (Full) {
       Sum += computeDigest(*Obj);
       continue;

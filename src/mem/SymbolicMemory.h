@@ -18,12 +18,14 @@
 /// real hardware.
 ///
 /// Objects are held behind shared pointers with copy-on-write
-/// semantics: copying a SymbolicMemory (the evaluation-order search
-/// forks configurations at choice points, paper section 2.5.2) shares
-/// every object, and the first mutation through mutate()/writeByte()
-/// after a copy clones just the touched object. Each object also caches
-/// its content digest, so configuration fingerprints cost O(objects
-/// touched since the last fingerprint) instead of O(total bytes).
+/// semantics, in a table indexed by id - 1 (ids are dense). Copying a
+/// SymbolicMemory (the evaluation-order search forks configurations at
+/// choice points, paper section 2.5.2) costs one allocation for the
+/// table plus one reference-count increment per object; the first
+/// mutation through mutate()/writeByte() after a copy clones just the
+/// touched object. Each object also caches its content digest, so
+/// configuration fingerprints cost O(objects touched since the last
+/// fingerprint) instead of O(total bytes).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +37,6 @@
 #include "support/StringInterner.h"
 #include "types/Type.h"
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -123,8 +124,9 @@ public:
   /// objects still resolve -- exactly the danger being modelled.
   uint32_t findByAddress(uint64_t Addr, int64_t &OffsetOut) const;
 
-  /// All objects, for tools (leak reporting, statistics).
-  const std::map<uint32_t, std::shared_ptr<MemObject>> &objects() const {
+  /// All objects in id order (object I has id I + 1), for tools (leak
+  /// reporting, statistics).
+  const std::vector<std::shared_ptr<MemObject>> &objects() const {
     return Objects;
   }
 
@@ -159,8 +161,8 @@ private:
   /// place.
   static MemObject *owned(std::shared_ptr<MemObject> &Slot);
 
-  std::map<uint32_t, std::shared_ptr<MemObject>> Objects;
-  uint32_t NextId = 1;
+  /// The object with id I lives at Objects[I - 1].
+  std::vector<std::shared_ptr<MemObject>> Objects;
   // Concrete address cursors. The stack grows down, everything else up.
   uint64_t GlobalCursor = 0x00010000;
   uint64_t FunctionCursor = 0x01000000;

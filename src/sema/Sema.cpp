@@ -33,32 +33,29 @@ bool Sema::run() {
 }
 
 void Sema::checkDeclaredType(QualType Ty, SourceLoc Loc) {
-  const Type *T = Ty.Ty;
-  if (!T)
-    return;
-  switch (T->Kind) {
-  case TypeKind::Array: {
-    // Arrays must have length at least 1 (C11 6.7.6.2p1&5); the paper
-    // (section 3.2) describes catching exactly this in kcc. A negative
-    // written size appears here as a huge uint64.
-    if (T->ArraySizeKnown &&
-        (T->ArraySize == 0 || T->ArraySize > (1ull << 48)))
-      Ub.report(UbKind::ArraySizeNotPositive, currentFunctionName(), Loc,
-                /*StaticFinding=*/true);
-    checkDeclaredType(T->Pointee, Loc);
-    return;
-  }
-  case TypeKind::Pointer:
-    checkDeclaredType(T->Pointee, Loc);
-    return;
-  case TypeKind::Function: {
-    checkDeclaredType(T->ReturnType, Loc);
-    for (const QualType &Param : T->ParamTypes)
-      checkDeclaredType(Param, Loc);
-    return;
-  }
-  default:
-    return;
+  // A loop over pointer and array chains, so 100 000 '*' cost no stack;
+  // function types recurse, but the parser bounds how deep they nest.
+  for (const Type *T = Ty.Ty; T; T = T->Pointee.Ty) {
+    switch (T->Kind) {
+    case TypeKind::Array:
+      // Arrays must have length at least 1 (C11 6.7.6.2p1&5); the paper
+      // (section 3.2) describes catching exactly this in kcc. A negative
+      // written size appears here as a huge uint64.
+      if (T->ArraySizeKnown &&
+          (T->ArraySize == 0 || T->ArraySize > (1ull << 48)))
+        Ub.report(UbKind::ArraySizeNotPositive, currentFunctionName(), Loc,
+                  /*StaticFinding=*/true);
+      continue;
+    case TypeKind::Pointer:
+      continue;
+    case TypeKind::Function:
+      checkDeclaredType(T->ReturnType, Loc);
+      for (const QualType &Param : T->ParamTypes)
+        checkDeclaredType(Param, Loc);
+      return;
+    default:
+      return;
+    }
   }
 }
 

@@ -30,21 +30,6 @@ std::string cundef::strFormatV(const char *Fmt, va_list Args) {
   return Result;
 }
 
-std::vector<std::string> cundef::splitString(const std::string &Text,
-                                             char Sep) {
-  std::vector<std::string> Fields;
-  size_t Start = 0;
-  while (true) {
-    size_t Pos = Text.find(Sep, Start);
-    if (Pos == std::string::npos) {
-      Fields.push_back(Text.substr(Start));
-      return Fields;
-    }
-    Fields.push_back(Text.substr(Start, Pos - Start));
-    Start = Pos + 1;
-  }
-}
-
 bool cundef::startsWith(const std::string &Text, const std::string &Prefix) {
   return Text.size() >= Prefix.size() &&
          Text.compare(0, Prefix.size(), Prefix) == 0;

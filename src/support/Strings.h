@@ -15,7 +15,6 @@
 
 #include <cstdarg>
 #include <string>
-#include <vector>
 
 namespace cundef {
 
@@ -25,9 +24,6 @@ std::string strFormat(const char *Fmt, ...)
 
 /// vprintf counterpart of strFormat.
 std::string strFormatV(const char *Fmt, va_list Args);
-
-/// Splits \p Text on \p Sep, keeping empty fields.
-std::vector<std::string> splitString(const std::string &Text, char Sep);
 
 /// Returns true if \p Text starts with \p Prefix.
 bool startsWith(const std::string &Text, const std::string &Prefix);

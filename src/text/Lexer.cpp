@@ -205,18 +205,6 @@ Token Lexer::next() {
   return lexPunctuator(Loc);
 }
 
-std::string Lexer::restOfLine() {
-  std::string Text;
-  while (!atEnd() && peek() != '\n')
-    Text += advance();
-  // Trim leading/trailing spaces.
-  size_t B = Text.find_first_not_of(" \t");
-  size_t E = Text.find_last_not_of(" \t");
-  if (B == std::string::npos)
-    return "";
-  return Text.substr(B, E - B + 1);
-}
-
 Token Lexer::lexIdentifier(SourceLoc Loc) {
   std::string Name;
   while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||

@@ -35,10 +35,6 @@ public:
   /// forever.
   Token next();
 
-  /// Lexes the remainder of the current line as raw text (used by
-  /// #error and for skipping unknown directives).
-  std::string restOfLine();
-
   /// True when the cursor sits at the end of the buffer.
   bool atEnd() const { return Pos >= Buf.size(); }
 

@@ -112,6 +112,100 @@ TEST(SymbolicMemory, CountAlive) {
   EXPECT_EQ(Mem.countAlive(StorageKind::Heap), 1u);
 }
 
+TEST(SymbolicMemory, UnallocatedIdsHaveNoObject) {
+  // The table is indexed by id - 1: id 0 (null) and ids past the last
+  // allocation must miss, not wrap or read past the end.
+  SymbolicMemory Mem;
+  uint32_t Id = Mem.create(StorageKind::Heap, 4, QualType(), NoSymbol);
+  Byte Out;
+  for (uint32_t Missing : {0u, Id + 1, 999u, UINT32_MAX}) {
+    EXPECT_EQ(Mem.find(Missing), nullptr) << Missing;
+    EXPECT_EQ(Mem.mutate(Missing), nullptr) << Missing;
+    EXPECT_EQ(Mem.probe(Missing, 0, 1), MemStatus::NoObject) << Missing;
+    EXPECT_EQ(Mem.readByte(Missing, 0, Out), MemStatus::NoObject) << Missing;
+    EXPECT_EQ(Mem.writeByte(Missing, 0, Byte::concrete(1)),
+              MemStatus::NoObject)
+        << Missing;
+  }
+  EXPECT_EQ(Mem.objects().size(), 1u) << "misses allocate nothing";
+}
+
+TEST(SymbolicMemory, WriteAfterCopyLeavesOriginal) {
+  SymbolicMemory Mem;
+  uint32_t A = Mem.create(StorageKind::Global, 4, QualType(), NoSymbol);
+  uint32_t B = Mem.create(StorageKind::Heap, 4, QualType(), NoSymbol);
+  Mem.writeByte(A, 0, Byte::concrete(1));
+  SymbolicMemory Copy = Mem;
+  EXPECT_EQ(Copy.find(A), Mem.find(A)) << "a copy shares every object";
+  EXPECT_EQ(Copy.writeByte(A, 0, Byte::concrete(2)), MemStatus::Ok);
+  Copy.mutate(B)->Bytes[1] = Byte::concrete(3);
+  Copy.markFreed(B);
+  Copy.create(StorageKind::Heap, 8, QualType(), NoSymbol);
+
+  Byte Out;
+  ASSERT_EQ(Mem.readByte(A, 0, Out), MemStatus::Ok);
+  EXPECT_EQ(Out.Value, 1) << "writeByte cloned the shared object";
+  ASSERT_EQ(Mem.readByte(B, 1, Out), MemStatus::Ok);
+  EXPECT_TRUE(Out.isUnknown()) << "mutate cloned the shared object";
+  EXPECT_EQ(Mem.objects().size(), 2u);
+  ASSERT_EQ(Copy.readByte(A, 0, Out), MemStatus::Ok);
+  EXPECT_EQ(Out.Value, 2);
+  EXPECT_EQ(Copy.readByte(B, 1, Out), MemStatus::Freed);
+}
+
+TEST(SymbolicMemory, IncrementalHashEqualsFullAfterCopies) {
+  SymbolicMemory Mem;
+  uint32_t A = Mem.create(StorageKind::Global, 16, QualType(), NoSymbol);
+  uint32_t B = Mem.create(StorageKind::Auto, 8, QualType(), NoSymbol);
+  Mem.writeByte(A, 3, Byte::concrete(7));
+  auto Hash = [](const SymbolicMemory &M, bool Full) {
+    Fnv1a H;
+    M.hashInto(H, Full);
+    return H.digest();
+  };
+  const uint64_t Before = Hash(Mem, false); // fills the digest caches
+  SymbolicMemory Copy = Mem;
+  EXPECT_EQ(Hash(Copy, false), Before);
+
+  // Write on both sides: byte deltas, a mutate, a kill and a new object.
+  Mem.writeByte(A, 3, Byte::concrete(8));
+  Mem.markDead(B);
+  Copy.writeByte(A, 5, Byte::concrete(9));
+  Copy.mutate(B)->Bytes[0] = Byte::concrete(4);
+  Copy.create(StorageKind::Heap, 4, QualType(), NoSymbol);
+  for (const SymbolicMemory *M : {&Mem, &Copy})
+    EXPECT_EQ(Hash(*M, false), Hash(*M, true));
+  EXPECT_NE(Hash(Mem, false), Hash(Copy, false));
+  EXPECT_NE(Hash(Mem, false), Before);
+}
+
+TEST(SymbolicMemory, ScansFollowIdOrder) {
+  // findByAddress and countAlive scan the table in id order, on the
+  // original and on a copy alike; dead and freed objects still resolve
+  // by address but no longer count as alive.
+  SymbolicMemory Mem;
+  uint32_t G = Mem.create(StorageKind::Global, 8, QualType(), NoSymbol);
+  uint32_t H1 = Mem.create(StorageKind::Heap, 8, QualType(), NoSymbol);
+  uint32_t S = Mem.create(StorageKind::Auto, 8, QualType(), NoSymbol);
+  uint32_t H2 = Mem.create(StorageKind::Heap, 8, QualType(), NoSymbol);
+  Mem.markFreed(H1);
+  Mem.markDead(S);
+  SymbolicMemory Copy = Mem;
+  for (const SymbolicMemory *M : {&Mem, &Copy}) {
+    ASSERT_EQ(M->objects().size(), 4u);
+    for (size_t I = 0; I < M->objects().size(); ++I)
+      EXPECT_EQ(M->objects()[I]->Id, I + 1);
+    for (uint32_t Id : {G, H1, S, H2}) {
+      int64_t Off = -1;
+      EXPECT_EQ(M->findByAddress(M->find(Id)->ConcreteAddr + 5, Off), Id);
+      EXPECT_EQ(Off, 5);
+    }
+    EXPECT_EQ(M->countAlive(StorageKind::Heap), 1u);
+    EXPECT_EQ(M->countAlive(StorageKind::Auto), 0u);
+    EXPECT_EQ(M->countAlive(StorageKind::Global), 1u);
+  }
+}
+
 TEST(Byte, Factories) {
   Byte U = Byte::unknown();
   EXPECT_TRUE(U.isUnknown());

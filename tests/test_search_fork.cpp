@@ -9,18 +9,44 @@
 // asserts that equivalence on the seed UB-sequence programs, plus the
 // foundations it rests on: incremental fingerprints equal full-state
 // rehashes at every choice point, and the visited-set key does not
-// alias structured (depth, fingerprint) pairs.
+// alias structured (depth, fingerprint) pairs. It also gates what a
+// fork costs in heap allocations, through a counting operator new.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Scheduler.h"
 #include "core/Search.h"
 #include "driver/Driver.h"
 
+#include "../bench/BenchUtil.h"
+
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <set>
 
 using namespace cundef;
+
+namespace {
+
+/// Heap allocations made through operator new while counting is on,
+/// on any thread (the search runs on the scheduler's worker).
+std::atomic<bool> CountAllocations{false};
+std::atomic<uint64_t> Allocations{0};
+
+} // namespace
+
+void *operator new(std::size_t Size) {
+  if (CountAllocations.load(std::memory_order_relaxed))
+    Allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 
 namespace {
 
@@ -351,4 +377,45 @@ TEST(ForkSearch, WitnessReplaysOutsideTheEngine) {
     ASSERT_FALSE(Sink.all().empty());
     EXPECT_EQ(Sink.all().front().Kind, R.Reports.front().Kind);
   }
+}
+
+TEST(ForkSearch, AllocationsPerRunStayBounded) {
+  // Copying a configuration (every snapshot capture, every fork) costs
+  // one allocation per cell, not one per memory object or rule; the
+  // rule chains are built once per process. One warmed-up search of the
+  // 10x512 deep tree at budget 512 on one worker, with no snapshot
+  // evicted, must stay within 100 allocations per executed run.
+  Driver Drv;
+  Driver::Compiled C =
+      Drv.compile(cundef_bench::deepTreeProgram(10, 512), "alloc.c");
+  ASSERT_TRUE(C->ok()) << C->errors();
+  SearchOptions SO;
+  SO.MaxRuns = 512;
+  SearchScheduler::Config Cfg;
+  Cfg.Jobs = 1;
+  Cfg.SnapshotBudget = SO.SnapshotBudget;
+  SearchScheduler Sched(Cfg);
+  auto Search = [&] {
+    size_t Id = Sched.submit(C->ast(), MachineOptions(), SO);
+    Sched.drain();
+    return Sched.takeResult(Id);
+  };
+  Search(); // warm-up: starts the pool and any lazy set-up
+
+  const SchedulerStats Before = Sched.stats();
+  Allocations = 0;
+  CountAllocations = true;
+  const SearchResult R = Search();
+  CountAllocations = false;
+  const SchedulerStats After = Sched.stats();
+
+  const uint64_t Runs = After.RunsExecuted - Before.RunsExecuted;
+  ASSERT_EQ(R.RunsExplored, 512u);
+  ASSERT_EQ(Runs, 512u);
+  ASSERT_EQ(After.SnapshotEvictions, Before.SnapshotEvictions);
+  ASSERT_GT(R.ForkedRuns, 0u);
+  const double PerRun = static_cast<double>(Allocations.load()) / Runs;
+  EXPECT_LE(PerRun, 100.0) << Allocations.load() << " allocations over "
+                           << Runs << " runs";
+  RecordProperty("allocations_per_run", std::to_string(PerRun));
 }

@@ -127,4 +127,28 @@ TEST(Styles, PrecedenceChainShape) {
   EXPECT_EQ(DivNames.back(), "div-by-zero");
 }
 
+TEST(Styles, MachinesShareOneRuleChainPair) {
+  // The chains are stateless and independent of MachineOptions, so
+  // every machine, whatever its style, applies the same pair.
+  StringInterner Interner;
+  AstContext Ctx(TargetConfig::lp64(), Interner);
+  UbSink Sink;
+  MachineOptions Chain;
+  Chain.Style = RuleStyle::PrecedenceChain;
+  MachineOptions Decl;
+  Decl.Style = RuleStyle::Declarative;
+  Machine A(Ctx, Chain, Sink);
+  Machine B(Ctx, Decl, Sink);
+  EXPECT_EQ(&A.derefChain(), &B.derefChain());
+  EXPECT_EQ(&A.divChain(), &B.divChain());
+  EXPECT_NE(&A.derefChain(), &A.divChain());
+
+  // A declarative-style run, after chain-style machines exist, still
+  // reports its undefinedness through its own monitors.
+  Verdict V = runWithStyle("int main(void) { int d = 0; return 3 / d; }",
+                           RuleStyle::Declarative);
+  EXPECT_TRUE(V.Flagged);
+  EXPECT_EQ(V.Code, ubCode(UbKind::DivisionByZero));
+}
+
 } // namespace
