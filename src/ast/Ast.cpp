@@ -10,83 +10,6 @@ using namespace cundef;
 
 namespace cundef {
 
-const char *unaryOpName(UnaryOp Op) {
-  switch (Op) {
-  case UnaryOp::Plus:    return "+";
-  case UnaryOp::Minus:   return "-";
-  case UnaryOp::BitNot:  return "~";
-  case UnaryOp::LogNot:  return "!";
-  case UnaryOp::Deref:   return "*";
-  case UnaryOp::AddrOf:  return "&";
-  case UnaryOp::PreInc:  return "++pre";
-  case UnaryOp::PreDec:  return "--pre";
-  case UnaryOp::PostInc: return "post++";
-  case UnaryOp::PostDec: return "post--";
-  }
-  return "?";
-}
-
-const char *binaryOpName(BinaryOp Op) {
-  switch (Op) {
-  case BinaryOp::Mul:    return "*";
-  case BinaryOp::Div:    return "/";
-  case BinaryOp::Rem:    return "%";
-  case BinaryOp::Add:    return "+";
-  case BinaryOp::Sub:    return "-";
-  case BinaryOp::Shl:    return "<<";
-  case BinaryOp::Shr:    return ">>";
-  case BinaryOp::Lt:     return "<";
-  case BinaryOp::Gt:     return ">";
-  case BinaryOp::Le:     return "<=";
-  case BinaryOp::Ge:     return ">=";
-  case BinaryOp::Eq:     return "==";
-  case BinaryOp::Ne:     return "!=";
-  case BinaryOp::BitAnd: return "&";
-  case BinaryOp::BitXor: return "^";
-  case BinaryOp::BitOr:  return "|";
-  case BinaryOp::LogAnd: return "&&";
-  case BinaryOp::LogOr:  return "||";
-  case BinaryOp::Comma:  return ",";
-  }
-  return "?";
-}
-
-const char *assignOpName(AssignOp Op) {
-  switch (Op) {
-  case AssignOp::Assign:    return "=";
-  case AssignOp::MulAssign: return "*=";
-  case AssignOp::DivAssign: return "/=";
-  case AssignOp::RemAssign: return "%=";
-  case AssignOp::AddAssign: return "+=";
-  case AssignOp::SubAssign: return "-=";
-  case AssignOp::ShlAssign: return "<<=";
-  case AssignOp::ShrAssign: return ">>=";
-  case AssignOp::AndAssign: return "&=";
-  case AssignOp::XorAssign: return "^=";
-  case AssignOp::OrAssign:  return "|=";
-  }
-  return "?";
-}
-
-const char *castKindName(CastKind CK) {
-  switch (CK) {
-  case CastKind::LValueToRValue: return "lvalue-to-rvalue";
-  case CastKind::ArrayDecay:     return "array-decay";
-  case CastKind::FunctionDecay:  return "function-decay";
-  case CastKind::IntegralCast:   return "integral-cast";
-  case CastKind::IntToFloat:     return "int-to-float";
-  case CastKind::FloatToInt:     return "float-to-int";
-  case CastKind::FloatCast:      return "float-cast";
-  case CastKind::IntToPointer:   return "int-to-pointer";
-  case CastKind::PointerToInt:   return "pointer-to-int";
-  case CastKind::PointerCast:    return "pointer-cast";
-  case CastKind::NullToPointer:  return "null-to-pointer";
-  case CastKind::ToBool:         return "to-bool";
-  case CastKind::ToVoid:         return "to-void";
-  }
-  return "?";
-}
-
 /// The underlying BinaryOp performed by a compound assignment.
 BinaryOp compoundOpOf(AssignOp Op) {
   switch (Op) {

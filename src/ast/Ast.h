@@ -101,6 +101,9 @@ enum class AssignOp : uint8_t {
   OrAssign,
 };
 
+/// The underlying BinaryOp performed by a compound assignment.
+BinaryOp compoundOpOf(AssignOp Op);
+
 /// How an implicit conversion changes a value (a subset of Clang's cast
 /// kinds sufficient for C).
 enum class CastKind : uint8_t {
@@ -129,6 +132,13 @@ public:
   SourceLoc Loc;
   QualType Ty;
   ValueCat Cat = ValueCat::RValue;
+  /// Set by Sema on an operator with two or more operands when every
+  /// evaluation order of them reaches the same state: no operand writes
+  /// (assignment, ++/--, call, volatile access, initializer list or
+  /// sequence point) and at most one creates a memory object on first
+  /// use (a string literal or function designator). The machine takes
+  /// one forced decision there instead of a choice point.
+  bool OrderFree = false;
 
   Expr(ExprKind Kind, SourceLoc Loc) : Kind(Kind), Loc(Loc) {}
   Expr(const Expr &) = delete;

@@ -11,46 +11,48 @@
 
 using namespace cundef;
 
-std::vector<uint8_t> OrderChooser::choose(unsigned N) {
+std::vector<uint8_t> OrderChooser::choose(unsigned N, bool Forced) {
   std::vector<uint8_t> Perm(N);
   std::iota(Perm.begin(), Perm.end(), 0);
   // Replayed decisions are consumed positionally, one per choice point
   // INCLUDING forced (arity-1) points, so that replay indices always
   // equal decision-trace indices: a search can turn any trace prefix
   // into a replay vector without re-aligning it.
-  if (ReplayPos < Replay.size()) {
-    uint8_t Decision = Replay[ReplayPos++];
-    if (N <= 1) {
-      Trace.emplace_back(0, 1);
-      return Perm;
-    }
-    // Two alternatives per choice point (source order / reversed):
-    // enough to flip the direction-dependent undefined behaviors while
-    // keeping search linear in depth.
-    Trace.emplace_back(Decision, 2);
-    if (Decision)
-      std::reverse(Perm.begin(), Perm.end());
-    return Perm;
-  }
+  const bool Replaying = ReplayPos < Replay.size();
+  uint8_t Decision = Replaying ? Replay[ReplayPos++] : 0;
   if (N <= 1) {
     Trace.emplace_back(0, 1);
     return Perm;
   }
-  switch (Kind) {
-  case EvalOrderKind::LeftToRight:
-    Trace.emplace_back(0, 2);
-    return Perm;
-  case EvalOrderKind::RightToLeft:
-    Trace.emplace_back(1, 2);
+  // Two alternatives per choice point (source order / reversed): enough
+  // to flip the direction-dependent undefined behaviors while keeping
+  // search linear in depth. A forced (order-free) list has one, but
+  // still runs in the policy's order.
+  const uint8_t Arity = Forced ? 1 : 2;
+  if (Forced || !Replaying) {
+    switch (Kind) {
+    case EvalOrderKind::LeftToRight:
+      Decision = 0;
+      break;
+    case EvalOrderKind::RightToLeft:
+      Decision = 1;
+      break;
+    case EvalOrderKind::Random:
+      // Like a real choice point, a forced one draws from the stream
+      // only outside replay.
+      if (Replaying) {
+        Decision = 0;
+        break;
+      }
+      // Fisher-Yates with the deterministic xorshift stream.
+      for (unsigned I = N - 1; I > 0; --I)
+        std::swap(Perm[I], Perm[nextRandom() % (I + 1)]);
+      Trace.emplace_back(Forced || Perm[0] == 0 ? 0 : 1, Arity);
+      return Perm;
+    }
+  }
+  if (Decision)
     std::reverse(Perm.begin(), Perm.end());
-    return Perm;
-  case EvalOrderKind::Random: {
-    // Fisher-Yates with the deterministic xorshift stream.
-    for (unsigned I = N - 1; I > 0; --I)
-      std::swap(Perm[I], Perm[nextRandom() % (I + 1)]);
-    Trace.emplace_back(Perm[0] == 0 ? 0 : 1, 2);
-    return Perm;
-  }
-  }
+  Trace.emplace_back(Forced ? 0 : Decision, Arity);
   return Perm;
 }

@@ -48,8 +48,9 @@ public:
 
   /// Chooses an order for \p N operands. Each call appends one entry to
   /// the decision trace. Replayed decisions (0 = source order,
-  /// 1 = reversed) take precedence over the policy.
-  std::vector<uint8_t> choose(unsigned N);
+  /// 1 = reversed) take precedence over the policy. A \p Forced list
+  /// (Expr::OrderFree) follows the policy and is traced with arity 1.
+  std::vector<uint8_t> choose(unsigned N, bool Forced = false);
 
   /// Pins the first decisions to \p Decisions.
   void setReplay(std::vector<uint8_t> Decisions) {

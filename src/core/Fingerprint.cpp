@@ -147,9 +147,6 @@ uint64_t cundef::kItemDigest(const KItem &Item) {
   H.u8(static_cast<uint8_t>(Item.K));
   H.ptr(Item.E);
   H.ptr(Item.S);
-  H.u64(Item.Operands.size());
-  for (const Expr *Op : Item.Operands)
-    H.ptr(Op);
   H.u64(Item.Results.size());
   for (const Value &V : Item.Results)
     hashValue(H, V);

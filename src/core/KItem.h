@@ -63,11 +63,10 @@ struct KItem {
   const Expr *E = nullptr;
   const Stmt *S = nullptr;
 
-  // EvalOperands payload: operands, their evaluated values, the chosen
-  // evaluation order (a permutation of operand indices), and the next
-  // position in that order. When Idx == Perm.size() the finish handler
-  // identified by E runs.
-  std::vector<const Expr *> Operands;
+  // EvalOperands payload: the values of E's operands (one slot each),
+  // the chosen evaluation order (a permutation of operand indices), and
+  // the next position in that order. The operands themselves are E's
+  // children. When Idx == Perm.size() the finish handler for E runs.
   std::vector<Value> Results;
   std::vector<uint8_t> Perm;
   uint8_t Idx = 0;
@@ -114,9 +113,6 @@ struct KItem {
     return Item;
   }
 };
-
-/// Human-readable name of a k item kind (for traces and tests).
-const char *kKindName(KKind K);
 
 } // namespace cundef
 

@@ -13,37 +13,6 @@
 
 using namespace cundef;
 
-const char *cundef::kKindName(KKind K) {
-  switch (K) {
-  case KKind::Expr:           return "expr";
-  case KKind::Stmt:           return "stmt";
-  case KKind::EvalOperands:   return "eval-operands";
-  case KKind::LvToRv:         return "lvalue-to-rvalue";
-  case KKind::CastApply:      return "cast";
-  case KKind::LogicRhs:       return "logic-rhs";
-  case KKind::LogicDone:      return "logic-done";
-  case KKind::CondPick:       return "cond-pick";
-  case KKind::Pop:            return "pop";
-  case KKind::SeqPoint:       return "sequence-point";
-  case KKind::InitVar:        return "init-var";
-  case KKind::StoreTo:        return "store-to";
-  case KKind::LeaveBlock:     return "leave-block";
-  case KKind::IfDecide:       return "if-decide";
-  case KKind::WhileTest:      return "while-test";
-  case KKind::WhileDecide:    return "while-decide";
-  case KKind::DoTest:         return "do-test";
-  case KKind::DoDecide:       return "do-decide";
-  case KKind::ForTest:        return "for-test";
-  case KKind::ForDecide:      return "for-decide";
-  case KKind::ForInc:         return "for-inc";
-  case KKind::SwitchDispatch: return "switch-dispatch";
-  case KKind::SwitchEnd:      return "switch-end";
-  case KKind::DoReturn:       return "do-return";
-  case KKind::CallReturn:     return "call-return";
-  }
-  return "?";
-}
-
 std::string Configuration::describeCells() const {
   std::string Out;
   Out += "<T>\n";

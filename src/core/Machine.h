@@ -299,8 +299,9 @@ private:
 
   //===--- Expressions (RulesExpr.cpp) -----------------------------------===//
   void stepExpr(const Expr *E);
-  void scheduleOperands(const Expr *Node,
-                        std::vector<const Expr *> Operands);
+  /// Evaluates Node's \p N operands in a chosen order, then finishes
+  /// Node (finishOperands).
+  void scheduleOperands(const Expr *Node, unsigned N);
   void stepEvalOperands(KItem Item);
   void finishOperands(KItem &Item);
   void finishUnary(const UnaryExpr *U, std::vector<Value> &Vals);

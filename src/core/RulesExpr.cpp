@@ -12,7 +12,6 @@
 
 #include "core/Machine.h"
 
-#include "ast/AstPrinter.h"
 #include "libc/Builtins.h"
 
 #include <cassert>
@@ -49,11 +48,9 @@ void Machine::stepExpr(const Expr *E) {
     pushValue(Value::makeLValue(SymPointer(Id, 0), Ref->Ty));
     return;
   }
-  case ExprKind::Unary: {
-    const auto *U = cast<UnaryExpr>(E);
-    scheduleOperands(E, {U->Sub});
+  case ExprKind::Unary:
+    scheduleOperands(E, 1);
     return;
-  }
   case ExprKind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
     if (B->Op == BinaryOp::LogAnd || B->Op == BinaryOp::LogOr) {
@@ -69,14 +66,12 @@ void Machine::stepExpr(const Expr *E) {
       Conf.K.push_back(KItem::expr(B->Lhs));
       return;
     }
-    scheduleOperands(E, {B->Lhs, B->Rhs});
+    scheduleOperands(E, 2);
     return;
   }
-  case ExprKind::Assign: {
-    const auto *A = cast<AssignExpr>(E);
-    scheduleOperands(E, {A->Lhs, A->Rhs});
+  case ExprKind::Assign:
+    scheduleOperands(E, 2);
     return;
-  }
   case ExprKind::Cond: {
     Conf.K.push_back(KItem::forExpr(KKind::CondPick, E));
     Conf.K.push_back(KItem::expr(cast<CondExpr>(E)->Cond));
@@ -99,25 +94,16 @@ void Machine::stepExpr(const Expr *E) {
     Conf.K.push_back(KItem::expr(Sub));
     return;
   }
-  case ExprKind::Call: {
-    const auto *C = cast<CallExpr>(E);
-    std::vector<const Expr *> Operands;
-    Operands.push_back(C->Callee);
-    for (const Expr *Arg : C->Args)
-      Operands.push_back(Arg);
-    scheduleOperands(E, std::move(Operands));
+  case ExprKind::Call:
+    scheduleOperands(
+        E, 1 + static_cast<unsigned>(cast<CallExpr>(E)->Args.size()));
     return;
-  }
-  case ExprKind::Member: {
-    const auto *M = cast<MemberExpr>(E);
-    scheduleOperands(E, {M->Base});
+  case ExprKind::Member:
+    scheduleOperands(E, 1);
     return;
-  }
-  case ExprKind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    scheduleOperands(E, {I->Base, I->Index});
+  case ExprKind::Index:
+    scheduleOperands(E, 2);
     return;
-  }
   case ExprKind::Sizeof: {
     const auto *S = cast<SizeofExpr>(E);
     QualType Ty = S->ArgExpr ? S->ArgExpr->Ty : S->ArgTy;
@@ -131,26 +117,49 @@ void Machine::stepExpr(const Expr *E) {
   }
 }
 
-void Machine::scheduleOperands(const Expr *Node,
-                               std::vector<const Expr *> Operands) {
+/// Operand \p I, in source order, of an operator whose operands go
+/// through scheduleOperands.
+static const Expr *operandAt(const Expr *E, unsigned I) {
+  switch (E->Kind) {
+  case ExprKind::Unary:
+    return cast<UnaryExpr>(E)->Sub;
+  case ExprKind::Binary:
+    return I ? cast<BinaryExpr>(E)->Rhs : cast<BinaryExpr>(E)->Lhs;
+  case ExprKind::Assign:
+    return I ? cast<AssignExpr>(E)->Rhs : cast<AssignExpr>(E)->Lhs;
+  case ExprKind::Call:
+    return I ? cast<CallExpr>(E)->Args[I - 1] : cast<CallExpr>(E)->Callee;
+  case ExprKind::Member:
+    return cast<MemberExpr>(E)->Base;
+  case ExprKind::Index:
+    return I ? cast<IndexExpr>(E)->Index : cast<IndexExpr>(E)->Base;
+  default:
+    return nullptr;
+  }
+}
+
+void Machine::scheduleOperands(const Expr *Node, unsigned N) {
+  // An order-free list reaches the same state in every order, so it is
+  // one forced decision: no snapshot, no fingerprint, no sibling.
+  const bool Forced = Node->OrderFree;
   // Pre-choice hook: the configuration is still the pre-step state
   // (popping Node's expr item and entering this function had no other
   // effect), which is what makes captureChoiceSnapshot's rewind exact.
-  if (OnBeforeChoice && Operands.size() >= 2 &&
+  if (OnBeforeChoice && !Forced && N >= 2 &&
       Conf.Status == RunStatus::Running) {
     PendingChoiceNode = Node;
-    OnBeforeChoice(*this, static_cast<unsigned>(Operands.size()));
+    OnBeforeChoice(*this, N);
     PendingChoiceNode = nullptr;
   }
   KItem Item = KItem::forExpr(KKind::EvalOperands, Node);
-  Item.Perm = Chooser.choose(static_cast<unsigned>(Operands.size()));
-  Item.Results.resize(Operands.size());
-  Item.Operands = std::move(Operands);
+  Item.Perm = Chooser.choose(N, Forced);
+  Item.Results.resize(N);
   Item.Idx = 0;
   stepEvalOperands(std::move(Item));
   // The chosen permutation is on the k cell now, so a fingerprint taken
   // by the hook sees (and distinguishes) the decision just made.
-  if (OnChoice && Conf.Status == RunStatus::Running && !OnChoice(*this))
+  if (OnChoice && !Forced && Conf.Status == RunStatus::Running &&
+      !OnChoice(*this))
     Conf.Status = RunStatus::Cancelled;
 }
 
@@ -162,8 +171,8 @@ void Machine::stepEvalOperands(KItem Item) {
       return;
     Item.Results[Item.Perm[Item.Idx - 1]] = std::move(V);
   }
-  if (Item.Idx < Item.Operands.size()) {
-    const Expr *Next = Item.Operands[Item.Perm[Item.Idx]];
+  if (Item.Idx < Item.Results.size()) {
+    const Expr *Next = operandAt(Item.E, Item.Perm[Item.Idx]);
     ++Item.Idx;
     Conf.K.push_back(std::move(Item));
     Conf.K.push_back(KItem::expr(Next));

@@ -338,17 +338,20 @@ struct SearchScheduler::Impl {
   //===--- Frontier ------------------------------------------------------===//
 
   void pushTask(Task *T, unsigned Worker) {
-    {
-      WorkerDeque &D = Deques[Worker % Deques.size()];
-      std::lock_guard<std::mutex> Lock(D.Mu);
-      D.Q.push_back(T);
-    }
+    // Counted before it is visible: a worker that pops the task at once
+    // would otherwise decrement first, and the count (and the peak taken
+    // from it) would wrap below zero.
     size_t Now = QueuedCount.fetch_add(1, std::memory_order_relaxed) + 1;
     uint64_t Peak = PeakFrontier.load(std::memory_order_relaxed);
     while (Now > Peak &&
            !PeakFrontier.compare_exchange_weak(Peak, Now,
                                                std::memory_order_relaxed))
       ;
+    {
+      WorkerDeque &D = Deques[Worker % Deques.size()];
+      std::lock_guard<std::mutex> Lock(D.Mu);
+      D.Q.push_back(T);
+    }
     wakeWorker();
   }
 

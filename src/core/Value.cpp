@@ -51,37 +51,6 @@ bool Value::truthy(const TypeContext &Types) const {
   }
 }
 
-std::string Value::str(const TypeContext &Types,
-                       const StringInterner &Interner) const {
-  switch (K) {
-  case Kind::Empty:
-    return MissingReturn ? "<missing return value>" : "<void>";
-  case Kind::Int:
-    return strFormat("%lld : %s", (long long)asSigned(Types),
-                     Types.typeName(QualType(Ty), Interner).c_str());
-  case Kind::Float:
-    return strFormat("%g : %s", F,
-                     Types.typeName(QualType(Ty), Interner).c_str());
-  case Kind::Pointer:
-    if (Ptr.isNull())
-      return "NULL : " + Types.typeName(QualType(Ty), Interner);
-    if (Ptr.FromInteger)
-      return strFormat("int(%llu) : %s", (unsigned long long)Ptr.RawInt,
-                       Types.typeName(QualType(Ty), Interner).c_str());
-    return strFormat("sym(%u)+%lld : %s", Ptr.Base, (long long)Ptr.Offset,
-                     Types.typeName(QualType(Ty), Interner).c_str());
-  case Kind::LVal:
-    return strFormat("[sym(%u)+%lld] : %s", Ptr.Base, (long long)Ptr.Offset,
-                     Types.typeName(lvalueType(), Interner).c_str());
-  case Kind::Opaque:
-    return "<opaque byte>";
-  case Kind::Agg:
-    return strFormat("<aggregate of %zu bytes> : %s", AggBytes.size(),
-                     Types.typeName(QualType(Ty), Interner).c_str());
-  }
-  return "<?>";
-}
-
 /// Performs a signed operation in __int128 and reports overflow against
 /// the result type's range.
 static ArithOutcome signedOp(BinaryOp Op, int64_t A, int64_t B,

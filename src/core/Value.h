@@ -124,10 +124,6 @@ public:
   /// Scalar truth value (for conditions). Opaque/Empty have none; the
   /// caller must have checked.
   bool truthy(const TypeContext &Types) const;
-
-  /// Debug rendering ("42 : int", "sym(3)+0 : int *").
-  std::string str(const TypeContext &Types,
-                  const StringInterner &Interner) const;
 };
 
 /// Result of an arithmetic step, carrying the undefined conditions the

@@ -101,11 +101,6 @@ size_t JobHandle::id() const {
   return State->Id;
 }
 
-const std::string &JobHandle::name() const {
-  assert(State);
-  return State->Name;
-}
-
 bool JobHandle::done() const {
   assert(State);
   std::lock_guard<std::mutex> Lock(State->Mu);

@@ -258,7 +258,6 @@ public:
   bool valid() const { return State != nullptr; }
   /// Engine-wide job id (matches EngineJobInfo::Job).
   size_t id() const;
-  const std::string &name() const;
   /// True once the outcome is final (never blocks).
   bool done() const;
   /// Blocks until the job completed; the reference stays valid while

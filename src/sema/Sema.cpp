@@ -15,6 +15,166 @@ std::string Sema::currentFunctionName() const {
   return CurFn ? Ctx.Interner.str(CurFn->Name) : "<file scope>";
 }
 
+//===----------------------------------------------------------------------===//
+// Order-free operand lists (Expr::OrderFree): one bottom-up pass
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// What evaluating a subtree can do beyond reading memory.
+struct OperandEffects {
+  /// Changes state another operand can observe: memory, locsWrittenTo
+  /// (a sequence point clears it), or anything a call may do.
+  bool Writes = false;
+  /// May create a memory object on first evaluation, which takes the
+  /// next object id and address (Machine::functionObject/literalObject).
+  bool Creates = false;
+};
+} // namespace
+
+/// Marks Expr::OrderFree on \p E and every operator below it.
+static OperandEffects classifyExpr(Expr *E) {
+  OperandEffects Fx;
+  if (!E)
+    return Fx;
+  unsigned Creators = 0;
+  auto Operand = [&](Expr *Sub) {
+    OperandEffects S = classifyExpr(Sub);
+    Fx.Writes |= S.Writes;
+    Fx.Creates |= S.Creates;
+    Creators += S.Creates;
+  };
+  bool IsList = false; // two or more operands in an unspecified order
+  bool Writes = false; // E's own effect, beyond its operands'
+  switch (E->Kind) {
+  case ExprKind::IntLit:
+  case ExprKind::FloatLit:
+  case ExprKind::Sizeof: // its operand is not evaluated
+    break;
+  case ExprKind::StringLit:
+    Fx.Creates = true;
+    break;
+  case ExprKind::DeclRef:
+    Fx.Creates = static_cast<DeclRefExpr *>(E)->Fn != nullptr;
+    break;
+  case ExprKind::Unary: {
+    auto *U = static_cast<UnaryExpr *>(E);
+    Operand(U->Sub);
+    Writes = U->Op == UnaryOp::PreInc || U->Op == UnaryOp::PreDec ||
+             U->Op == UnaryOp::PostInc || U->Op == UnaryOp::PostDec;
+    break;
+  }
+  case ExprKind::Binary: {
+    auto *B = static_cast<BinaryExpr *>(E);
+    Operand(B->Lhs);
+    Operand(B->Rhs);
+    // &&, || and the comma operator are sequence points.
+    Writes = B->Op == BinaryOp::LogAnd || B->Op == BinaryOp::LogOr ||
+             B->Op == BinaryOp::Comma;
+    IsList = !Writes;
+    break;
+  }
+  case ExprKind::Assign:
+    Operand(static_cast<AssignExpr *>(E)->Lhs);
+    Operand(static_cast<AssignExpr *>(E)->Rhs);
+    IsList = Writes = true;
+    break;
+  case ExprKind::Cond: // a sequence point
+    Operand(static_cast<CondExpr *>(E)->Cond);
+    Operand(static_cast<CondExpr *>(E)->Then);
+    Operand(static_cast<CondExpr *>(E)->Else);
+    Writes = true;
+    break;
+  case ExprKind::Cast:
+    Operand(static_cast<CastExpr *>(E)->Sub);
+    break;
+  case ExprKind::ImplicitCast:
+    Operand(static_cast<ImplicitCastExpr *>(E)->Sub);
+    break;
+  case ExprKind::Call:
+    Operand(static_cast<CallExpr *>(E)->Callee);
+    for (Expr *Arg : static_cast<CallExpr *>(E)->Args)
+      Operand(Arg);
+    IsList = !static_cast<CallExpr *>(E)->Args.empty();
+    Writes = true;
+    break;
+  case ExprKind::Member:
+    Operand(static_cast<MemberExpr *>(E)->Base);
+    break;
+  case ExprKind::Index:
+    Operand(static_cast<IndexExpr *>(E)->Base);
+    Operand(static_cast<IndexExpr *>(E)->Index);
+    IsList = true;
+    break;
+  case ExprKind::InitList:
+    for (Expr *Init : static_cast<InitListExpr *>(E)->Inits)
+      Operand(Init);
+    Writes = true;
+    break;
+  }
+  // Two creators would take ids and addresses in an order-dependent way.
+  E->OrderFree = IsList && !Fx.Writes && Creators <= 1;
+  // Accessing a volatile object is a side effect (C11 5.1.2.3p2).
+  Fx.Writes |= Writes || (E->isLValue() && E->Ty.isVolatile());
+  return Fx;
+}
+
+static void classifyStmt(Stmt *S) {
+  if (!S)
+    return;
+  switch (S->Kind) {
+  case StmtKind::Compound:
+    for (Stmt *Sub : static_cast<CompoundStmt *>(S)->Body)
+      classifyStmt(Sub);
+    return;
+  case StmtKind::Decl:
+    for (VarDecl *V : static_cast<DeclStmt *>(S)->Decls)
+      classifyExpr(V->Init);
+    return;
+  case StmtKind::Expr:
+    classifyExpr(static_cast<ExprStmt *>(S)->E);
+    return;
+  case StmtKind::If:
+    classifyExpr(static_cast<IfStmt *>(S)->Cond);
+    classifyStmt(static_cast<IfStmt *>(S)->Then);
+    classifyStmt(static_cast<IfStmt *>(S)->Else);
+    return;
+  case StmtKind::While:
+    classifyExpr(static_cast<WhileStmt *>(S)->Cond);
+    classifyStmt(static_cast<WhileStmt *>(S)->Body);
+    return;
+  case StmtKind::Do:
+    classifyExpr(static_cast<DoStmt *>(S)->Cond);
+    classifyStmt(static_cast<DoStmt *>(S)->Body);
+    return;
+  case StmtKind::For:
+    classifyStmt(static_cast<ForStmt *>(S)->Init);
+    classifyExpr(static_cast<ForStmt *>(S)->Cond);
+    classifyExpr(static_cast<ForStmt *>(S)->Inc);
+    classifyStmt(static_cast<ForStmt *>(S)->Body);
+    return;
+  case StmtKind::Switch:
+    classifyExpr(static_cast<SwitchStmt *>(S)->Cond);
+    classifyStmt(static_cast<SwitchStmt *>(S)->Body);
+    return;
+  case StmtKind::Case: // the label's value is a constant, never run
+    classifyStmt(static_cast<CaseStmt *>(S)->Sub);
+    return;
+  case StmtKind::Default:
+    classifyStmt(static_cast<DefaultStmt *>(S)->Sub);
+    return;
+  case StmtKind::Label:
+    classifyStmt(static_cast<LabelStmt *>(S)->Sub);
+    return;
+  case StmtKind::Return:
+    classifyExpr(static_cast<ReturnStmt *>(S)->Value);
+    return;
+  case StmtKind::Break:
+  case StmtKind::Continue:
+  case StmtKind::Goto:
+    return;
+  }
+}
+
 bool Sema::run() {
   for (VarDecl *Global : Ctx.TU.Globals) {
     CurFn = nullptr;
@@ -29,6 +189,10 @@ bool Sema::run() {
     if (F->Body)
       checkFunction(F);
   }
+  for (VarDecl *Global : Ctx.TU.Globals)
+    classifyExpr(Global->Init);
+  for (FunctionDecl *F : Ctx.TU.Functions)
+    classifyStmt(F->Body);
   return !Diags.hasErrors();
 }
 

@@ -6,7 +6,6 @@
 
 #include "sema/Sema.h"
 
-#include "ast/AstPrinter.h"
 #include "sema/ConstEval.h"
 #include "support/Strings.h"
 

@@ -136,11 +136,6 @@ CustomScores cundef::scoreCustom(Tool &T, const std::vector<TestCase> &Tests) {
   return aggregateCustom(Tests, Verdicts);
 }
 
-CustomScores cundef::scoreCustomBatched(const AnalysisRequest &Req,
-                                        const std::vector<TestCase> &Tests) {
-  return aggregateCustom(Tests, batchedVerdicts(Req, Tests));
-}
-
 DesktopScores
 cundef::scoreDesktopBatched(const AnalysisRequest &Req,
                             const std::vector<DesktopCase> &Cases) {

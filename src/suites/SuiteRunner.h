@@ -70,8 +70,6 @@ CustomScores scoreCustom(Tool &T, const std::vector<TestCase> &Tests);
 /// pool, so concurrent tests' times overlap).
 JulietScores scoreJulietBatched(const AnalysisRequest &Req,
                                 const std::vector<TestCase> &Tests);
-CustomScores scoreCustomBatched(const AnalysisRequest &Req,
-                                const std::vector<TestCase> &Tests);
 
 /// One desktop case's scored outcome against its manifest expectation.
 struct DesktopCaseScore {
@@ -111,7 +109,7 @@ struct DesktopScores {
 };
 
 /// Scores the desktop suite batched through one shared engine worker
-/// pool, exactly like scoreJulietBatched/scoreCustomBatched. Verdicts
+/// pool, exactly like scoreJulietBatched. Verdicts
 /// and reported codes are deterministic across scheduler kind and
 /// worker count (the determinism contract of core/Scheduler.h).
 DesktopScores scoreDesktopBatched(const AnalysisRequest &Req,

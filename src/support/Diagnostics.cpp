@@ -19,10 +19,6 @@ void DiagnosticEngine::warning(SourceLoc Loc, std::string Message) {
   Diags.push_back({DiagSeverity::Warning, Loc, std::move(Message)});
 }
 
-void DiagnosticEngine::note(SourceLoc Loc, std::string Message) {
-  Diags.push_back({DiagSeverity::Note, Loc, std::move(Message)});
-}
-
 void DiagnosticEngine::registerFile(uint32_t FileId, std::string Name) {
   if (FileNames.size() <= FileId)
     FileNames.resize(FileId + 1);
@@ -32,9 +28,8 @@ void DiagnosticEngine::registerFile(uint32_t FileId, std::string Name) {
 std::string DiagnosticEngine::render() const {
   std::string Out;
   for (const Diagnostic &D : Diags) {
-    const char *Sev = D.Severity == DiagSeverity::Error     ? "error"
-                      : D.Severity == DiagSeverity::Warning ? "warning"
-                                                            : "note";
+    const char *Sev =
+        D.Severity == DiagSeverity::Error ? "error" : "warning";
     std::string File = "<unknown>";
     if (D.Loc.isValid() && D.Loc.File < FileNames.size() &&
         !FileNames[D.Loc.File].empty())

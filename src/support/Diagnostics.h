@@ -22,7 +22,7 @@
 
 namespace cundef {
 
-enum class DiagSeverity { Note, Warning, Error };
+enum class DiagSeverity { Warning, Error };
 
 /// One frontend diagnostic.
 struct Diagnostic {
@@ -37,7 +37,6 @@ class DiagnosticEngine {
 public:
   void error(SourceLoc Loc, std::string Message);
   void warning(SourceLoc Loc, std::string Message);
-  void note(SourceLoc Loc, std::string Message);
 
   bool hasErrors() const { return NumErrors != 0; }
   unsigned errorCount() const { return NumErrors; }

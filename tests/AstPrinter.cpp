@@ -1,14 +1,91 @@
-//===- ast/AstPrinter.cpp - AST dumping ------------------------------------===//
+//===- tests/AstPrinter.cpp - AST dumping for tests --------------------------===//
 //
 // Part of cundef, a semantics-based undefinedness checker for C.
 //
 //===----------------------------------------------------------------------===//
 
-#include "ast/AstPrinter.h"
+#include "AstPrinter.h"
 
 #include "support/Strings.h"
 
 using namespace cundef;
+
+static const char *unaryOpName(UnaryOp Op) {
+  switch (Op) {
+  case UnaryOp::Plus:    return "+";
+  case UnaryOp::Minus:   return "-";
+  case UnaryOp::BitNot:  return "~";
+  case UnaryOp::LogNot:  return "!";
+  case UnaryOp::Deref:   return "*";
+  case UnaryOp::AddrOf:  return "&";
+  case UnaryOp::PreInc:  return "++pre";
+  case UnaryOp::PreDec:  return "--pre";
+  case UnaryOp::PostInc: return "post++";
+  case UnaryOp::PostDec: return "post--";
+  }
+  return "?";
+}
+
+static const char *binaryOpName(BinaryOp Op) {
+  switch (Op) {
+  case BinaryOp::Mul:    return "*";
+  case BinaryOp::Div:    return "/";
+  case BinaryOp::Rem:    return "%";
+  case BinaryOp::Add:    return "+";
+  case BinaryOp::Sub:    return "-";
+  case BinaryOp::Shl:    return "<<";
+  case BinaryOp::Shr:    return ">>";
+  case BinaryOp::Lt:     return "<";
+  case BinaryOp::Gt:     return ">";
+  case BinaryOp::Le:     return "<=";
+  case BinaryOp::Ge:     return ">=";
+  case BinaryOp::Eq:     return "==";
+  case BinaryOp::Ne:     return "!=";
+  case BinaryOp::BitAnd: return "&";
+  case BinaryOp::BitXor: return "^";
+  case BinaryOp::BitOr:  return "|";
+  case BinaryOp::LogAnd: return "&&";
+  case BinaryOp::LogOr:  return "||";
+  case BinaryOp::Comma:  return ",";
+  }
+  return "?";
+}
+
+static const char *assignOpName(AssignOp Op) {
+  switch (Op) {
+  case AssignOp::Assign:    return "=";
+  case AssignOp::MulAssign: return "*=";
+  case AssignOp::DivAssign: return "/=";
+  case AssignOp::RemAssign: return "%=";
+  case AssignOp::AddAssign: return "+=";
+  case AssignOp::SubAssign: return "-=";
+  case AssignOp::ShlAssign: return "<<=";
+  case AssignOp::ShrAssign: return ">>=";
+  case AssignOp::AndAssign: return "&=";
+  case AssignOp::XorAssign: return "^=";
+  case AssignOp::OrAssign:  return "|=";
+  }
+  return "?";
+}
+
+static const char *castKindName(CastKind CK) {
+  switch (CK) {
+  case CastKind::LValueToRValue: return "lvalue-to-rvalue";
+  case CastKind::ArrayDecay:     return "array-decay";
+  case CastKind::FunctionDecay:  return "function-decay";
+  case CastKind::IntegralCast:   return "integral-cast";
+  case CastKind::IntToFloat:     return "int-to-float";
+  case CastKind::FloatToInt:     return "float-to-int";
+  case CastKind::FloatCast:      return "float-cast";
+  case CastKind::IntToPointer:   return "int-to-pointer";
+  case CastKind::PointerToInt:   return "pointer-to-int";
+  case CastKind::PointerCast:    return "pointer-cast";
+  case CastKind::NullToPointer:  return "null-to-pointer";
+  case CastKind::ToBool:         return "to-bool";
+  case CastKind::ToVoid:         return "to-void";
+  }
+  return "?";
+}
 
 static std::string indentStr(int Indent) {
   return std::string(static_cast<size_t>(Indent) * 2, ' ');
@@ -17,12 +94,6 @@ static std::string indentStr(int Indent) {
 std::string AstPrinter::print(const Expr *E) const {
   std::string Out;
   printExpr(E, Out, 0);
-  return Out;
-}
-
-std::string AstPrinter::print(const Stmt *S) const {
-  std::string Out;
-  printStmt(S, Out, 0);
   return Out;
 }
 
@@ -35,15 +106,6 @@ std::string AstPrinter::print(const FunctionDecl *F) const {
   Out += "\n";
   printStmt(F->Body, Out, 1);
   Out += ")\n";
-  return Out;
-}
-
-std::string AstPrinter::print(const TranslationUnit &TU) const {
-  std::string Out;
-  for (const VarDecl *G : TU.Globals)
-    Out += strFormat("(global %s)\n", Ctx.Interner.str(G->Name).c_str());
-  for (const FunctionDecl *F : TU.Functions)
-    Out += print(F);
   return Out;
 }
 

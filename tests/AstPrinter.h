@@ -1,4 +1,4 @@
-//===- ast/AstPrinter.h - AST dumping --------------------------*- C++ -*-===//
+//===- tests/AstPrinter.h - AST dumping for tests --------------*- C++ -*-===//
 //
 // Part of cundef, a semantics-based undefinedness checker for C.
 //
@@ -10,8 +10,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef CUNDEF_AST_ASTPRINTER_H
-#define CUNDEF_AST_ASTPRINTER_H
+#ifndef CUNDEF_TESTS_ASTPRINTER_H
+#define CUNDEF_TESTS_ASTPRINTER_H
 
 #include "ast/Ast.h"
 
@@ -19,21 +19,13 @@
 
 namespace cundef {
 
-const char *unaryOpName(UnaryOp Op);
-const char *binaryOpName(BinaryOp Op);
-const char *assignOpName(AssignOp Op);
-const char *castKindName(CastKind CK);
-BinaryOp compoundOpOf(AssignOp Op);
-
 /// Pretty-prints AST subtrees.
 class AstPrinter {
 public:
   explicit AstPrinter(const AstContext &Ctx) : Ctx(Ctx) {}
 
   std::string print(const Expr *E) const;
-  std::string print(const Stmt *S) const;
   std::string print(const FunctionDecl *F) const;
-  std::string print(const TranslationUnit &TU) const;
 
 private:
   void printExpr(const Expr *E, std::string &Out, int Indent) const;
@@ -44,4 +36,4 @@ private:
 
 } // namespace cundef
 
-#endif // CUNDEF_AST_ASTPRINTER_H
+#endif // CUNDEF_TESTS_ASTPRINTER_H

@@ -9,7 +9,7 @@
 
 #include "TestUtil.h"
 
-#include "ast/AstPrinter.h"
+#include "AstPrinter.h"
 #include "core/EvalOrder.h"
 #include "core/Machine.h"
 #include "driver/ToolRunner.h"

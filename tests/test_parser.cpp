@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ast/AstPrinter.h"
+#include "AstPrinter.h"
 #include "libc/Headers.h"
 #include "parse/Parser.h"
 #include "text/Preprocessor.h"

@@ -356,6 +356,27 @@ TEST(ForkSearch, TruncationIsReported) {
   EXPECT_GT(O.SearchDropped, 0u);
 }
 
+TEST(ForkSearch, DeepTreesFinishWithinBudget) {
+  // Each line `t += g(i) + g(j)` of the deep tree has two real choice
+  // points: the sum of the two calls, and the compound assignment around
+  // it. The lists inside g, and each call's callee and argument, are
+  // order-free and forced. At budget 512 the 10-, 14- and 18-pair trees used to be
+  // truncated; they now finish in 6 runs per pair, less 2.
+  for (unsigned Pairs : {10u, 14u, 18u}) {
+    Driver Drv;
+    Driver::Compiled C =
+        Drv.compile(cundef_bench::deepTreeProgram(Pairs, 512), "tree.c");
+    ASSERT_TRUE(C->ok()) << C->errors();
+    SearchOptions SO;
+    SO.MaxRuns = 512;
+    SearchResult R = searchWith(C, SO);
+    EXPECT_FALSE(R.UbFound) << Pairs;
+    EXPECT_FALSE(R.FrontierTruncated) << Pairs;
+    EXPECT_EQ(R.DroppedSubtrees, 0u) << Pairs;
+    EXPECT_EQ(R.RunsExplored, 6 * Pairs - 2) << Pairs;
+  }
+}
+
 TEST(ForkSearch, WitnessReplaysOutsideTheEngine) {
   // A witness found by the fork engine must reproduce on a plain
   // machine via setReplayDecisions — forks never leak into the
@@ -383,11 +404,13 @@ TEST(ForkSearch, AllocationsPerRunStayBounded) {
   // Copying a configuration (every snapshot capture, every fork) costs
   // one allocation per cell, not one per memory object or rule; the
   // rule chains are built once per process. One warmed-up search of the
-  // 10x512 deep tree at budget 512 on one worker, with no snapshot
-  // evicted, must stay within 100 allocations per executed run.
+  // 90x512 deep tree at budget 512 on one worker, with no snapshot
+  // evicted, must stay within 100 allocations per executed run. Its 180
+  // real choice points need 538 runs to exhaust, so the budget binds
+  // and every run after the first is a fork.
   Driver Drv;
   Driver::Compiled C =
-      Drv.compile(cundef_bench::deepTreeProgram(10, 512), "alloc.c");
+      Drv.compile(cundef_bench::deepTreeProgram(90, 512), "alloc.c");
   ASSERT_TRUE(C->ok()) << C->errors();
   SearchOptions SO;
   SO.MaxRuns = 512;

@@ -19,6 +19,40 @@ bool compiles(const std::string &Source, std::string *Errors = nullptr) {
   return C->ok();
 }
 
+/// Types \p Expr as an expression statement and returns whether Sema
+/// marked the operator at its top order-free.
+bool orderFree(const std::string &Expr) {
+  Driver Drv;
+  Driver::Compiled C = Drv.compile(
+      "#include <stdio.h>\n"
+      "int i, j, n, x, y, b; int *a; struct S { int m; } s;\n"
+      "volatile int v;\n"
+      "int f(int p, int q); int g(void); int h(void);\n"
+      "void t(void) { " + Expr + "; }\n",
+      "order.c");
+  EXPECT_TRUE(C->ok()) << C->errors();
+  const AstContext &Ast = C->ast();
+  const FunctionDecl *T = Ast.TU.findFunction(Ast.Interner.lookup("t"));
+  if (!T || !T->Body || T->Body->Body.empty()) {
+    ADD_FAILURE() << "no body for t() around " << Expr;
+    return false;
+  }
+  return cast<ExprStmt>(T->Body->Body[0])->E->OrderFree;
+}
+
+TEST(Sema, OrderFreeOperandLists) {
+  // Forced: no operand writes, at most one creates an object lazily.
+  for (const char *Forced :
+       {"i < n", "a[i]", "x + 1", "f(i, j)", "s.m + 1", "x = y"})
+    EXPECT_TRUE(orderFree(Forced)) << Forced;
+  // Choice points: a call, a write, a sequence point, a volatile
+  // access, or two lazy creators (printf's designator and the literal).
+  for (const char *Branches :
+       {"g() + h()", "x++ + y", "(0, x) + y", "(a && b) + y",
+        "(i ? j : n) + y", "v + x", "printf(\"%d\", x)", "x = y++"})
+    EXPECT_FALSE(orderFree(Branches)) << Branches;
+}
+
 TEST(Sema, RejectsPointerArithOnNonPointers) {
   EXPECT_FALSE(compiles("struct s { int v; };\n"
                         "int main(void) { struct s a; struct s b;"

@@ -607,15 +607,15 @@ TEST(ServeDaemonTest, OverloadedSubmitsRejectedStructurally) {
   if (HasFatalFailure())
     return;
 
-  // Job 1 is slow (deep tree, generous budget, one worker); submits
-  // 2..5 arrive while it is in flight and the per-client bound is 1,
-  // so all four are rejected deterministically.
+  // Job 1 is slow (a 200-pair deep tree fills its 1024-run budget, one
+  // worker); submits 2..5 arrive while it is in flight and the
+  // per-client bound is 1, so all four are rejected deterministically.
   const AnalysisRequest Slow = defaultRequest(1024);
   RemoteClient Client;
   std::string Err;
   ASSERT_TRUE(Client.connect(D.endpoint(), Err)) << Err;
   ASSERT_TRUE(Client.send(submitFrame(1, "slow.c",
-                                      cundef_bench::deepTreeProgram(12, 128),
+                                      cundef_bench::deepTreeProgram(200, 128),
                                       Slow),
                           Err))
       << Err;
@@ -668,7 +668,7 @@ TEST(ServeDaemonTest, QueueDepthBoundsAcrossClients) {
   ASSERT_TRUE(A.connect(D.endpoint(), Err)) << Err;
   ASSERT_TRUE(B.connect(D.endpoint(), Err)) << Err;
   ASSERT_TRUE(A.send(submitFrame(1, "slow.c",
-                                 cundef_bench::deepTreeProgram(12, 128), Slow),
+                                 cundef_bench::deepTreeProgram(200, 128), Slow),
                      Err))
       << Err;
   // A's job must be admitted before B's arrives for the rejection to

@@ -115,4 +115,78 @@ TEST(UbSequence, OrderSearchRequiredForOneDirection) {
            UbKind::DivisionByZero, /*SearchRuns=*/16);
 }
 
+/// Expects the order search alone to find an unsequenced access: the
+/// static passes are off, as with kcc --no-static.
+void expectSearchFindsUnsequenced(const std::string &Source) {
+  Driver Drv(AnalysisRequest::Builder()
+                 .searchRuns(64)
+                 .staticChecks(false)
+                 .buildOrDie());
+  DriverOutcome O = Drv.runSource(Source, "seq.c");
+  ASSERT_TRUE(O.CompileOk) << O.CompileErrors << "\nsource:\n" << Source;
+  EXPECT_TRUE(O.StaticUb.empty()) << Source;
+  ASSERT_FALSE(O.DynamicUb.empty()) << "clean\nsource:\n" << Source;
+  EXPECT_EQ(ubCode(O.DynamicUb.front().Kind),
+            ubCode(UbKind::UnsequencedSideEffect))
+      << Source;
+}
+
+// A sequence point inside an operand clears locsWrittenTo, so an
+// operand list that contains one is a choice point even though nothing
+// in it writes memory. In each program below the read through p hits
+// the pending write to x only when the inner list runs `*p` first: the
+// witness is 0 0 0 1, whose last decision flips that inner list.
+
+TEST(UbSequence, AliasedReadAfterCommaNeedsTheInnerFlip) {
+  expectSearchFindsUnsequenced(
+      "int x;\n"
+      "int main(void) { int *p = &x;\n"
+      "  int y = (x = 1) + ((0, 0) + *p); return y; }\n");
+}
+
+TEST(UbSequence, AliasedReadAfterLogicalAndNeedsTheInnerFlip) {
+  expectSearchFindsUnsequenced(
+      "int x;\n"
+      "int main(void) { int *p = &x;\n"
+      "  int y = (x = 1) + ((1 && 1) + *p); return y; }\n");
+}
+
+TEST(UbSequence, AliasedReadAfterConditionalNeedsTheInnerFlip) {
+  expectSearchFindsUnsequenced(
+      "int x;\n"
+      "int main(void) { int *p = &x;\n"
+      "  int y = (x = 1) + ((0 ? 0 : 0) + *p); return y; }\n");
+}
+
+TEST(UbSequence, VolatileAliasedReadNeedsTheInnerFlip) {
+  expectSearchFindsUnsequenced(
+      "volatile int x;\n"
+      "int main(void) { volatile int *p = &x;\n"
+      "  int y = (x = 1) + ((0, 0) + *p); return y; }\n");
+}
+
+TEST(UbSequence, ForcedListFollowsTheOrderPolicy) {
+  // `*p + 1 / z` is order-free, so it is one forced decision, but it is
+  // still evaluated in the policy's order: left to right dereferences
+  // null first, right to left divides by zero first. The search reports
+  // the code its first run hits.
+  const char *Source = "int main(void) { int *p = 0; int z = 0;\n"
+                       "  return *p + 1 / z; }\n";
+  const std::pair<EvalOrderKind, UbKind> Expected[] = {
+      {EvalOrderKind::LeftToRight, UbKind::DerefNullPointer},
+      {EvalOrderKind::RightToLeft, UbKind::DivisionByZero}};
+  for (const auto &[Order, Kind] : Expected) {
+    for (unsigned Runs : {1u, 64u}) {
+      Driver Drv(AnalysisRequest::Builder()
+                     .order(Order)
+                     .searchRuns(Runs)
+                     .staticChecks(false)
+                     .buildOrDie());
+      DriverOutcome O = Drv.runSource(Source, "order.c");
+      ASSERT_FALSE(O.DynamicUb.empty()) << Runs;
+      EXPECT_EQ(ubCode(O.DynamicUb.front().Kind), ubCode(Kind)) << Runs;
+    }
+  }
+}
+
 } // namespace
