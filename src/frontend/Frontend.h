@@ -57,8 +57,8 @@ uint64_t targetConfigFingerprint(const TargetConfig &Target);
 
 /// The content address compileTranslationUnit would compile \p Source
 /// under. \p HeadersFingerprint comes from
-/// HeaderRegistry::fingerprint() — callers hash the registry once per
-/// submission, not once per key component.
+/// HeaderRegistry::fingerprint(), which the registry memoizes until a
+/// header changes.
 TranslationKey translationKeyFor(const FrontendOptions &Opts,
                                  const std::string &Source,
                                  const std::string &Name,

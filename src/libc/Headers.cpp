@@ -8,10 +8,12 @@
 
 using namespace cundef;
 
-// The sizes below match the default LP64 TargetConfig. (Programs under
-// analysis that run with another configuration use the same headers;
-// size_t only participates through sizeof-compatible arithmetic in the
-// test corpora, so the mismatch is benign and documented in DESIGN.md.)
+// The sizes and limits below are those of the default LP64 TargetConfig,
+// and every target includes these same headers. Under --target=ilp32 or
+// --target=wideint they contradict the machine's type widths, and
+// verdicts change: with 8-byte ints (wideint) `INT_MAX + 1` no longer
+// overflows, and under ilp32 `(long)LONG_MAX` is -1 because the macro is
+// a `long long` constant there.
 
 static const char StddefH[] = R"(
 #ifndef _CUNDEF_STDDEF_H

@@ -319,7 +319,7 @@ const Type *Parser::parseEnumSpecifier() {
       synchronize();
       break;
     }
-    Token Name = take();
+    const Token &Name = take();
     int64_t Value = NextValue;
     if (consume(TokenKind::Equal))
       Value = parseConstIntExpr("enumerator value", NextValue);

@@ -243,7 +243,7 @@ Expr *Parser::parsePrimary() {
   SourceLoc Loc = loc();
   switch (peek().Kind) {
   case TokenKind::IntLiteral: {
-    Token Tok = take();
+    const Token &Tok = take();
     DecodedInt D = decodeIntLiteral(Tok.Text);
     if (!D.Valid || D.Overflowed)
       Diags.error(Loc, strFormat("invalid integer constant '%s'",
@@ -279,13 +279,13 @@ Expr *Parser::parsePrimary() {
     return makeIntLit(Loc, D.Value, Ty);
   }
   case TokenKind::CharLiteral: {
-    Token Tok = take();
+    const Token &Tok = take();
     DecodedInt D = decodeIntLiteral(Tok.Text);
     // Character constants have type int (C11 6.4.4.4p10).
     return makeIntLit(Loc, D.Value, Ctx.Types.intTy());
   }
   case TokenKind::FloatLiteral: {
-    Token Tok = take();
+    const Token &Tok = take();
     DecodedFloat D = decodeFloatLiteral(Tok.Text);
     if (!D.Valid)
       Diags.error(Loc, strFormat("invalid floating constant '%s'",
@@ -295,7 +295,7 @@ Expr *Parser::parsePrimary() {
     return E;
   }
   case TokenKind::StringLiteral: {
-    Token Tok = take();
+    const Token &Tok = take();
     std::string Bytes = Tok.Text;
     // Adjacent string literals concatenate (C11 6.4.5p5).
     while (at(TokenKind::StringLiteral))
@@ -309,7 +309,7 @@ Expr *Parser::parsePrimary() {
     return E;
   }
   case TokenKind::Identifier: {
-    Token Tok = take();
+    const Token &Tok = take();
     if (const int64_t *EnumVal = lookupEnumConst(Tok.Sym))
       return makeIntLit(Loc, static_cast<uint64_t>(*EnumVal),
                         Ctx.Types.intTy());

@@ -25,8 +25,8 @@ const Token &Parser::peek(int Ahead) const {
   return Toks[Idx];
 }
 
-Token Parser::take() {
-  Token T = peek();
+const Token &Parser::take() {
+  const Token &T = peek();
   if (Pos + 1 < Toks.size())
     ++Pos;
   return T;

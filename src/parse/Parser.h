@@ -36,7 +36,9 @@ public:
 private:
   //===--- Token stream -------------------------------------------------===//
   const Token &peek(int Ahead = 0) const;
-  Token take();
+  /// Returns the current token and advances. The reference stays valid
+  /// for the parser's lifetime: the token vector never changes.
+  const Token &take();
   bool at(TokenKind Kind) const { return peek().Kind == Kind; }
   bool consume(TokenKind Kind);
   /// Consumes \p Kind or reports "expected X in CONTEXT" and returns

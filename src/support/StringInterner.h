@@ -36,13 +36,11 @@ public:
 
   /// Returns the symbol for \p Text, interning it on first sight.
   Symbol intern(const std::string &Text) {
-    auto It = Index.find(Text);
-    if (It != Index.end())
-      return It->second;
-    Symbol Sym = static_cast<Symbol>(Strings.size());
-    Strings.push_back(Text);
-    Index.emplace(Text, Sym);
-    return Sym;
+    auto [It, Inserted] =
+        Index.try_emplace(Text, static_cast<Symbol>(Strings.size()));
+    if (Inserted)
+      Strings.push_back(Text);
+    return It->second;
   }
 
   /// Returns the symbol for \p Text if already interned, NoSymbol else.

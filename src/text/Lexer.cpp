@@ -206,13 +206,13 @@ Token Lexer::next() {
 }
 
 Token Lexer::lexIdentifier(SourceLoc Loc) {
-  std::string Name;
+  const size_t Start = Pos;
   while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
                       peek() == '_'))
-    Name += advance();
+    ++Pos;
+  Col += static_cast<uint32_t>(Pos - Start); // no newline inside a name
   Token Tok = makeToken(TokenKind::Identifier, Loc);
-  Tok.Sym = Interner.intern(Name);
-  Tok.Text = std::move(Name);
+  Tok.Sym = Interner.intern(Buf.substr(Start, Pos - Start));
   return Tok;
 }
 

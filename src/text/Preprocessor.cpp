@@ -10,6 +10,7 @@
 #include "text/Lexer.h"
 #include "text/Numbers.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 
@@ -200,6 +201,24 @@ bool Preprocessor::isDefined(const std::string &Name) const {
   return Sym != NoSymbol && Macros.count(Sym) != 0;
 }
 
+const LexedHeader *HeaderRegistry::lexed(const std::string &Name) const {
+  auto It = Files.find(Name);
+  if (It == Files.end())
+    return nullptr;
+  const Entry &E = It->second;
+  std::lock_guard<std::mutex> Lock(Mu);
+  if (!E.Lexed) {
+    auto Form = std::make_unique<LexedHeader>();
+    DiagnosticEngine LexDiags;
+    Lexer Lex(E.Content, /*FileId=*/0, Form->Spellings, LexDiags);
+    for (Token T = Lex.next(); T.isNot(TokenKind::Eof); T = Lex.next())
+      Form->Tokens.push_back(std::move(T));
+    Form->Diags = LexDiags.all();
+    E.Lexed = std::move(Form);
+  }
+  return E.Lexed.get();
+}
+
 uint32_t Preprocessor::lexBuffer(const std::string &Source,
                                  const std::string &Name,
                                  std::vector<Token> &Out) {
@@ -211,13 +230,40 @@ uint32_t Preprocessor::lexBuffer(const std::string &Source,
   return FileId;
 }
 
+std::vector<Token> Preprocessor::copyHeader(const LexedHeader &Header,
+                                            const std::string &Name) {
+  uint32_t FileId = NextFileId++;
+  Diags.registerFile(FileId, Name);
+  std::vector<Symbol> Syms(Header.Spellings.size(), NoSymbol);
+  for (Symbol S = 1; S < Syms.size(); ++S)
+    Syms[S] = Interner.intern(Header.Spellings.str(S));
+  for (const Diagnostic &D : Header.Diags) {
+    SourceLoc Loc(FileId, D.Loc.Line, D.Loc.Col);
+    if (D.Severity == DiagSeverity::Error)
+      Diags.error(Loc, D.Message);
+    else
+      Diags.warning(Loc, D.Message);
+  }
+  std::vector<Token> Toks(Header.Tokens);
+  for (Token &T : Toks) {
+    T.Loc.File = FileId;
+    if (T.is(TokenKind::Identifier))
+      T.Sym = Syms[T.Sym];
+  }
+  return Toks;
+}
+
 std::vector<Token> Preprocessor::run(const std::string &Source,
                                      const std::string &FileName) {
   std::vector<Token> Raw;
   uint32_t FileId = lexBuffer(Source, FileName, Raw);
   CurrentFileName = FileName;
   std::vector<Token> Out;
-  processTokens(Raw, Out, /*IncludeDepth=*/0);
+  try {
+    processTokens(Raw, Out, /*IncludeDepth=*/0);
+  } catch (const ExpansionLimitExceeded &) {
+    // Reported where it was hit; the unit is abandoned.
+  }
   promoteKeywords(Out);
   Token Eof;
   Eof.Kind = TokenKind::Eof;
@@ -239,25 +285,19 @@ size_t Preprocessor::lineEnd(const std::vector<Token> &Toks,
 
 void Preprocessor::processTokens(const std::vector<Token> &Toks,
                                  std::vector<Token> &Out, int IncludeDepth) {
+  std::vector<Symbol> Hidden;
+  size_t Run = 0; // ordinary tokens [Run, I) await expansion
   size_t I = 0;
-  std::vector<Token> Run; // ordinary tokens awaiting expansion
-  auto FlushRun = [&] {
-    if (Run.empty())
-      return;
-    expandInto(Run, {}, Out);
-    Run.clear();
-  };
   while (I < Toks.size()) {
     const Token &T = Toks[I];
     if (T.is(TokenKind::Hash) && T.AtLineStart) {
-      FlushRun();
-      I = processDirective(Toks, I, Out, IncludeDepth);
+      expandInto(Toks.data() + Run, I - Run, Hidden, Out, 0);
+      Run = I = processDirective(Toks, I, Out, IncludeDepth);
       continue;
     }
-    Run.push_back(T);
     ++I;
   }
-  FlushRun();
+  expandInto(Toks.data() + Run, I - Run, Hidden, Out, 0);
 }
 
 size_t Preprocessor::skipConditionalGroup(const std::vector<Token> &Toks,
@@ -374,13 +414,12 @@ size_t Preprocessor::processDirective(const std::vector<Token> &Toks,
       Diags.error(Loc, "expected \"FILE\" or <FILE> after #include");
       return End;
     }
-    const std::string *Content = Headers.find(HeaderName);
-    if (!Content) {
+    const LexedHeader *Header = Headers.lexed(HeaderName);
+    if (!Header) {
       Diags.error(Loc, strFormat("header '%s' not found", HeaderName.c_str()));
       return End;
     }
-    std::vector<Token> HeaderToks;
-    lexBuffer(*Content, HeaderName, HeaderToks);
+    std::vector<Token> HeaderToks = copyHeader(*Header, HeaderName);
     std::string SavedName = CurrentFileName;
     CurrentFileName = HeaderName;
     processTokens(HeaderToks, Out, IncludeDepth + 1);
@@ -491,7 +530,8 @@ long long Preprocessor::evaluateCondition(std::vector<Token> Line,
     }
   }
   std::vector<Token> Expanded;
-  expandInto(Replaced, {}, Expanded);
+  std::vector<Symbol> Hidden;
+  expandInto(Replaced.data(), Replaced.size(), Hidden, Expanded, 0);
   CondParser Parser(Expanded, Diags, Loc);
   return Parser.parse();
 }
@@ -532,8 +572,8 @@ bool Preprocessor::relexPasted(const std::string &Text, SourceLoc Loc,
 
 std::vector<Token>
 Preprocessor::substitute(const MacroDef &Macro,
-                         const std::vector<std::vector<Token>> &Args,
-                         SourceLoc ExpansionLoc) {
+                         const std::vector<TokenRange> &Args,
+                         SourceLoc ExpansionLoc, unsigned Depth) {
   auto ParamIndex = [&](Symbol Sym) -> int {
     for (size_t I = 0; I < Macro.Params.size(); ++I)
       if (Macro.Params[I] == Sym)
@@ -573,7 +613,7 @@ Preprocessor::substitute(const MacroDef &Macro,
       std::vector<Token> Left;
       int Idx = T.is(TokenKind::Identifier) ? ParamIndex(T.Sym) : -1;
       if (Idx >= 0 && static_cast<size_t>(Idx) < Args.size())
-        Left = Args[Idx];
+        Left.assign(Args[Idx].begin(), Args[Idx].end());
       else
         Left.push_back(T);
       size_t J = I + 2;
@@ -586,7 +626,7 @@ Preprocessor::substitute(const MacroDef &Macro,
       int RIdx =
           RightTok.is(TokenKind::Identifier) ? ParamIndex(RightTok.Sym) : -1;
       if (RIdx >= 0 && static_cast<size_t>(RIdx) < Args.size())
-        Right = Args[RIdx];
+        Right.assign(Args[RIdx].begin(), Args[RIdx].end());
       else
         Right.push_back(RightTok);
       // Paste last-of-left with first-of-right.
@@ -613,8 +653,10 @@ Preprocessor::substitute(const MacroDef &Macro,
       int Idx = ParamIndex(T.Sym);
       if (Idx >= 0) {
         std::vector<Token> Expanded;
+        std::vector<Symbol> Hidden;
         if (static_cast<size_t>(Idx) < Args.size())
-          expandInto(Args[Idx], {}, Expanded);
+          expandInto(Args[Idx].First, Args[Idx].Size, Hidden, Expanded,
+                     Depth + 1);
         Result.insert(Result.end(), Expanded.begin(), Expanded.end());
         continue;
       }
@@ -626,10 +668,10 @@ Preprocessor::substitute(const MacroDef &Macro,
   return Result;
 }
 
-void Preprocessor::expandInto(const std::vector<Token> &In,
-                              std::set<Symbol> Hidden,
-                              std::vector<Token> &Out) {
-  for (size_t I = 0; I < In.size(); ++I) {
+void Preprocessor::expandInto(const Token *In, size_t N,
+                              std::vector<Symbol> &Hidden,
+                              std::vector<Token> &Out, unsigned Depth) {
+  for (size_t I = 0; I < N; ++I) {
     const Token &T = In[I];
     if (T.isNot(TokenKind::Identifier)) {
       Out.push_back(T);
@@ -653,49 +695,53 @@ void Preprocessor::expandInto(const std::vector<Token> &In,
       continue;
     }
     auto It = Macros.find(T.Sym);
-    if (It == Macros.end() || Hidden.count(T.Sym)) {
+    if (It == Macros.end() ||
+        std::find(Hidden.begin(), Hidden.end(), T.Sym) != Hidden.end()) {
       Out.push_back(T);
       continue;
     }
     const MacroDef &Macro = It->second;
-    if (!Macro.FunctionLike) {
-      std::set<Symbol> NewHidden = Hidden;
-      NewHidden.insert(T.Sym);
-      std::vector<Token> Subst = substitute(Macro, {}, T.Loc);
-      expandInto(Subst, NewHidden, Out);
-      continue;
-    }
     // Function-like: require '(' as the next token of this sequence.
-    if (I + 1 >= In.size() || In[I + 1].isNot(TokenKind::LParen)) {
+    if (Macro.FunctionLike &&
+        (I + 1 >= N || In[I + 1].isNot(TokenKind::LParen))) {
       Out.push_back(T);
       continue;
     }
-    // Parse arguments.
+    if (Depth == kMaxExpansionDepth) {
+      Diags.error(T.Loc, strFormat("macro expansion exceeds the "
+                                   "preprocessor's depth limit of %u",
+                                   kMaxExpansionDepth));
+      throw ExpansionLimitExceeded{};
+    }
+    if (!Macro.FunctionLike) {
+      std::vector<Token> Subst = substitute(Macro, {}, T.Loc, Depth);
+      Hidden.push_back(T.Sym);
+      expandInto(Subst.data(), Subst.size(), Hidden, Out, Depth + 1);
+      Hidden.pop_back();
+      continue;
+    }
+    // Parse arguments: each is a run of In.
     size_t J = I + 2;
-    std::vector<std::vector<Token>> Args;
-    std::vector<Token> Current;
-    int Depth = 0;
+    std::vector<TokenRange> Args;
+    size_t ArgStart = J;
+    int Parens = 0;
     bool Closed = false;
-    for (; J < In.size(); ++J) {
+    for (; J < N; ++J) {
       const Token &A = In[J];
       if (A.is(TokenKind::LParen)) {
-        ++Depth;
-        Current.push_back(A);
+        ++Parens;
       } else if (A.is(TokenKind::RParen)) {
-        if (Depth == 0) {
+        if (Parens == 0) {
           Closed = true;
           break;
         }
-        --Depth;
-        Current.push_back(A);
-      } else if (A.is(TokenKind::Comma) && Depth == 0 &&
+        --Parens;
+      } else if (A.is(TokenKind::Comma) && Parens == 0 &&
                  !(Macro.Variadic && Args.size() >= Macro.Params.size())) {
         // Commas inside __VA_ARGS__ (once the named parameters are
         // filled) belong to the argument; all others separate args.
-        Args.push_back(Current);
-        Current.clear();
-      } else {
-        Current.push_back(A);
+        Args.push_back({In + ArgStart, J - ArgStart});
+        ArgStart = J + 1;
       }
     }
     if (!Closed) {
@@ -703,15 +749,15 @@ void Preprocessor::expandInto(const std::vector<Token> &In,
       Out.push_back(T);
       continue;
     }
-    if (!Current.empty() || !Args.empty() || !Macro.Params.empty() ||
+    if (J > ArgStart || !Args.empty() || !Macro.Params.empty() ||
         Macro.Variadic)
-      Args.push_back(Current);
+      Args.push_back({In + ArgStart, J - ArgStart});
     if (Args.size() < Macro.Params.size())
       Args.resize(Macro.Params.size());
-    std::set<Symbol> NewHidden = Hidden;
-    NewHidden.insert(T.Sym);
-    std::vector<Token> Subst = substitute(Macro, Args, T.Loc);
-    expandInto(Subst, NewHidden, Out);
+    std::vector<Token> Subst = substitute(Macro, Args, T.Loc, Depth);
+    Hidden.push_back(T.Sym);
+    expandInto(Subst.data(), Subst.size(), Hidden, Out, Depth + 1);
+    Hidden.pop_back();
     I = J; // skip past ')'
   }
 }
@@ -736,11 +782,16 @@ void Preprocessor::promoteKeywords(std::vector<Token> &Toks) const {
       {"void", TokenKind::KwVoid},         {"volatile", TokenKind::KwVolatile},
       {"while", TokenKind::KwWhile},       {"_Bool", TokenKind::KwBool},
   };
+  // One table lookup per distinct symbol; Eof marks "not looked up".
+  std::vector<TokenKind> KindOf(Interner.size(), TokenKind::Eof);
   for (Token &T : Toks) {
     if (T.isNot(TokenKind::Identifier))
       continue;
-    auto It = Keywords.find(Interner.str(T.Sym));
-    if (It != Keywords.end())
-      T.Kind = It->second;
+    TokenKind &Kind = KindOf[T.Sym];
+    if (Kind == TokenKind::Eof) {
+      auto It = Keywords.find(Interner.str(T.Sym));
+      Kind = It == Keywords.end() ? TokenKind::Identifier : It->second;
+    }
+    T.Kind = Kind;
   }
 }

@@ -23,25 +23,49 @@
 #include "support/StringInterner.h"
 #include "text/Token.h"
 
+#include <atomic>
 #include <map>
-#include <set>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace cundef {
 
+/// A registered header, lexed once per registry. Every #include of it
+/// copies this form instead of lexing the text again.
+struct LexedHeader {
+  /// The raw tokens, with Loc.File 0. An identifier's Sym indexes
+  /// Spellings, not the interner of any compile.
+  std::vector<Token> Tokens;
+  /// The header's distinct identifier spellings, numbered in order of
+  /// first appearance. Interning them into a compile's interner in that
+  /// order numbers them exactly as lexing the text into it would.
+  StringInterner Spellings;
+  /// The lexer's diagnostics in the order it reported them, Loc.File 0.
+  std::vector<Diagnostic> Diags;
+};
+
 /// Maps header names to their contents. There is no real filesystem:
 /// every includable file is registered here (standard headers by
-/// libc/Headers.cpp, extra files by tests or callers).
+/// libc/Headers.cpp, extra files by tests or callers). Concurrent
+/// compiles may share one registry; add() must not run alongside them.
 class HeaderRegistry {
 public:
+  /// Registers or replaces header \p Name, dropping its lexed form and
+  /// the fingerprint memo.
   void add(std::string Name, std::string Content) {
-    Files[std::move(Name)] = std::move(Content);
+    Entry &E = Files[std::move(Name)];
+    E.Content = std::move(Content);
+    E.Lexed.reset();
+    FingerprintMemo.store(0, std::memory_order_relaxed);
   }
-  const std::string *find(const std::string &Name) const {
-    auto It = Files.find(Name);
-    return It == Files.end() ? nullptr : &It->second;
-  }
+
+  /// The lexed form of header \p Name, or null when none is registered.
+  /// The first request lexes the text under the registry's lock; the
+  /// form stays immutable until add() replaces the header.
+  const LexedHeader *lexed(const std::string &Name) const;
+
   size_t size() const { return Files.size(); }
 
   /// Content digest of the whole registry (every name and body, in the
@@ -49,21 +73,32 @@ public:
   /// its content address, so registering or editing a header — even
   /// after an engine started — invalidates every cached artifact that
   /// could have included it; a mutated registry can never silently
-  /// serve stale ASTs. Recomputed per call: registries are a few KB of
-  /// standard headers, noise next to one parse, and a cached value
-  /// would need its own synchronization story.
+  /// serve stale ASTs. Every submission asks for it, so the digest is
+  /// memoized until the next add() (a digest of 0 is just recomputed).
   uint64_t fingerprint() const {
+    uint64_t Fp = FingerprintMemo.load(std::memory_order_relaxed);
+    if (Fp != 0)
+      return Fp;
     Fnv1a H;
     H.u64(Files.size());
-    for (const auto &[Name, Content] : Files) {
+    for (const auto &[Name, E] : Files) {
       H.str(Name);
-      H.str(Content);
+      H.str(E.Content);
     }
-    return H.digest();
+    Fp = H.digest();
+    FingerprintMemo.store(Fp, std::memory_order_relaxed);
+    return Fp;
   }
 
 private:
-  std::map<std::string, std::string> Files;
+  struct Entry {
+    std::string Content;
+    /// Built by lexed() under Mu.
+    mutable std::unique_ptr<const LexedHeader> Lexed;
+  };
+  std::map<std::string, Entry> Files;
+  mutable std::mutex Mu;
+  mutable std::atomic<uint64_t> FingerprintMemo{0};
 };
 
 /// A macro definition.
@@ -91,11 +126,29 @@ public:
 
   bool isDefined(const std::string &Name) const;
 
+  /// Bound on nested macro expansions (a macro whose replacement or
+  /// argument expands another macro nests one level deeper), so a long
+  /// #define chain or a deeply nested invocation is a compile error
+  /// instead of a quadratic blow-up. C11 5.2.4.1 sets no minimum; real
+  /// code nests a handful of levels.
+  static constexpr unsigned kMaxExpansionDepth = 256;
+
 private:
+  /// Thrown past kMaxExpansionDepth (after reporting it) and caught by
+  /// run(), which abandons the unit.
+  struct ExpansionLimitExceeded {};
+
   /// Lexes a buffer into raw tokens and registers the file name.
   /// Returns the issued file id.
   uint32_t lexBuffer(const std::string &Source, const std::string &Name,
                      std::vector<Token> &Out);
+
+  /// The raw tokens of one #include of \p Header: a copy of its lexed
+  /// form under a fresh file id registered as \p Name, its spellings
+  /// interned into this compile's interner, and its lexer diagnostics
+  /// reported again.
+  std::vector<Token> copyHeader(const LexedHeader &Header,
+                                const std::string &Name);
 
   /// Processes a raw token vector: executes directives, expands macros,
   /// appends surviving tokens to \p Out.
@@ -122,15 +175,26 @@ private:
                                          size_t Idx, std::vector<Token> &Out,
                                          int IncludeDepth);
 
-  /// Macro expansion: expands \p In (whole run of ordinary tokens)
-  /// against the current macro table, with \p Hidden names disabled.
-  void expandInto(const std::vector<Token> &In, std::set<Symbol> Hidden,
-                  std::vector<Token> &Out);
+  /// Macro expansion: expands the \p N ordinary tokens at \p In against
+  /// the current macro table. \p Hidden lists the macros being expanded
+  /// (disabled here); it is restored before returning. \p Depth counts
+  /// the enclosing expansions.
+  void expandInto(const Token *In, size_t N, std::vector<Symbol> &Hidden,
+                  std::vector<Token> &Out, unsigned Depth);
 
-  /// Substitutes arguments into a macro body (handling # and ##).
+  /// A macro argument: a run of the token sequence being expanded.
+  struct TokenRange {
+    const Token *First = nullptr;
+    size_t Size = 0;
+    const Token *begin() const { return First; }
+    const Token *end() const { return First + Size; }
+  };
+
+  /// Substitutes arguments into a macro body (handling # and ##);
+  /// arguments are expanded one level deeper than \p Depth.
   std::vector<Token> substitute(const MacroDef &Macro,
-                                const std::vector<std::vector<Token>> &Args,
-                                SourceLoc ExpansionLoc);
+                                const std::vector<TokenRange> &Args,
+                                SourceLoc ExpansionLoc, unsigned Depth);
 
   /// Evaluates a #if controlling expression.
   long long evaluateCondition(std::vector<Token> Line, SourceLoc Loc);

@@ -126,8 +126,9 @@ struct Token {
   SourceLoc Loc;
   /// Interned name for identifiers/keywords; NoSymbol otherwise.
   Symbol Sym = NoSymbol;
-  /// Spelling for literals. For StringLiteral this is the decoded byte
-  /// content (escape sequences already processed, no quotes).
+  /// Spelling for literals (empty for identifiers and keywords, whose
+  /// spelling is the interner's). For StringLiteral this is the decoded
+  /// byte content (escape sequences already processed, no quotes).
   std::string Text;
   /// True when this token is the first on its line (pre-expansion).
   bool AtLineStart = false;

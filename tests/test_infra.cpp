@@ -112,9 +112,13 @@ TEST(Headers, RegistryServesStandardHeaders) {
   HeaderRegistry Registry;
   registerStandardHeaders(Registry);
   for (const char *Name : {"stdio.h", "stdlib.h", "string.h", "stddef.h",
-                           "limits.h", "stdbool.h"})
-    EXPECT_NE(Registry.find(Name), nullptr) << Name;
-  EXPECT_EQ(Registry.find("threads.h"), nullptr);
+                           "limits.h", "stdbool.h"}) {
+    const LexedHeader *Header = Registry.lexed(Name);
+    ASSERT_NE(Header, nullptr) << Name;
+    EXPECT_FALSE(Header->Tokens.empty()) << Name;
+    EXPECT_TRUE(Header->Diags.empty()) << Name;
+  }
+  EXPECT_EQ(Registry.lexed("threads.h"), nullptr);
 }
 
 TEST(Headers, UserHeadersResolve) {
