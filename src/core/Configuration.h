@@ -117,7 +117,9 @@ private:
   static constexpr uint64_t Seed = 0x243f6a8885a308d3ull;
   static constexpr size_t CopyHeadroom = 8;
   static uint64_t combine(uint64_t Prefix, uint64_t Item) {
-    return mix64(Prefix * 0x100000001b3ull ^ Item);
+    WordHasher H(Prefix);
+    H.u64(Item);
+    return H.digest();
   }
   std::vector<KItem> Items;
   std::vector<uint64_t> Digests;

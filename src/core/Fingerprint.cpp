@@ -11,9 +11,11 @@
 // is a stable identity because every machine of one search shares the
 // same AstContext.
 //
-// The digest is structured as an FNV-1a fold over per-cell component
-// digests. Components that change on every step — the k stack, the
-// sequencing sets, memory objects, frames — maintain their digests
+// The digest is a WordHasher fold (support/Hash.h) over per-cell
+// component digests. Each absorbed word costs one mix, so narrow fields
+// share words and values and k items skip their zero fields
+// (SparseRecord). Components that change on every step — the k stack,
+// the sequencing sets, memory objects, frames — maintain their digests
 // incrementally (prefix stacks, multiset sums, dirty-tracked caches),
 // so fingerprint() costs O(state touched since the last fingerprint).
 // fingerprintFull() recomputes every component from scratch and must
@@ -27,51 +29,91 @@
 
 #include "support/Hash.h"
 
+#include <cassert>
+#include <cstring>
+
 using namespace cundef;
 
 namespace {
 
-void hashValue(Fnv1a &H, const Value &V) {
-  H.u8(static_cast<uint8_t>(V.K));
-  H.ptr(V.Ty);
-  H.u64(V.Bits);
-  H.f64(V.F);
-  H.u32(V.Ptr.Base);
-  H.i64(V.Ptr.Offset);
-  H.u8(V.Ptr.FromInteger);
-  H.u64(V.Ptr.RawInt);
-  H.u8(V.LvQuals);
-  H.u8(static_cast<uint8_t>(V.Payload.K));
-  H.u8(V.Payload.Value);
-  H.u32(V.Payload.Ptr.Base);
-  H.i64(V.Payload.Ptr.Offset);
-  H.u8(V.Payload.FragIndex);
-  H.u8(V.Payload.FragCount);
-  H.u64(V.AggBytes.size());
-  for (const Byte &B : V.AggBytes) {
-    H.u8(static_cast<uint8_t>(B.K));
-    H.u8(B.Value);
-    H.u32(B.Ptr.Base);
-    H.i64(B.Ptr.Offset);
-    H.u8(B.FragIndex);
-    H.u8(B.FragCount);
+/// (a, b) as one word, for the id pairs of the environment maps.
+uint64_t pair32(uint32_t A, uint32_t B) {
+  return static_cast<uint64_t>(A) | static_cast<uint64_t>(B) << 32;
+}
+
+/// A record absorbed sparsely: most fields of a Value or a k item are
+/// zero (an Int value has no pointer, payload byte or window; an Expr
+/// item has only its node). The first word carries the record's narrow
+/// fields and one presence bit per wide field, and only the non-zero
+/// wide fields follow, so the encoding stays injective while a typical
+/// record costs two or three absorption steps instead of ten.
+class SparseRecord {
+public:
+  /// Adds the next wide field (at most MaxWide per record).
+  void add(uint64_t W) {
+    assert(Slot < MaxWide && "too many wide fields");
+    if (W) {
+      Words[Count++] = W;
+      Present |= 1u << Slot;
+    }
+    ++Slot;
   }
-  H.u8(V.MissingReturn);
-  H.i64(V.SubStart);
-  H.u64(V.SubLen);
+  /// \p Narrow must fit in the low 32 bits.
+  void absorbInto(WordHasher &H, uint32_t Narrow) const {
+    H.u64(Narrow | static_cast<uint64_t>(Present) << 32);
+    for (unsigned I = 0; I < Count; ++I)
+      H.u64(Words[I]);
+  }
+
+private:
+  static constexpr unsigned MaxWide = 12;
+  uint64_t Words[MaxWide];
+  unsigned Count = 0, Slot = 0;
+  uint32_t Present = 0;
+};
+
+uint64_t bitsOf(double F) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &F, 8);
+  return Bits;
+}
+
+void addByte(SparseRecord &R, const Byte &B) {
+  uint64_t Words[2];
+  std::memcpy(Words, &B, sizeof(Byte)); // no padding (mem/Byte.h)
+  R.add(Words[0]);
+  R.add(Words[1]);
+}
+
+void hashValue(WordHasher &H, const Value &V) {
+  SparseRecord R;
+  R.add(reinterpret_cast<uintptr_t>(V.Ty));
+  R.add(V.Bits);
+  R.add(bitsOf(V.F));
+  R.add(V.Ptr.Base);
+  R.add(static_cast<uint64_t>(V.Ptr.Offset));
+  R.add(V.Ptr.RawInt);
+  addByte(R, V.Payload);
+  R.add(static_cast<uint64_t>(V.SubStart));
+  R.add(V.SubLen);
+  R.add(V.AggBytes.size());
+  R.absorbInto(H, static_cast<uint32_t>(V.K) |
+                      static_cast<uint32_t>(V.LvQuals) << 8 |
+                      static_cast<uint32_t>(V.MissingReturn) << 16 |
+                      static_cast<uint32_t>(V.Ptr.FromInteger) << 24);
+  // Bytes have no padding, so a run of them is absorbed as its raw
+  // words, two per byte.
+  H.bytes(V.AggBytes.data(), V.AggBytes.size() * sizeof(Byte));
 }
 
 uint64_t frameDigest(const Frame &F) {
-  Fnv1a H;
+  WordHasher H;
   H.ptr(F.Fn);
   H.u64(F.Env.size());
-  for (const auto &[Decl, Obj] : F.Env) {
-    H.u32(Decl);
-    H.u32(Obj);
-  }
+  for (const auto &[Decl, Obj] : F.Env)
+    H.u64(pair32(Decl, Obj));
   H.u64(F.ParamObjects.size());
-  for (uint32_t Id : F.ParamObjects)
-    H.u32(Id);
+  H.bytes(F.ParamObjects.data(), F.ParamObjects.size() * sizeof(uint32_t));
   H.u64(F.VarArgs.size());
   for (const Value &V : F.VarArgs)
     hashValue(H, V);
@@ -82,16 +124,14 @@ uint64_t frameDigest(const Frame &F) {
 /// number of globals / functions / literals / live heap regions, not by
 /// execution length). Shared by both fingerprint paths.
 uint64_t smallCellsDigest(const Configuration &C) {
-  Fnv1a H;
+  WordHasher H;
   H.u64(C.Values.size());
   for (const Value &V : C.Values)
     hashValue(H, V);
 
   H.u64(C.GlobalEnv.size());
-  for (const auto &[Decl, Obj] : C.GlobalEnv) {
-    H.u32(Decl);
-    H.u32(Obj);
-  }
+  for (const auto &[Decl, Obj] : C.GlobalEnv)
+    H.u64(pair32(Decl, Obj));
 
   H.u64(C.FuncObjects.size());
   for (const auto &[Fn, Obj] : C.FuncObjects) {
@@ -110,14 +150,14 @@ uint64_t smallCellsDigest(const Configuration &C) {
     H.ptr(Ty);
   }
 
-  H.u8(static_cast<uint8_t>(C.Status));
-  H.u32(static_cast<uint32_t>(C.ExitCode));
+  H.u64(static_cast<uint64_t>(C.Status) |
+        static_cast<uint64_t>(static_cast<uint32_t>(C.ExitCode)) << 8);
   H.u32(C.RandState);
   return H.digest();
 }
 
 uint64_t fingerprintWith(const Configuration &C, bool Full) {
-  Fnv1a H;
+  WordHasher H;
   H.u64(Full || !C.K.tracking() ? C.K.computeDigest() : C.K.digest());
   H.u64(Full ? C.LocsWrittenTo.computeDigest() : C.LocsWrittenTo.digest());
   H.u64(Full ? C.NotWritable.computeDigest() : C.NotWritable.digest());
@@ -143,25 +183,27 @@ uint64_t fingerprintWith(const Configuration &C, bool Full) {
 } // namespace
 
 uint64_t cundef::kItemDigest(const KItem &Item) {
-  Fnv1a H;
-  H.u8(static_cast<uint8_t>(Item.K));
-  H.ptr(Item.E);
-  H.ptr(Item.S);
-  H.u64(Item.Results.size());
+  WordHasher H;
+  SparseRecord R;
+  R.add(reinterpret_cast<uintptr_t>(Item.E));
+  R.add(reinterpret_cast<uintptr_t>(Item.S));
+  R.add(reinterpret_cast<uintptr_t>(Item.D));
+  R.add(Item.Offset);
+  R.add(reinterpret_cast<uintptr_t>(Item.Ty.Ty));
+  R.add(reinterpret_cast<uintptr_t>(Item.Callee));
+  // The sizes of the variable-length parts, which follow unprefixed.
+  R.add(pair32(static_cast<uint32_t>(Item.Results.size()),
+               static_cast<uint32_t>(Item.Perm.size())));
+  R.add(Item.ObjectsToKill.size());
+  R.absorbInto(H, static_cast<uint32_t>(Item.K) |
+                      static_cast<uint32_t>(Item.Idx) << 8 |
+                      static_cast<uint32_t>(Item.Ty.Quals) << 16 |
+                      static_cast<uint32_t>(Item.HasValue) << 24);
   for (const Value &V : Item.Results)
     hashValue(H, V);
-  H.u64(Item.Perm.size());
   H.bytes(Item.Perm.data(), Item.Perm.size());
-  H.u8(Item.Idx);
-  H.ptr(Item.D);
-  H.u64(Item.Offset);
-  H.ptr(Item.Ty.Ty);
-  H.u8(Item.Ty.Quals);
-  H.u64(Item.ObjectsToKill.size());
-  for (uint32_t Id : Item.ObjectsToKill)
-    H.u32(Id);
-  H.ptr(Item.Callee);
-  H.u8(Item.HasValue);
+  H.bytes(Item.ObjectsToKill.data(),
+          Item.ObjectsToKill.size() * sizeof(uint32_t));
   return H.digest();
 }
 

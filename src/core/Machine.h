@@ -74,7 +74,7 @@ struct MachineOptions {
   RuleStyle Style = RuleStyle::SideConditions;
 };
 
-/// Stable FNV-1a digest over every field of \p M. Two MachineOptions
+/// Stable WordHasher digest over every field of \p M. Two MachineOptions
 /// with equal fingerprints drive byte-identical machines over the same
 /// AST, so the digest is a content address for the semantics half of a
 /// search configuration (the engine's result cache in driver/Engine.cpp and
@@ -82,7 +82,7 @@ struct MachineOptions {
 /// field participates — adding a MachineOptions member without hashing
 /// it here would silently alias distinct configurations.
 inline uint64_t machineOptionsFingerprint(const MachineOptions &M) {
-  Fnv1a H;
+  WordHasher H;
   H.u8(M.Strict);
   H.u8(M.TrackSequencing);
   H.u8(M.TrackConst);
@@ -96,7 +96,7 @@ inline uint64_t machineOptionsFingerprint(const MachineOptions &M) {
   H.u32(M.Seed);
   H.u32(M.MaxCallDepth);
   H.u8(static_cast<uint8_t>(M.Style));
-  return mix64(H.digest());
+  return H.digest();
 }
 
 /// A resumable point-in-time copy of a machine's run state: the
@@ -198,7 +198,7 @@ public:
   /// stream (the two together determine all future behavior).
   /// Incremental: O(state touched since the last fingerprint).
   uint64_t configFingerprint() const {
-    Fnv1a H;
+    WordHasher H;
     H.u64(Conf.fingerprint());
     H.u32(Chooser.rngState());
     return H.digest();
@@ -209,7 +209,7 @@ public:
   /// incremental path is tested against, and as the full-rehash
   /// baseline of test_scheduler's engine matrix.
   uint64_t configFingerprintFull() const {
-    Fnv1a H;
+    WordHasher H;
     H.u64(Conf.fingerprintFull());
     H.u32(Chooser.rngState());
     return H.digest();

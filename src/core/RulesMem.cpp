@@ -398,7 +398,7 @@ uint8_t Machine::permissiveByteValue(const Byte &B, uint64_t Addr) const {
     // Deterministic garbage: a hash of the address, so reruns agree.
     return static_cast<uint8_t>((Addr * 2654435761u) >> 13);
   case Byte::Kind::PtrFrag: {
-    uint64_t Raw = absAddr(B.Ptr);
+    uint64_t Raw = absAddr(B.ptr());
     return static_cast<uint8_t>(Raw >> (8 * B.FragIndex));
   }
   }
@@ -481,10 +481,11 @@ bool Machine::decodeBytes(const std::vector<Byte> &Bytes, QualType Ty,
     bool Complete = Bytes.size() == Bytes[0].FragCount;
     for (uint64_t I = 0; Complete && I < Size; ++I)
       Complete = Bytes[I].isPtrFrag() && Bytes[I].FragIndex == I &&
-                 Bytes[I].Ptr == Bytes[0].Ptr;
+                 Bytes[I].FragBase == Bytes[0].FragBase &&
+                 Bytes[I].FragOffset == Bytes[0].FragOffset;
     if (Complete) {
       if (T->isPointer()) {
-        Out = Value::makePointer(T, Bytes[0].Ptr);
+        Out = Value::makePointer(T, Bytes[0].ptr());
         return true;
       }
       // Reading pointer bytes through a non-pointer, non-character
@@ -494,7 +495,7 @@ bool Machine::decodeBytes(const std::vector<Byte> &Bytes, QualType Ty,
         flagUb(UbKind::ReadIndeterminateValue, Loc);
         return false;
       }
-      uint64_t Raw = absAddr(Bytes[0].Ptr);
+      uint64_t Raw = absAddr(Bytes[0].ptr());
       Out = Value::makeInt(T, truncateBits(Raw, T, Ctx.Types));
       return true;
     }

@@ -116,7 +116,7 @@ struct SearchOptions {
   bool CollectRuns = false;
 };
 
-/// Stable FNV-1a digest over the *outcome-affecting* SearchOptions
+/// Stable WordHasher digest over the *outcome-affecting* SearchOptions
 /// fields. MaxRuns, Dedup, and UseSnapshots change what the search
 /// explores. Jobs, SnapshotBudget, FullRehash, and CollectRuns shape
 /// only wall-clock and test instrumentation (committed outcomes are
@@ -124,11 +124,11 @@ struct SearchOptions {
 /// they are deliberately excluded: a 4-job and an 8-job search of the
 /// same program share one cache entry.
 inline uint64_t searchOptionsFingerprint(const SearchOptions &S) {
-  Fnv1a H;
+  WordHasher H;
   H.u32(S.MaxRuns);
   H.u8(S.Dedup);
   H.u8(S.UseSnapshots);
-  return mix64(H.digest());
+  return H.digest();
 }
 
 /// One explored run, recorded when SearchOptions::CollectRuns is set.

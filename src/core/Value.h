@@ -41,17 +41,18 @@ public:
     Agg,     ///< a struct/union rvalue: its bytes (may include unknowns)
   };
 
+  // The one-byte members come first so that they share a word.
   Kind K = Kind::Empty;
+  uint8_t LvQuals = QualNone; ///< LVal qualifier bits
+  /// Set on the Empty value produced when a non-void function falls off
+  /// its end; consuming it is UB 24.
+  bool MissingReturn = false;
   const Type *Ty = nullptr; ///< canonical C type (null for Empty)
   uint64_t Bits = 0;        ///< Int payload (raw two's complement bits)
   double F = 0.0;           ///< Float payload
   SymPointer Ptr;           ///< Pointer / LVal payload
-  uint8_t LvQuals = QualNone; ///< LVal qualifier bits
   Byte Payload;             ///< Opaque payload
   std::vector<Byte> AggBytes; ///< Agg payload
-  /// Set on the Empty value produced when a non-void function falls off
-  /// its end; consuming it is UB 24.
-  bool MissingReturn = false;
   /// Subobject window for pointers born from an array-to-pointer decay:
   /// [SubStart, SubStart + SubLen) in bytes within the object. While the
   /// pointer flows through an expression, arithmetic beyond the *inner*

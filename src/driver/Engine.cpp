@@ -280,10 +280,10 @@ struct AnalysisEngine::Impl {
     SO.MaxRuns = Req.searchRuns();
     SO.Dedup = Req.searchDedup();
     SO.UseSnapshots = Req.searchSnapshots();
-    Fnv1a H;
+    WordHasher H;
     H.u64(searchOptionsFingerprint(SO));
     H.u8(static_cast<uint8_t>(Req.staticAnalyze()));
-    K.SearchFp = mix64(H.digest());
+    K.SearchFp = H.digest();
     return K;
   }
 

@@ -43,7 +43,7 @@
 
 namespace cundef {
 
-/// Content address of one frontend run: two independent 64-bit FNV-1a
+/// Content address of one frontend run: two independent 64-bit WordHasher
 /// digests (collision odds are negligible at service scales). Two
 /// submissions with equal keys would produce byte-identical artifacts,
 /// so the cache may hand both the same CompiledProgram.

@@ -19,7 +19,7 @@
 using namespace cundef;
 
 uint64_t cundef::targetConfigFingerprint(const TargetConfig &T) {
-  Fnv1a H;
+  WordHasher H;
   H.u32(T.ShortSize);
   H.u32(T.IntSize);
   H.u32(T.LongSize);
@@ -39,14 +39,14 @@ TranslationKey cundef::translationKeyFor(const FrontendOptions &Opts,
                                          const std::string &Name,
                                          uint64_t HeadersFingerprint) {
   TranslationKey Key;
-  // Length-prefixed fields (Fnv1a::str) so ("ab", "c") never collides
+  // Length-prefixed fields (WordHasher::str) so ("ab", "c") never collides
   // with ("a", "bc").
-  Fnv1a Src;
+  WordHasher Src;
   Src.str(Name);
   Src.str(Source);
   Key.SourceHash = Src.digest();
 
-  Fnv1a Ctx;
+  WordHasher Ctx;
   Ctx.u64(targetConfigFingerprint(Opts.Target));
   Ctx.u8(Opts.StaticChecks ? 1 : 0);
   Ctx.u8(Opts.StaticChecks && Opts.FlowChecks ? 1 : 0);

@@ -25,10 +25,8 @@ uint64_t byteItemHash(uint32_t Id, uint64_t Offset, const Byte &B) {
     Content ^= static_cast<uint64_t>(B.Value) << 8;
     break;
   case Byte::Kind::PtrFrag:
-    Content ^= mix64((static_cast<uint64_t>(B.Ptr.Base) << 32) ^
-                     static_cast<uint64_t>(B.Ptr.Offset)) ^
-               (static_cast<uint64_t>(B.Ptr.FromInteger) << 1) ^
-               mix64(B.Ptr.RawInt ^ 0x9e3779b97f4a7c15ull) ^
+    Content ^= mix64((static_cast<uint64_t>(B.FragBase) << 32) ^
+                     static_cast<uint64_t>(B.FragOffset)) ^
                (static_cast<uint64_t>(B.FragIndex) << 16) ^
                (static_cast<uint64_t>(B.FragCount) << 24);
     break;
@@ -39,19 +37,18 @@ uint64_t byteItemHash(uint32_t Id, uint64_t Offset, const Byte &B) {
 
 /// Metadata contribution of an object (everything but its bytes).
 uint64_t metaHash(const MemObject &Obj) {
-  Fnv1a H;
-  H.u32(Obj.Id);
-  H.u8(static_cast<uint8_t>(Obj.Storage));
-  H.u8(static_cast<uint8_t>(Obj.State));
+  WordHasher H;
+  H.u64(static_cast<uint64_t>(Obj.Id) |
+        static_cast<uint64_t>(Obj.Storage) << 32 |
+        static_cast<uint64_t>(Obj.State) << 40);
   H.u64(Obj.Size);
   if (Obj.isAlive()) {
     H.ptr(Obj.DeclTy.Ty);
-    H.u8(Obj.DeclTy.Quals);
-    H.u32(Obj.Name);
+    H.u64(Obj.DeclTy.Quals | static_cast<uint64_t>(Obj.Name) << 32);
     H.u64(Obj.ConcreteAddr);
     H.ptr(Obj.Fn);
   }
-  return mix64(H.digest());
+  return H.digest();
 }
 
 } // namespace
@@ -216,14 +213,13 @@ uint64_t SymbolicMemory::computeDigest(const MemObject &Obj) {
   return Sum;
 }
 
-void SymbolicMemory::hashInto(Fnv1a &H, bool Full) const {
-  H.u32(static_cast<uint32_t>(Objects.size() + 1)); // the next id
+void SymbolicMemory::hashInto(WordHasher &H, bool Full) const {
+  H.u64(Objects.size()); // also fixes the next id
   H.u64(GlobalCursor);
   H.u64(FunctionCursor);
   H.u64(LiteralCursor);
   H.u64(HeapCursor);
   H.u64(StackCursor);
-  H.u64(Objects.size());
   // Objects are independent, so their digests combine commutatively;
   // each per-object digest is cached and reused until the object is
   // mutated. The Full path recomputes everything and must agree — the

@@ -146,7 +146,7 @@ public:
   /// maintains them by delta. \p Full recomputes everything from
   /// scratch, bypassing the caches — the reference the incremental path
   /// is tested against.
-  void hashInto(Fnv1a &H, bool Full = false) const;
+  void hashInto(WordHasher &H, bool Full = false) const;
 
 private:
   uint64_t assignAddress(StorageKind Storage, uint64_t Size);

@@ -125,13 +125,39 @@ private:
 
   //===--- Statements ----------------------------------------------------===//
 
+  /// Nested compound statements are walked with an explicit stack, not
+  /// by recursion: a block nested a thousand deep would otherwise cost a
+  /// thousand frames, enough to overflow the stack in sanitizer builds.
+  /// Only the statements that branch recurse.
   void buildStmt(const Stmt *S) {
+    const auto *Block = dynCast<CompoundStmt>(S);
+    if (!Block) {
+      buildOne(S);
+      return;
+    }
+    std::vector<std::pair<const CompoundStmt *, size_t>> Open;
+    Open.emplace_back(Block, 0);
+    while (!Open.empty()) {
+      auto &[C, Next] = Open.back();
+      if (Next == C->Body.size()) {
+        Open.pop_back();
+        continue;
+      }
+      const Stmt *Sub = C->Body[Next++];
+      if (const auto *Inner = dynCast<CompoundStmt>(Sub))
+        Open.emplace_back(Inner, 0);
+      else
+        buildOne(Sub);
+    }
+  }
+
+  /// Builds one statement; a compound one goes back to buildStmt.
+  void buildOne(const Stmt *S) {
     if (!S)
       return;
     switch (S->Kind) {
     case StmtKind::Compound:
-      for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
-        buildStmt(Sub);
+      buildStmt(S);
       return;
     case StmtKind::Decl:
     case StmtKind::Expr:

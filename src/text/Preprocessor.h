@@ -79,7 +79,7 @@ public:
     uint64_t Fp = FingerprintMemo.load(std::memory_order_relaxed);
     if (Fp != 0)
       return Fp;
-    Fnv1a H;
+    WordHasher H;
     H.u64(Files.size());
     for (const auto &[Name, E] : Files) {
       H.str(Name);

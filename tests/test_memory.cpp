@@ -5,8 +5,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "mem/SymbolicMemory.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bitset>
+#include <vector>
 
 using namespace cundef;
 
@@ -159,7 +164,7 @@ TEST(SymbolicMemory, IncrementalHashEqualsFullAfterCopies) {
   uint32_t B = Mem.create(StorageKind::Auto, 8, QualType(), NoSymbol);
   Mem.writeByte(A, 3, Byte::concrete(7));
   auto Hash = [](const SymbolicMemory &M, bool Full) {
-    Fnv1a H;
+    WordHasher H;
     M.hashInto(H, Full);
     return H.digest();
   };
@@ -215,7 +220,7 @@ TEST(Byte, Factories) {
   SymPointer P(7, 3);
   Byte F = Byte::ptrFrag(P, 1, 8);
   EXPECT_TRUE(F.isPtrFrag());
-  EXPECT_EQ(F.Ptr, P);
+  EXPECT_EQ(F.ptr(), P);
   EXPECT_EQ(F.FragIndex, 1);
   EXPECT_EQ(F.FragCount, 8);
 }
@@ -232,6 +237,83 @@ TEST(SymPointer, NullAndForged) {
   EXPECT_EQ(Obj, SymPointer(3, 4));
   EXPECT_NE(Obj, SymPointer(3, 5));
   EXPECT_NE(Obj, SymPointer(4, 4));
+}
+
+//===--- WordHasher ------------------------------------------------------===//
+
+uint64_t digestOf(std::initializer_list<uint64_t> Words) {
+  WordHasher H;
+  for (uint64_t W : Words)
+    H.u64(W);
+  return H.digest();
+}
+
+TEST(WordHasher, AbsorptionOrderMatters) {
+  EXPECT_NE(digestOf({1, 2}), digestOf({2, 1}));
+  EXPECT_NE(digestOf({0, 1}), digestOf({1, 0}));
+  EXPECT_NE(digestOf({7, 7, 9}), digestOf({7, 9, 7}));
+  // Absorbing a zero word is a step, not a no-op.
+  EXPECT_NE(digestOf({5}), digestOf({5, 0}));
+  EXPECT_NE(digestOf({}), digestOf({0}));
+}
+
+TEST(WordHasher, StringsAreLengthPrefixed) {
+  auto Strs = [](std::initializer_list<const char *> Parts) {
+    WordHasher H;
+    for (const char *P : Parts)
+      H.str(P);
+    return H.digest();
+  };
+  EXPECT_NE(Strs({"ab", "c"}), Strs({"a", "bc"}));
+  EXPECT_NE(Strs({"", "x"}), Strs({"x", ""}));
+  EXPECT_EQ(Strs({"ab", "c"}), Strs({"ab", "c"}));
+  // Strings past one word: every byte, including the zero-padded tail,
+  // reaches the digest.
+  EXPECT_NE(Strs({"0123456789abcdef!"}), Strs({"0123456789abcdef?"}));
+  EXPECT_NE(Strs({"0123456789"}), Strs({"0123456788"}));
+  // Narrow scalars are zero-extended words.
+  WordHasher A, B;
+  A.u8(200);
+  B.u64(200);
+  EXPECT_EQ(A.digest(), B.digest());
+}
+
+TEST(WordHasher, NoCollisionsOverStructuredPairs) {
+  // 2^16 (word, word) inputs that differ only in a few low or high
+  // bits: the shapes of ids, offsets and sizes in a configuration.
+  for (unsigned Shift : {0u, 24u, 56u}) {
+    std::vector<uint64_t> Digests;
+    Digests.reserve(1 << 16);
+    for (uint64_t I = 0; I < (1u << 16); ++I)
+      Digests.push_back(digestOf({(I & 0xff) << Shift, (I >> 8) << Shift}));
+    std::sort(Digests.begin(), Digests.end());
+    EXPECT_EQ(std::adjacent_find(Digests.begin(), Digests.end()),
+              Digests.end())
+        << "collision at shift " << Shift;
+  }
+}
+
+TEST(WordHasher, SingleBitFlipsAvalanche) {
+  // Flipping any one input bit changes about half the digest bits, in
+  // the first word as well as the last.
+  for (uint64_t Base : {0ull, 1ull, 0x123456789abcdef0ull}) {
+    const uint64_t Ref = digestOf({Base, ~Base});
+    unsigned Total = 0, Flips = 0;
+    for (unsigned Word = 0; Word < 2; ++Word) {
+      for (unsigned Bit = 0; Bit < 64; ++Bit) {
+        uint64_t W0 = Base, W1 = ~Base;
+        (Word ? W1 : W0) ^= 1ull << Bit;
+        unsigned Changed = std::bitset<64>(digestOf({W0, W1}) ^ Ref).count();
+        EXPECT_GE(Changed, 12u) << "word " << Word << " bit " << Bit;
+        EXPECT_LE(Changed, 52u) << "word " << Word << " bit " << Bit;
+        Total += Changed;
+        ++Flips;
+      }
+    }
+    double Mean = static_cast<double>(Total) / Flips;
+    EXPECT_GT(Mean, 30.0) << "base " << Base;
+    EXPECT_LT(Mean, 34.0) << "base " << Base;
+  }
 }
 
 } // namespace

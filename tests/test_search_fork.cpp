@@ -232,6 +232,30 @@ TEST(ForkSearch, IncrementalFingerprintEqualsFullRehash) {
       "  int *p = malloc(sizeof(int)); *p = x; x = *p; free(p);\n"
       "  return x; }\n"
       "int main(void) { int t = g(1) + g(2); return t - 3; }\n",
+      // Pointer fragments everywhere: a struct of pointers copied by
+      // memcpy and byte by byte, one pointer reassembled, single
+      // fragments read as opaque bytes and passed along, and the copies
+      // passed by value, so subObject bytes sit in memory, in operand
+      // results and in aggregate values at the choice points.
+      "#include <string.h>\n"
+      "struct Node { int *p; int *q; int v; };\n"
+      "static int g(int x) { return x + 1; }\n"
+      "static int keep(unsigned char c, int x) {\n"
+      "  unsigned char d = c; d = c; return x; }\n"
+      "static int sum(struct Node n, int x) {\n"
+      "  return *n.p + *n.q + n.v + x; }\n"
+      "int main(void) { int a = 1, b = 2; struct Node n, m, k;\n"
+      "  n.p = &a; n.q = &b; n.v = 3;\n"
+      "  memcpy(&m, &n, sizeof n);\n"
+      "  unsigned char *dst = (unsigned char *)&k;\n"
+      "  const unsigned char *src = (const unsigned char *)&n;\n"
+      "  for (unsigned i = 0; i < sizeof n; i++) dst[i] = src[i];\n"
+      "  int *r = k.p;\n"
+      "  unsigned char one = ((unsigned char *)&m.q)[3];\n"
+      "  int t = g(*m.p) + g(*r);\n"
+      "  t += keep(one, g(0)) + keep(((unsigned char *)&k.p)[5], g(1));\n"
+      "  t += sum(m, g(2)) + sum(k, g(3));\n"
+      "  return t == 26 ? 0 : 1; }\n",
   };
   for (const char *Source : Programs) {
     Driver Drv;
@@ -250,6 +274,13 @@ TEST(ForkSearch, IncrementalFingerprintEqualsFullRehash) {
     M.run();
     EXPECT_GT(Checked, 0u) << Source;
     EXPECT_EQ(M.configFingerprint(), M.configFingerprintFull()) << Source;
+    if (Source == Programs[5]) {
+      // The fragment program is defined: every choice point above was
+      // reached with the fragments live.
+      EXPECT_EQ(M.config().Status, RunStatus::Completed);
+      EXPECT_EQ(M.config().ExitCode, 0);
+      EXPECT_TRUE(Sink.empty());
+    }
   }
 }
 
