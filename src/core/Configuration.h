@@ -13,13 +13,16 @@
 ///
 /// The whole configuration is a value type: search over unspecified
 /// evaluation orders clones it at choice points (paper section 2.5.2).
-/// A copy costs one allocation per cell plus one reference-count
-/// increment per memory object (the mem cell shares objects
-/// copy-on-write, mem/SymbolicMemory.h); map and set cells and the
-/// vectors inside k items still allocate per entry. The cells that
-/// change on every step (k stack, sequencing sets, memory, frames)
-/// maintain incremental digests so fingerprint() is O(what changed), not
-/// O(total state).
+/// A copy costs one allocation per non-empty cell (every map and set
+/// cell is a sorted vector, FlatMap or LocSet), one per frame's env
+/// and parameter list, one per LeaveBlock/CallReturn item on the k
+/// stack, and one reference-count increment per memory object (the mem
+/// cell shares objects copy-on-write, mem/SymbolicMemory.h). Operand
+/// lists in flight add nothing: their results wait on the value stack
+/// and their orders are inline. The cells that change on every step (k
+/// stack, sequencing sets, memory, frames) keep incremental or lazily
+/// extended digests, so fingerprint() is O(what changed since the last
+/// one), not O(total state).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,9 +33,10 @@
 #include "mem/SymbolicMemory.h"
 #include "support/Strings.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cundef {
@@ -45,72 +49,124 @@ using ByteLoc = std::pair<uint32_t, int64_t>;
 /// next to the value hashing it depends on).
 uint64_t kItemDigest(const KItem &Item);
 
-/// The k cell: a stack of KItems plus, when tracking is enabled, a
-/// parallel stack of prefix digests so that the whole cell's digest is
-/// the top entry — O(1) at fingerprint time, O(one item) per push.
-/// Tracking is enabled by machines that fingerprint (the search);
-/// ordinary runs skip the per-push hashing entirely.
+/// A map kept as a vector of (key, value) pairs sorted by key. A copy
+/// is one allocation instead of one per entry, and iteration runs in
+/// key order exactly as std::map's does, so fingerprints are the same
+/// whichever backs a cell. The cells it backs are small (a frame's
+/// locals, globals, functions, literals, heap regions) and grow mostly
+/// at the end, since object ids only increase. HeapEffectiveTy, the one
+/// that grows with the program's data, held at most 15 records over the
+/// desktop suite and the generated Juliet programs, all of them
+/// appended at the end; a rewrite at the same offset updates in place.
+template <typename KeyT, typename ValueT> class FlatMap {
+public:
+  using value_type = std::pair<KeyT, ValueT>;
+  using iterator = typename std::vector<value_type>::iterator;
+  using const_iterator = typename std::vector<value_type>::const_iterator;
+
+  iterator lower_bound(const KeyT &Key) {
+    return std::lower_bound(Items.begin(), Items.end(), Key, keyLess);
+  }
+  const_iterator lower_bound(const KeyT &Key) const {
+    return std::lower_bound(Items.begin(), Items.end(), Key, keyLess);
+  }
+  iterator find(const KeyT &Key) {
+    iterator It = lower_bound(Key);
+    return It != Items.end() && It->first == Key ? It : Items.end();
+  }
+  const_iterator find(const KeyT &Key) const {
+    const_iterator It = lower_bound(Key);
+    return It != Items.end() && It->first == Key ? It : Items.end();
+  }
+  ValueT &operator[](const KeyT &Key) {
+    iterator It = lower_bound(Key);
+    if (It == Items.end() || It->first != Key)
+      It = Items.emplace(It, Key, ValueT());
+    return It->second;
+  }
+  iterator erase(iterator It) { return Items.erase(It); }
+  size_t size() const { return Items.size(); }
+  bool empty() const { return Items.empty(); }
+  iterator begin() { return Items.begin(); }
+  iterator end() { return Items.end(); }
+  const_iterator begin() const { return Items.begin(); }
+  const_iterator end() const { return Items.end(); }
+
+private:
+  static bool keyLess(const value_type &Item, const KeyT &Key) {
+    return std::less<KeyT>()(Item.first, Key);
+  }
+  std::vector<value_type> Items;
+};
+
+/// The k cell: a stack of KItems, each stored with the digest of the
+/// stack up to and including it, so that the whole cell's digest is the
+/// top item's. The prefix digests are filled in lazily: pushes do not
+/// hash, and digest() extends them from the first unhashed item. Items
+/// pushed and popped between two fingerprints (most of them: a choice
+/// point is many steps from the next) are never hashed at all.
+///
+/// digest() writes the mutable prefix cache from a const path, like a
+/// frame's cached digest: only the thread running a machine
+/// fingerprints its configuration, and snapshots are only copied.
 class KCell {
 public:
   KCell() = default;
   /// A copied vector's capacity equals its size, so the first push after
   /// a snapshot capture or a fork would reallocate and move the whole
   /// stack. Copies reserve a little headroom instead.
-  KCell(const KCell &Other) : Tracking(Other.Tracking) {
+  KCell(const KCell &Other) : Hashed(Other.Hashed) {
     Items.reserve(Other.Items.size() + CopyHeadroom);
     Items.assign(Other.Items.begin(), Other.Items.end());
-    if (Tracking) {
-      Digests.reserve(Other.Digests.size() + CopyHeadroom);
-      Digests.assign(Other.Digests.begin(), Other.Digests.end());
-    }
   }
-  KCell(KCell &&) = default;
+  KCell(KCell &&Other) noexcept
+      : Items(std::move(Other.Items)), Hashed(std::exchange(Other.Hashed, 0)) {}
   KCell &operator=(const KCell &) = default;
-  KCell &operator=(KCell &&) = default;
-
-  void push_back(KItem Item) {
-    if (Tracking)
-      Digests.push_back(combine(digest(), kItemDigest(Item)));
-    Items.push_back(std::move(Item));
+  /// Leaves \p Other empty, with no prefix digest claimed valid.
+  KCell &operator=(KCell &&Other) noexcept {
+    Items = std::move(Other.Items);
+    Other.Items.clear();
+    Hashed = std::exchange(Other.Hashed, 0);
+    return *this;
   }
+
+  void push_back(KItem Item) { Items.emplace_back(std::move(Item)); }
   void pop_back() {
     Items.pop_back();
-    if (Tracking)
-      Digests.pop_back();
+    Hashed = std::min(Hashed, Items.size());
   }
-  /// Moves the top item out and pops it (the step loop's idiom; a
-  /// mutable back() would silently stale the prefix digests).
+  /// Moves the top item out and pops it (the step loop's idiom).
   KItem take() {
-    KItem Item = std::move(Items.back());
+    KItem Item = std::move(Items.back().Item);
     pop_back();
     return Item;
   }
-  const KItem &back() const { return Items.back(); }
+  const KItem &back() const { return Items.back().Item; }
+  /// The top item for an update in place (an operand list advancing to
+  /// its next operand). Drops the item's prefix digest, so the next
+  /// digest() rehashes it.
+  KItem &mutableBack() {
+    Hashed = std::min(Hashed, Items.size() - 1);
+    return Items.back().Item;
+  }
   bool empty() const { return Items.empty(); }
   size_t size() const { return Items.size(); }
-  const std::vector<KItem> &items() const { return Items; }
 
-  /// Digest of the whole stack (valid whenever Tracking).
-  uint64_t digest() const { return Digests.empty() ? Seed : Digests.back(); }
-  /// Reference recomputation from scratch; always equals digest() while
-  /// tracking (tested), and is the fallback when not.
-  uint64_t computeDigest() const {
-    uint64_t D = Seed;
-    for (const KItem &Item : Items)
-      D = combine(D, kItemDigest(Item));
+  /// Digest of the whole stack; hashes only the items pushed since the
+  /// last call (that are still on the stack).
+  uint64_t digest() const {
+    uint64_t D = Hashed ? Items[Hashed - 1].Prefix : Seed;
+    for (; Hashed < Items.size(); ++Hashed)
+      Items[Hashed].Prefix = D = combine(D, kItemDigest(Items[Hashed].Item));
     return D;
   }
-  bool tracking() const { return Tracking; }
-  /// Turns on incremental digests, backfilling for any current items.
-  void enableTracking() {
-    if (Tracking)
-      return;
-    Tracking = true;
-    Digests.clear();
-    Digests.reserve(Items.size());
+  /// Reference recomputation from scratch, bypassing the prefix cache;
+  /// always equals digest() (tested).
+  uint64_t computeDigest() const {
     uint64_t D = Seed;
-    for (const KItem &Item : Items)
-      Digests.push_back(D = combine(D, kItemDigest(Item)));
+    for (const Entry &E : Items)
+      D = combine(D, kItemDigest(E.Item));
+    return D;
   }
 
 private:
@@ -121,36 +177,48 @@ private:
     H.u64(Item);
     return H.digest();
   }
-  std::vector<KItem> Items;
-  std::vector<uint64_t> Digests;
-  bool Tracking = false;
+  struct Entry {
+    explicit Entry(KItem &&Item) : Item(std::move(Item)) {}
+    KItem Item;
+    /// Digest of the stack up to and including Item; valid for the
+    /// first Hashed entries.
+    mutable uint64_t Prefix = 0;
+  };
+  std::vector<Entry> Items;
+  mutable size_t Hashed = 0;
 };
 
 /// A set of byte locations with an incrementally maintained multiset
 /// digest (sum of mixed item hashes — order-independent, exact under
 /// insert/clear). Backs the locsWrittenTo and notWritable cells, whose
-/// membership changes every write/sequence point.
+/// membership changes every write/sequence point. A sorted vector:
+/// locsWrittenTo holds a handful of bytes between sequence points and
+/// clear() keeps the capacity, so steady-state writes do not allocate.
 class LocSet {
 public:
   bool insert(ByteLoc Loc) {
-    if (!Set.insert(Loc).second)
+    auto It = std::lower_bound(Locs.begin(), Locs.end(), Loc);
+    if (It != Locs.end() && *It == Loc)
       return false;
+    Locs.insert(It, Loc);
     Sum += itemHash(Loc);
     return true;
   }
   void clear() {
-    Set.clear();
+    Locs.clear();
     Sum = 0;
   }
-  size_t count(ByteLoc Loc) const { return Set.count(Loc); }
-  size_t size() const { return Set.size(); }
-  auto begin() const { return Set.begin(); }
-  auto end() const { return Set.end(); }
+  size_t count(ByteLoc Loc) const {
+    return std::binary_search(Locs.begin(), Locs.end(), Loc);
+  }
+  size_t size() const { return Locs.size(); }
+  auto begin() const { return Locs.begin(); }
+  auto end() const { return Locs.end(); }
   uint64_t digest() const { return Sum; }
   /// Reference recomputation (must equal digest(); tested).
   uint64_t computeDigest() const {
     uint64_t D = 0;
-    for (const ByteLoc &Loc : Set)
+    for (const ByteLoc &Loc : Locs)
       D += itemHash(Loc);
     return D;
   }
@@ -160,7 +228,7 @@ private:
     return mix64((static_cast<uint64_t>(Loc.first) << 32) ^
                  (static_cast<uint64_t>(Loc.second) * 0x9e3779b97f4a7c15ull));
   }
-  std::set<ByteLoc> Set;
+  std::vector<ByteLoc> Locs;
   uint64_t Sum = 0;
 };
 
@@ -169,7 +237,7 @@ private:
 struct Frame {
   const FunctionDecl *Fn = nullptr;
   /// env: declaration -> object id.
-  std::map<uint32_t, uint32_t> Env;
+  FlatMap<uint32_t, uint32_t> Env;
   std::vector<uint32_t> ParamObjects;
   /// Variadic tail of the active call (used by printf-style builtins).
   std::vector<Value> VarArgs;
@@ -207,7 +275,7 @@ struct Configuration {
   std::vector<Value> Values;
 
   // --- <genv> ----------------------------------------------------------
-  std::map<uint32_t, uint32_t> GlobalEnv; ///< DeclId -> object id
+  FlatMap<uint32_t, uint32_t> GlobalEnv; ///< DeclId -> object id
 
   // --- <mem> -----------------------------------------------------------
   SymbolicMemory Mem;
@@ -221,14 +289,14 @@ struct Configuration {
 
   // --- Bookkeeping cells ------------------------------------------------
   /// Function pseudo-objects (function designators' addresses).
-  std::map<const FunctionDecl *, uint32_t> FuncObjects;
-  std::map<uint32_t, const FunctionDecl *> FuncByObject;
+  FlatMap<const FunctionDecl *, uint32_t> FuncObjects;
+  FlatMap<uint32_t, const FunctionDecl *> FuncByObject;
   /// String literal objects, cached per occurrence.
-  std::map<const Expr *, uint32_t> LiteralObjects;
+  FlatMap<const Expr *, uint32_t> LiteralObjects;
   /// Heap storage's effective types, per (object, offset) region --
   /// "the effective type of the object for that access ... becomes the
   /// effective type" (C11 6.5p6). Declared objects use their layout.
-  std::map<ByteLoc, const Type *> HeapEffectiveTy;
+  FlatMap<ByteLoc, const Type *> HeapEffectiveTy;
 
   // --- Program-visible results ------------------------------------------
   std::string Output; ///< bytes written by printf and friends

@@ -7,13 +7,12 @@
 #include "core/EvalOrder.h"
 
 #include <algorithm>
-#include <numeric>
 
 using namespace cundef;
 
-std::vector<uint8_t> OrderChooser::choose(unsigned N, bool Forced) {
-  std::vector<uint8_t> Perm(N);
-  std::iota(Perm.begin(), Perm.end(), 0);
+OperandOrder OrderChooser::choose(unsigned N, bool Forced) {
+  OperandOrder Perm(N);
+  uint8_t *P = Perm.data();
   // Replayed decisions are consumed positionally, one per choice point
   // INCLUDING forced (arity-1) points, so that replay indices always
   // equal decision-trace indices: a search can turn any trace prefix
@@ -46,13 +45,13 @@ std::vector<uint8_t> OrderChooser::choose(unsigned N, bool Forced) {
       }
       // Fisher-Yates with the deterministic xorshift stream.
       for (unsigned I = N - 1; I > 0; --I)
-        std::swap(Perm[I], Perm[nextRandom() % (I + 1)]);
-      Trace.emplace_back(Forced || Perm[0] == 0 ? 0 : 1, Arity);
+        std::swap(P[I], P[nextRandom() % (I + 1)]);
+      Trace.emplace_back(Forced || P[0] == 0 ? 0 : 1, Arity);
       return Perm;
     }
   }
   if (Decision)
-    std::reverse(Perm.begin(), Perm.end());
+    std::reverse(P, P + N);
   Trace.emplace_back(Forced ? 0 : Decision, Arity);
   return Perm;
 }

@@ -19,9 +19,11 @@
 #ifndef CUNDEF_CORE_EVALORDER_H
 #define CUNDEF_CORE_EVALORDER_H
 
+#include "support/InlineBuffer.h"
 #include "support/Strings.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -39,6 +41,25 @@ inline constexpr EnumName<EvalOrderKind> EvalOrderNames[] = {
     {EvalOrderKind::LeftToRight, "ltr"}, {EvalOrderKind::RightToLeft, "rtl"},
     {EvalOrderKind::Random, "random"}};
 
+/// One operand list's evaluation order: a permutation of [0, N). Lists
+/// of up to 7 operands (nearly all of them; most have two) are stored
+/// inline, so choosing an order allocates nothing; a longer argument
+/// list spills to one heap block. Indices are bytes, so a list has at
+/// most MaxOperands operands: the machine rejects a longer one before
+/// it asks for an order (Machine::scheduleOperands).
+class OperandOrder : public InlineBuffer<uint8_t, 7> {
+public:
+  static constexpr unsigned MaxOperands = 255;
+
+  OperandOrder() = default;
+  /// The identity order of \p N operands.
+  explicit OperandOrder(unsigned N) : InlineBuffer(N) {
+    assert(N <= MaxOperands && "operand indices are bytes");
+    for (unsigned I = 0; I < N; ++I)
+      data()[I] = static_cast<uint8_t>(I);
+  }
+};
+
 /// Decides operand evaluation orders. Deterministic given (policy,
 /// seed, replay vector), which makes search reproducible.
 class OrderChooser {
@@ -50,7 +71,7 @@ public:
   /// the decision trace. Replayed decisions (0 = source order,
   /// 1 = reversed) take precedence over the policy. A \p Forced list
   /// (Expr::OrderFree) follows the policy and is traced with arity 1.
-  std::vector<uint8_t> choose(unsigned N, bool Forced = false);
+  OperandOrder choose(unsigned N, bool Forced = false);
 
   /// Pins the first decisions to \p Decisions.
   void setReplay(std::vector<uint8_t> Decisions) {

@@ -158,7 +158,7 @@ uint64_t smallCellsDigest(const Configuration &C) {
 
 uint64_t fingerprintWith(const Configuration &C, bool Full) {
   WordHasher H;
-  H.u64(Full || !C.K.tracking() ? C.K.computeDigest() : C.K.digest());
+  H.u64(Full ? C.K.computeDigest() : C.K.digest());
   H.u64(Full ? C.LocsWrittenTo.computeDigest() : C.LocsWrittenTo.digest());
   H.u64(Full ? C.NotWritable.computeDigest() : C.NotWritable.digest());
   C.Mem.hashInto(H, Full);
@@ -192,15 +192,14 @@ uint64_t cundef::kItemDigest(const KItem &Item) {
   R.add(reinterpret_cast<uintptr_t>(Item.Ty.Ty));
   R.add(reinterpret_cast<uintptr_t>(Item.Callee));
   // The sizes of the variable-length parts, which follow unprefixed.
-  R.add(pair32(static_cast<uint32_t>(Item.Results.size()),
-               static_cast<uint32_t>(Item.Perm.size())));
-  R.add(Item.ObjectsToKill.size());
+  // An EvalOperands item's operand results are not part of it: they
+  // wait on the value stack, which smallCellsDigest covers.
+  R.add(pair32(Item.Perm.size(),
+               static_cast<uint32_t>(Item.ObjectsToKill.size())));
   R.absorbInto(H, static_cast<uint32_t>(Item.K) |
                       static_cast<uint32_t>(Item.Idx) << 8 |
                       static_cast<uint32_t>(Item.Ty.Quals) << 16 |
                       static_cast<uint32_t>(Item.HasValue) << 24);
-  for (const Value &V : Item.Results)
-    hashValue(H, V);
   H.bytes(Item.Perm.data(), Item.Perm.size());
   H.bytes(Item.ObjectsToKill.data(),
           Item.ObjectsToKill.size() * sizeof(uint32_t));

@@ -15,6 +15,7 @@
 #ifndef CUNDEF_CORE_KITEM_H
 #define CUNDEF_CORE_KITEM_H
 
+#include "core/EvalOrder.h"
 #include "core/Value.h"
 
 #include <vector>
@@ -63,12 +64,17 @@ struct KItem {
   const Expr *E = nullptr;
   const Stmt *S = nullptr;
 
-  // EvalOperands payload: the values of E's operands (one slot each),
-  // the chosen evaluation order (a permutation of operand indices), and
-  // the next position in that order. The operands themselves are E's
-  // children. When Idx == Perm.size() the finish handler for E runs.
-  std::vector<Value> Results;
-  std::vector<uint8_t> Perm;
+  // EvalOperands payload: the chosen evaluation order (a permutation of
+  // operand indices) and the number of operands scheduled so far. The
+  // operands themselves are E's children. Their values are not stored
+  // here: each stays on the value stack where its operand pushed it, so
+  // the top Idx - 1 values (Idx once all are done) are the results of
+  // Perm[0], Perm[1], ... in that order. The item stays on k while its
+  // operands run and advances Idx in place. When Idx == Perm.size() and
+  // the last operand is done, it is popped and the finish handler for E
+  // takes the values off. A list has at most OperandOrder::MaxOperands
+  // operands, so Idx fits a byte.
+  OperandOrder Perm;
   uint8_t Idx = 0;
 
   // StoreTo payload.

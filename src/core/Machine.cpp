@@ -391,8 +391,18 @@ bool Machine::step() {
     Conf.Status = RunStatus::Cancelled;
     return false;
   }
-  stepItem(Conf.K.take());
+  stepTop();
   return Conf.Status == RunStatus::Running;
+}
+
+void Machine::stepTop() {
+  // Between two of its operands an operand list changes only its
+  // position, so it stays on k instead of being popped and re-pushed.
+  if (Conf.K.back().K == KKind::EvalOperands) {
+    stepEvalOperands();
+    return;
+  }
+  stepItem(Conf.K.take());
 }
 
 void Machine::stepItem(KItem Item) {
@@ -403,8 +413,8 @@ void Machine::stepItem(KItem Item) {
   case KKind::Stmt:
     stepStmt(Item.S);
     return;
-  case KKind::EvalOperands:
-    stepEvalOperands(std::move(Item));
+  case KKind::EvalOperands: // stepped in place by stepTop
+    Conf.Status = RunStatus::Internal;
     return;
   case KKind::LvToRv:
     stepLvToRv(Item.E);
@@ -574,19 +584,24 @@ Value Machine::popValue(SourceLoc Loc) {
     Conf.Status = RunStatus::Internal;
     return Value::empty();
   }
+  checkTopValue(Loc);
   Value V = std::move(Conf.Values.back());
   Conf.Values.pop_back();
-  if (V.MissingReturn) {
-    // Using the value of a call whose function returned without one
-    // (C11 6.9.1p12).
-    flagUb(UbKind::MissingReturnValueUsed, Loc);
-    if (Opts.Strict && Opts.StopAtFirstUb)
-      return V;
-    // Permissive hardware hands back whatever was in the register.
-    V = Value::makeInt(V.Ty && V.Ty->isIntegral() ? V.Ty : Ctx.Types.intTy(),
-                       0xCDCDCDCDu);
-  }
   return V;
+}
+
+void Machine::checkTopValue(SourceLoc Loc) {
+  Value &V = Conf.Values.back();
+  if (!V.MissingReturn)
+    return;
+  // Using the value of a call whose function returned without one
+  // (C11 6.9.1p12).
+  flagUb(UbKind::MissingReturnValueUsed, Loc);
+  if (Opts.Strict && Opts.StopAtFirstUb)
+    return;
+  // Permissive hardware hands back whatever was in the register.
+  V = Value::makeInt(V.Ty && V.Ty->isIntegral() ? V.Ty : Ctx.Types.intTy(),
+                     0xCDCDCDCDu);
 }
 
 //===----------------------------------------------------------------------===//
@@ -871,9 +886,8 @@ const FunctionDecl *Machine::functionFor(const Value &V) const {
   return It == Conf.FuncByObject.end() ? nullptr : It->second;
 }
 
-bool Machine::callFunctionSync(const FunctionDecl *Fn,
-                               std::vector<Value> Args, SourceLoc Loc,
-                               Value &Result) {
+bool Machine::callFunctionSync(const FunctionDecl *Fn, ValueSpan Args,
+                               SourceLoc Loc, Value &Result) {
   assert(Fn && Fn->Body && "sync call needs a defined function");
   if (Conf.CallStack.size() >= Opts.MaxCallDepth) {
     flagUb(UbKind::RecursionLimitExceeded, Loc);
@@ -915,7 +929,7 @@ bool Machine::callFunctionSync(const FunctionDecl *Fn,
       --SyncDepth;
       return false;
     }
-    stepItem(Conf.K.take());
+    stepTop();
   }
   --SyncDepth;
   if (Conf.Status != RunStatus::Running)

@@ -157,10 +157,7 @@ public:
   /// abandon interleavings whose state another interleaving already
   /// reached.
   using ChoiceHook = std::function<bool(Machine &M)>;
-  void setChoiceHook(ChoiceHook Hook) {
-    OnChoice = std::move(Hook);
-    Conf.K.enableTracking(); // a fingerprint consumer exists
-  }
+  void setChoiceHook(ChoiceHook Hook) { OnChoice = std::move(Hook); }
 
   /// Called immediately before a flippable (arity >= 2) choice point,
   /// while the configuration is still the pre-choice state. The hook
@@ -171,7 +168,6 @@ public:
   using BeforeChoiceHook = std::function<void(Machine &M, unsigned Arity)>;
   void setBeforeChoiceHook(BeforeChoiceHook Hook) {
     OnBeforeChoice = std::move(Hook);
-    Conf.K.enableTracking();
   }
 
   /// Valid only inside a BeforeChoiceHook invocation: a snapshot that,
@@ -281,7 +277,7 @@ public:
   /// Runs a user function to completion from inside a builtin (the
   /// callback path of qsort/bsearch). The sub-execution uses the same
   /// configuration; returns false if it stopped (UB, fault, ...).
-  bool callFunctionSync(const FunctionDecl *Fn, std::vector<Value> Args,
+  bool callFunctionSync(const FunctionDecl *Fn, ValueSpan Args,
                         SourceLoc Loc, Value &Result);
   /// Resolves a pointer value to the function it designates (null when
   /// it does not designate one).
@@ -295,6 +291,9 @@ private:
   uint32_t literalObject(const StringLitExpr *S);
 
   //===--- Step dispatch -------------------------------------------------===//
+  /// Steps the top of k: an operand list advances in place, any other
+  /// item is popped and handed to stepItem.
+  void stepTop();
   void stepItem(KItem Item); // takes the popped top of k
 
   //===--- Expressions (RulesExpr.cpp) -----------------------------------===//
@@ -302,14 +301,18 @@ private:
   /// Evaluates Node's \p N operands in a chosen order, then finishes
   /// Node (finishOperands).
   void scheduleOperands(const Expr *Node, unsigned N);
-  void stepEvalOperands(KItem Item);
-  void finishOperands(KItem &Item);
-  void finishUnary(const UnaryExpr *U, std::vector<Value> &Vals);
-  void finishBinary(const BinaryExpr *B, std::vector<Value> &Vals);
-  void finishAssign(const AssignExpr *A, std::vector<Value> &Vals);
-  void finishCall(const CallExpr *C, std::vector<Value> &Vals);
-  void finishIndex(const IndexExpr *I, std::vector<Value> &Vals);
-  void finishMember(const MemberExpr *M, std::vector<Value> &Vals);
+  /// Advances the EvalOperands item on top of k: schedules its next
+  /// operand, or pops it and finishes the operator.
+  void stepEvalOperands();
+  /// Moves the operand values off the value stack, in operand order,
+  /// and runs Item.E's finish rule on them.
+  void finishOperands(const KItem &Item);
+  void finishUnary(const UnaryExpr *U, ValueSpan Vals);
+  void finishBinary(const BinaryExpr *B, ValueSpan Vals);
+  void finishAssign(const AssignExpr *A, ValueSpan Vals);
+  void finishCall(const CallExpr *C, ValueSpan Vals);
+  void finishIndex(const IndexExpr *I, ValueSpan Vals);
+  void finishMember(const MemberExpr *M, ValueSpan Vals);
   void stepLvToRv(const Expr *Node);
   void stepCastApply(const Expr *Node);
   void stepLogicRhs(const Expr *Node);
@@ -317,6 +320,10 @@ private:
   void stepCondPick(const Expr *Node);
   /// Pops the top value, checking the missing-return-value rule.
   Value popValue(SourceLoc Loc);
+  /// The same check on the top value, which stays on the stack (an
+  /// operand's result waiting for the rest of its list). The stack must
+  /// not be empty.
+  void checkTopValue(SourceLoc Loc);
   void pushValue(Value V) { Conf.Values.push_back(std::move(V)); }
   /// Applies unary inc/dec semantics (shared by the four operators).
   void applyIncDec(const UnaryExpr *U, const Value &Lv);
@@ -355,9 +362,11 @@ private:
   /// Permissive resolution through concrete addresses.
   ResolvedLoc resolvePermissive(SymPointer Ptr, uint64_t Len,
                                 SourceLoc Loc);
-  std::vector<Byte> encodeValue(const Value &V, uint64_t Size) const;
-  /// Decodes bytes read as type \p Ty; applies unknown/fragment rules.
-  bool decodeBytes(const std::vector<Byte> &Bytes, QualType Ty,
+  /// Encodes \p V into the \p Size bytes at \p Bytes.
+  void encodeValue(const Value &V, Byte *Bytes, uint64_t Size) const;
+  /// Decodes \p Size bytes read as type \p Ty; applies unknown/fragment
+  /// rules.
+  bool decodeBytes(const Byte *Bytes, uint64_t Size, QualType Ty,
                    SourceLoc Loc, Value &Out);
   uint8_t permissiveByteValue(const Byte &B, uint64_t Addr) const;
   bool sequencingReadCheck(uint32_t Obj, int64_t Off, uint64_t Len,

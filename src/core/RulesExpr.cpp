@@ -13,6 +13,7 @@
 #include "core/Machine.h"
 
 #include "libc/Builtins.h"
+#include "support/InlineBuffer.h"
 
 #include <cassert>
 
@@ -139,6 +140,12 @@ static const Expr *operandAt(const Expr *E, unsigned I) {
 }
 
 void Machine::scheduleOperands(const Expr *Node, unsigned N) {
+  // Operand indices are bytes (OperandOrder): a call with more arguments
+  // than that is beyond this machine, which is not the program's fault.
+  if (N > OperandOrder::MaxOperands) {
+    Conf.Status = RunStatus::Internal;
+    return;
+  }
   // An order-free list reaches the same state in every order, so it is
   // one forced decision: no snapshot, no fingerprint, no sibling.
   const bool Forced = Node->OrderFree;
@@ -153,9 +160,8 @@ void Machine::scheduleOperands(const Expr *Node, unsigned N) {
   }
   KItem Item = KItem::forExpr(KKind::EvalOperands, Node);
   Item.Perm = Chooser.choose(N, Forced);
-  Item.Results.resize(N);
-  Item.Idx = 0;
-  stepEvalOperands(std::move(Item));
+  Conf.K.push_back(std::move(Item));
+  stepEvalOperands();
   // The chosen permutation is on the k cell now, so a fingerprint taken
   // by the hook sees (and distinguishes) the decision just made.
   if (OnChoice && !Forced && Conf.Status == RunStatus::Running &&
@@ -163,43 +169,61 @@ void Machine::scheduleOperands(const Expr *Node, unsigned N) {
     Conf.Status = RunStatus::Cancelled;
 }
 
-void Machine::stepEvalOperands(KItem Item) {
-  // Collect the value produced by the previously scheduled operand.
-  if (Item.Idx > 0) {
-    Value V = popValue(Item.E->Loc);
+void Machine::stepEvalOperands() {
+  const KItem &Top = Conf.K.back();
+  // The previously scheduled operand left its value on top of the value
+  // stack, above those of the operands before it. It stays there; only
+  // the check for consuming it runs now, in the step that used to pop it.
+  if (Top.Idx > 0) {
+    if (Conf.Values.size() < Top.Idx) {
+      Conf.Status = RunStatus::Internal;
+      return;
+    }
+    checkTopValue(Top.E->Loc);
     if (Conf.Status != RunStatus::Running)
       return;
-    Item.Results[Item.Perm[Item.Idx - 1]] = std::move(V);
   }
-  if (Item.Idx < Item.Results.size()) {
-    const Expr *Next = operandAt(Item.E, Item.Perm[Item.Idx]);
-    ++Item.Idx;
-    Conf.K.push_back(std::move(Item));
+  if (Top.Idx < Top.Perm.size()) {
+    KItem &Item = Conf.K.mutableBack();
+    const Expr *Next = operandAt(Item.E, Item.Perm[Item.Idx++]);
     Conf.K.push_back(KItem::expr(Next));
     return;
   }
-  finishOperands(Item);
+  finishOperands(Conf.K.take());
 }
 
-void Machine::finishOperands(KItem &Item) {
+void Machine::finishOperands(const KItem &Item) {
+  // The top N values are the operands' results in evaluation order,
+  // Perm[0]'s lowest. They move to a buffer of this activation's own
+  // before the rule runs: the rule pushes its result, and a builtin's
+  // call-back (qsort's comparator) runs whole operand lists of its own
+  // from inside finishCall, so no rule may hold references into the
+  // value stack or into a buffer that nested lists share.
+  const unsigned N = Item.Perm.size();
+  InlineBuffer<Value, 4> Buffer(N);
+  ValueSpan Vals(Buffer.data(), N);
+  const auto First = Conf.Values.end() - N;
+  for (unsigned I = 0; I < N; ++I)
+    Vals[Item.Perm[I]] = std::move(First[I]);
+  Conf.Values.erase(First, Conf.Values.end());
   switch (Item.E->Kind) {
   case ExprKind::Unary:
-    finishUnary(cast<UnaryExpr>(Item.E), Item.Results);
+    finishUnary(cast<UnaryExpr>(Item.E), Vals);
     return;
   case ExprKind::Binary:
-    finishBinary(cast<BinaryExpr>(Item.E), Item.Results);
+    finishBinary(cast<BinaryExpr>(Item.E), Vals);
     return;
   case ExprKind::Assign:
-    finishAssign(cast<AssignExpr>(Item.E), Item.Results);
+    finishAssign(cast<AssignExpr>(Item.E), Vals);
     return;
   case ExprKind::Call:
-    finishCall(cast<CallExpr>(Item.E), Item.Results);
+    finishCall(cast<CallExpr>(Item.E), Vals);
     return;
   case ExprKind::Index:
-    finishIndex(cast<IndexExpr>(Item.E), Item.Results);
+    finishIndex(cast<IndexExpr>(Item.E), Vals);
     return;
   case ExprKind::Member:
-    finishMember(cast<MemberExpr>(Item.E), Item.Results);
+    finishMember(cast<MemberExpr>(Item.E), Vals);
     return;
   default:
     Conf.Status = RunStatus::Internal;
@@ -217,7 +241,7 @@ static bool checkComputable(Machine &M, const Value &V, SourceLoc Loc) {
   return !M.options().Strict;
 }
 
-void Machine::finishUnary(const UnaryExpr *U, std::vector<Value> &Vals) {
+void Machine::finishUnary(const UnaryExpr *U, ValueSpan Vals) {
   Value &Sub = Vals[0];
   switch (U->Op) {
   case UnaryOp::AddrOf: {
@@ -397,7 +421,7 @@ bool Machine::divisionRule(BinaryOp Op, const Value &L, const Value &R,
   return true;
 }
 
-void Machine::finishBinary(const BinaryExpr *B, std::vector<Value> &Vals) {
+void Machine::finishBinary(const BinaryExpr *B, ValueSpan Vals) {
   Value &L = Vals[0];
   Value &R = Vals[1];
   if (!checkComputable(*this, L, B->Loc) ||
@@ -541,7 +565,7 @@ void Machine::finishBinary(const BinaryExpr *B, std::vector<Value> &Vals) {
   pushValue(Out.V);
 }
 
-void Machine::finishAssign(const AssignExpr *A, std::vector<Value> &Vals) {
+void Machine::finishAssign(const AssignExpr *A, ValueSpan Vals) {
   Value &Target = Vals[0];
   Value &Rhs = Vals[1];
   if (!Target.isLValue()) {
@@ -616,7 +640,7 @@ void Machine::finishAssign(const AssignExpr *A, std::vector<Value> &Vals) {
   pushValue(std::move(Result));
 }
 
-void Machine::finishIndex(const IndexExpr *I, std::vector<Value> &Vals) {
+void Machine::finishIndex(const IndexExpr *I, ValueSpan Vals) {
   Value &Base = Vals[0];
   Value &Idx = Vals[1];
   if (!Base.isPointer() || !Idx.isInt()) {
@@ -641,7 +665,7 @@ void Machine::finishIndex(const IndexExpr *I, std::vector<Value> &Vals) {
   pushValue(Value::makeLValue(Moved.Ptr, I->Ty));
 }
 
-void Machine::finishMember(const MemberExpr *M, std::vector<Value> &Vals) {
+void Machine::finishMember(const MemberExpr *M, ValueSpan Vals) {
   Value &Base = Vals[0];
   const Type *RecordTy = nullptr;
   SymPointer Ptr;
@@ -662,11 +686,9 @@ void Machine::finishMember(const MemberExpr *M, std::vector<Value> &Vals) {
     RecordTy = Base.Ty;
     const FieldInfo &Field = RecordTy->Record->Fields[M->FieldIdx];
     uint64_t Size = Ctx.Types.sizeOf(Field.Ty);
-    std::vector<Byte> Bytes(
-        Base.AggBytes.begin() + static_cast<long>(Field.Offset),
-        Base.AggBytes.begin() + static_cast<long>(Field.Offset + Size));
     Value Out;
-    if (!decodeBytes(Bytes, Field.Ty, M->Loc, Out))
+    if (!decodeBytes(Base.AggBytes.data() + Field.Offset, Size, Field.Ty,
+                     M->Loc, Out))
       return;
     pushValue(std::move(Out));
     return;
@@ -793,7 +815,7 @@ void Machine::stepCondPick(const Expr *Node) {
   Conf.K.push_back(KItem::expr(V.truthy(Ctx.Types) ? C->Then : C->Else));
 }
 
-void Machine::finishCall(const CallExpr *C, std::vector<Value> &Vals) {
+void Machine::finishCall(const CallExpr *C, ValueSpan Vals) {
   Value &CalleeV = Vals[0];
   if (!CalleeV.isPointer()) {
     Conf.Status = RunStatus::Internal;
@@ -819,7 +841,7 @@ void Machine::finishCall(const CallExpr *C, std::vector<Value> &Vals) {
   for (ExecMonitor *M : Monitors)
     M->onCall(*this, Fn, C);
 
-  std::vector<Value> Args(Vals.begin() + 1, Vals.end());
+  ValueSpan Args(Vals.begin() + 1, Vals.size() - 1);
   seqPoint(); // sequence point after designator and argument evaluation
 
   if (Fn->BuiltinId) {

@@ -16,6 +16,8 @@
 
 #include "core/Machine.h"
 
+#include "support/InlineBuffer.h"
+
 #include <cassert>
 #include <cstring>
 
@@ -343,19 +345,29 @@ bool Machine::effectiveTypeCheck(uint32_t Obj, int64_t Off, QualType Ty,
     uint64_t Len = Ctx.Types.sizeOf(QualType(Access));
     if (IsWrite) {
       // A non-character write re-types the region it covers
-      // (C11 6.5p6): clear any overlapping records, then set ours.
+      // (C11 6.5p6): clear any overlapping records, then set ours. A
+      // record at exactly our offset (the usual case: a field rewritten)
+      // is updated in place, so the sorted cell shifts nothing.
+      const ByteLoc Key{Obj, Off};
+      bool Kept = false;
       auto It = Conf.HeapEffectiveTy.lower_bound({Obj, 0});
       while (It != Conf.HeapEffectiveTy.end() && It->first.first == Obj) {
         int64_t RegionOff = It->first.second;
         uint64_t RegionLen = Ctx.Types.sizeOf(QualType(It->second));
         bool Overlaps = RegionOff < Off + static_cast<int64_t>(Len) &&
                         Off < RegionOff + static_cast<int64_t>(RegionLen);
-        if (Overlaps)
-          It = Conf.HeapEffectiveTy.erase(It);
-        else
+        if (It->first == Key) {
+          It->second = Access;
+          Kept = true;
           ++It;
+        } else if (Overlaps) {
+          It = Conf.HeapEffectiveTy.erase(It);
+        } else {
+          ++It;
+        }
       }
-      Conf.HeapEffectiveTy[{Obj, Off}] = Access;
+      if (!Kept)
+        Conf.HeapEffectiveTy[Key] = Access;
       return true;
     }
     auto It = Conf.HeapEffectiveTy.find({Obj, Off});
@@ -405,14 +417,14 @@ uint8_t Machine::permissiveByteValue(const Byte &B, uint64_t Addr) const {
   return 0;
 }
 
-std::vector<Byte> Machine::encodeValue(const Value &V, uint64_t Size) const {
-  std::vector<Byte> Bytes(Size, Byte::concrete(0));
+void Machine::encodeValue(const Value &V, Byte *Bytes, uint64_t Size) const {
+  std::fill(Bytes, Bytes + Size, Byte::concrete(0));
   switch (V.K) {
   case Value::Kind::Int: {
     uint64_t Bits = V.Bits;
     for (uint64_t I = 0; I < Size; ++I)
       Bytes[I] = Byte::concrete(static_cast<uint8_t>(Bits >> (8 * I)));
-    return Bytes;
+    return;
   }
   case Value::Kind::Float: {
     if (Size == 4) {
@@ -427,58 +439,56 @@ std::vector<Byte> Machine::encodeValue(const Value &V, uint64_t Size) const {
       for (uint64_t I = 0; I < Size && I < 8; ++I)
         Bytes[I] = Byte::concrete(static_cast<uint8_t>(Bits >> (8 * I)));
     }
-    return Bytes;
+    return;
   }
   case Value::Kind::Pointer: {
     if (V.Ptr.isNull())
-      return Bytes; // all zero
+      return; // all zero
     if (!Opts.PointerBytes || V.Ptr.FromInteger) {
       uint64_t Raw = absAddr(V.Ptr);
       for (uint64_t I = 0; I < Size; ++I)
         Bytes[I] = Byte::concrete(static_cast<uint8_t>(Raw >> (8 * I)));
-      return Bytes;
+      return;
     }
     // subObject fragmentation: the pointer can only be reassembled from
     // the complete, ordered set of its bytes.
     for (uint64_t I = 0; I < Size; ++I)
       Bytes[I] = Byte::ptrFrag(V.Ptr, static_cast<uint8_t>(I),
                                static_cast<uint8_t>(Size));
-    return Bytes;
+    return;
   }
   case Value::Kind::Opaque:
     Bytes[0] = V.Payload;
-    return Bytes;
+    return;
   case Value::Kind::Agg: {
     for (uint64_t I = 0; I < Size && I < V.AggBytes.size(); ++I)
       Bytes[I] = V.AggBytes[I];
-    return Bytes;
+    return;
   }
   case Value::Kind::Empty:
   case Value::Kind::LVal:
     break;
   }
-  return Bytes;
 }
 
-bool Machine::decodeBytes(const std::vector<Byte> &Bytes, QualType Ty,
+bool Machine::decodeBytes(const Byte *Bytes, uint64_t Size, QualType Ty,
                           SourceLoc Loc, Value &Out) {
   const Type *T = Ty.Ty;
   if (T->isRecord() || T->isArray()) {
-    Out = Value::makeAgg(T, Bytes);
+    Out = Value::makeAgg(T, std::vector<Byte>(Bytes, Bytes + Size));
     return true;
   }
-  uint64_t Size = Bytes.size();
 
   bool AnyUnknown = false, AnyFrag = false, AllConcrete = true;
-  for (const Byte &B : Bytes) {
-    AnyUnknown |= B.isUnknown();
-    AnyFrag |= B.isPtrFrag();
-    AllConcrete &= B.isConcrete();
+  for (uint64_t I = 0; I < Size; ++I) {
+    AnyUnknown |= Bytes[I].isUnknown();
+    AnyFrag |= Bytes[I].isPtrFrag();
+    AllConcrete &= Bytes[I].isConcrete();
   }
 
   // Whole-pointer reconstruction (paper 4.3.2).
   if (AnyFrag && !AnyUnknown) {
-    bool Complete = Bytes.size() == Bytes[0].FragCount;
+    bool Complete = Size == Bytes[0].FragCount;
     for (uint64_t I = 0; Complete && I < Size; ++I)
       Complete = Bytes[I].isPtrFrag() && Bytes[I].FragIndex == I &&
                  Bytes[I].FragBase == Bytes[0].FragBase &&
@@ -569,6 +579,10 @@ bool Machine::decodeBytes(const std::vector<Byte> &Bytes, QualType Ty,
 // Load / store
 //===----------------------------------------------------------------------===//
 
+/// The bytes of one scalar access: a scalar is at most 16 bytes, so
+/// loads and stores keep them on the C++ stack.
+using ScalarBytes = InlineBuffer<Byte, 16>;
+
 bool Machine::loadScalar(SymPointer Ptr, QualType Ty, SourceLoc Loc,
                          Value &Out) {
   for (ExecMonitor *M : Monitors)
@@ -585,7 +599,7 @@ bool Machine::loadScalar(SymPointer Ptr, QualType Ty, SourceLoc Loc,
     return false;
   if (!effectiveTypeCheck(R.Obj, R.Offset, Ty, Loc, /*IsWrite=*/false))
     return false;
-  std::vector<Byte> Bytes(Len);
+  ScalarBytes Bytes(Len);
   for (uint64_t I = 0; I < Len; ++I)
     Conf.Mem.readByte(R.Obj, R.Offset + static_cast<int64_t>(I), Bytes[I]);
   if (!Opts.Strict) {
@@ -596,7 +610,7 @@ bool Machine::loadScalar(SymPointer Ptr, QualType Ty, SourceLoc Loc,
       if (Bytes[I].isUnknown())
         Bytes[I] = Byte::concrete(permissiveByteValue(Bytes[I], Base + I));
   }
-  return decodeBytes(Bytes, Ty, Loc, Out);
+  return decodeBytes(Bytes.data(), Len, Ty, Loc, Out);
 }
 
 bool Machine::storeScalar(SymPointer Ptr, QualType Ty, const Value &V,
@@ -619,11 +633,12 @@ bool Machine::storeScalar(SymPointer Ptr, QualType Ty, const Value &V,
     if (!effectiveTypeCheck(R.Obj, R.Offset, Ty, Loc, /*IsWrite=*/true))
       return false;
   }
-  std::vector<Byte> Bytes = encodeValue(V, Len);
+  ScalarBytes Bytes(Len);
+  encodeValue(V, Bytes.data(), Len);
   if (!Opts.UnknownBytes) {
-    for (Byte &B : Bytes)
-      if (B.isUnknown())
-        B = Byte::concrete(0xCD);
+    for (uint64_t I = 0; I < Len; ++I)
+      if (Bytes[I].isUnknown())
+        Bytes[I] = Byte::concrete(0xCD);
   }
   for (uint64_t I = 0; I < Len; ++I)
     Conf.Mem.writeByte(R.Obj, R.Offset + static_cast<int64_t>(I), Bytes[I]);
@@ -665,7 +680,8 @@ bool Machine::storeAgg(SymPointer Ptr, QualType Ty, const Value &V,
     if (!sequencingWriteCheck(R.Obj, R.Offset, Len, Loc))
       return false;
   }
-  std::vector<Byte> Bytes = encodeValue(V, Len);
+  std::vector<Byte> Bytes(Len);
+  encodeValue(V, Bytes.data(), Len);
   for (uint64_t I = 0; I < Len; ++I)
     Conf.Mem.writeByte(R.Obj, R.Offset + static_cast<int64_t>(I), Bytes[I]);
   return true;

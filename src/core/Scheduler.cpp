@@ -52,6 +52,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -467,53 +468,64 @@ struct SearchScheduler::Impl {
 
   void executeTask(Task &T) {
     ProgramState &P = *T.Prog;
-    const size_t PinnedLen = T.Pinned.size();
     RunsExecuted.fetch_add(1, std::memory_order_relaxed);
 
     UbSink Sink;
     // Declared before Run so it outlives the forked machine: the
     // copy-on-write invariant documented at Machine's fork constructor.
     std::unique_ptr<MachineSnapshot> Snap = Cache.take(T.SnapId);
-    std::unique_ptr<Machine> Run;
+    std::optional<Machine> Run;
     if (P.Snapshots && Snap) {
-      Run = std::make_unique<Machine>(*P.Ast, P.MOpts, Sink, *Snap, T.Pinned);
+      Run.emplace(*P.Ast, P.MOpts, Sink, *Snap, T.Pinned);
       T.Forked = true;
     } else {
-      Run = std::make_unique<Machine>(*P.Ast, P.MOpts, Sink);
+      Run.emplace(*P.Ast, P.MOpts, Sink);
       Run->setReplayDecisions(T.Pinned);
     }
     Machine &M = *Run;
 
-    M.setCancelCheck([&]() {
-      return P.Done.load(std::memory_order_relaxed) ||
-             T.Abandoned.load(std::memory_order_relaxed);
+    // Each hook captures one pointer, which std::function stores inline,
+    // so installing them allocates nothing.
+    struct RunContext {
+      Impl &Sched;
+      ProgramState &P;
+      Task &T;
+      size_t PinnedLen;
+    } Ctx{*this, P, T, T.Pinned.size()};
+
+    M.setCancelCheck([C = &Ctx] {
+      return C->P.Done.load(std::memory_order_relaxed) ||
+             C->T.Abandoned.load(std::memory_order_relaxed);
     });
 
     if (P.Snapshots)
-      M.setBeforeChoiceHook([&](Machine &Mach, unsigned) {
+      M.setBeforeChoiceHook([C = &Ctx](Machine &Mach, unsigned) {
+        ProgramState &P = C->P;
         const size_t Depth = Mach.decisionTrace().size();
-        if (Depth < PinnedLen || Mach.inSyncCall() ||
+        if (Depth < C->PinnedLen || Mach.inSyncCall() ||
             P.Done.load(std::memory_order_relaxed) ||
-            T.Gen >= P.LeafGen.load(std::memory_order_relaxed))
+            C->T.Gen >= P.LeafGen.load(std::memory_order_relaxed))
           return;
-        uint64_t Id =
-            Cache.insert(Mach.captureChoiceSnapshot(), &P.EvictionsAtomic);
+        uint64_t Id = C->Sched.Cache.insert(Mach.captureChoiceSnapshot(),
+                                            &P.EvictionsAtomic);
         if (Id)
-          T.Snaps.emplace_back(Depth, Id);
+          C->T.Snaps.emplace_back(Depth, Id);
       });
 
-    M.setChoiceHook([&](Machine &Mach) {
+    M.setChoiceHook([C = &Ctx](Machine &Mach) {
+      ProgramState &P = C->P;
+      Task &T = C->T;
       if (P.Done.load(std::memory_order_relaxed))
         return false;
       const auto &Trace = Mach.decisionTrace();
       const size_t Depth = Trace.size();
-      if (Depth < std::max<size_t>(PinnedLen, 1))
+      if (Depth < std::max<size_t>(C->PinnedLen, 1))
         return true; // still inside the parent's already-explored path
       if (Trace.back().second < 2)
         return true; // forced point: nothing branches here
       const uint64_t Fp = P.SOpts.FullRehash ? Mach.configFingerprintFull()
                                              : Mach.configFingerprint();
-      if (Depth == PinnedLen) {
+      if (Depth == C->PinnedLen) {
         T.DivergenceFp = Fp;
         T.HasDivergence = true;
       }
@@ -532,7 +544,7 @@ struct SearchScheduler::Impl {
     T.UbFound = T.Status == RunStatus::UbDetected || !Sink.empty();
     if (T.UbFound)
       T.Reports = Sink.all();
-    if (PinnedLen == 0) {
+    if (Ctx.PinnedLen == 0) {
       T.Output = M.config().Output;
       T.ExitCode = M.config().ExitCode;
     }

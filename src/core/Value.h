@@ -127,6 +127,22 @@ public:
   bool truthy(const TypeContext &Types) const;
 };
 
+/// A view of consecutive values: an operand list's results in operand
+/// order, or a call's arguments.
+class ValueSpan {
+public:
+  ValueSpan(Value *Data, size_t Size) : Data(Data), Size(Size) {}
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+  Value &operator[](size_t I) const { return Data[I]; }
+  Value *begin() const { return Data; }
+  Value *end() const { return Data + Size; }
+
+private:
+  Value *Data;
+  size_t Size;
+};
+
 /// Result of an arithmetic step, carrying the undefined conditions the
 /// side-condition rules test (paper section 4.1).
 struct ArithOutcome {

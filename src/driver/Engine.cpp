@@ -230,11 +230,14 @@ struct AnalysisEngine::Impl {
   /// Resolves \p Source through the translation cache into \p Key's
   /// artifact. \p Key receives the unit's content address whether or
   /// not the cache is on: the result cache and the context sweep key
-  /// on it.
+  /// on it. Artifacts the cache evicted to make room go to \p Evicted
+  /// when given (else they are dropped before returning).
   CompiledProgramRef frontend(const AnalysisRequest &Req,
                               const std::string &Source,
                               const std::string &Name, bool *WasHit,
-                              TranslationKey &Key) {
+                              TranslationKey &Key,
+                              std::vector<CompiledProgramRef> *Evicted =
+                                  nullptr) {
     FrontendOptions FO;
     FO.Target = Req.target();
     FO.StaticChecks = Req.staticChecks();
@@ -246,7 +249,7 @@ struct AnalysisEngine::Impl {
     return TCache.getOrCompute(
         Key,
         [&] { return compileTranslationUnit(FO, Source, Name, Headers, &Key); },
-        WasHit);
+        WasHit, Evicted);
   }
 
   /// Live-engine header edits re-key every unit (the header
@@ -309,13 +312,18 @@ struct AnalysisEngine::Impl {
     JobState &St = *Task.St;
     const AnalysisRequest &Req = Task.Req;
 
+    // Once the cache is full, every new program evicts another's
+    // artifact (AST, types, diagnostics). Freeing it is no part of this
+    // job: it happens when this function returns, after the job is
+    // queued or finished, not inside the frontend's timing.
+    std::vector<CompiledProgramRef> Evicted;
     auto FeStart = std::chrono::steady_clock::now();
     const bool UseRC = RCache.enabled() && Req.useResultCache();
     bool Hit = false;
     TranslationKey TKey;
     CompiledProgramRef Art;
     try {
-      Art = frontend(Req, Task.Source, St.Name, &Hit, TKey);
+      Art = frontend(Req, Task.Source, St.Name, &Hit, TKey, &Evicted);
     } catch (const std::exception &E) {
       // A throwing frontend (OOM, realistically) must not escape a
       // pool thread — that would terminate the whole service and
@@ -466,9 +474,13 @@ struct AnalysisEngine::Impl {
   /// of which re-enters finishJob for its own job with Publish unset,
   /// so the recursion is one level deep by construction).
   void finishJob(JobState &St, DriverOutcome O, double Wall) {
+    // Outcomes the publish evicts are freed on return, after the job's
+    // future is fulfilled.
+    std::vector<CachedOutcome> Evicted;
     if (St.Publish) {
       St.Publish = false;
-      RCache.publish(St.RKey, std::make_shared<const DriverOutcome>(O));
+      Evicted =
+          RCache.publish(St.RKey, std::make_shared<const DriverOutcome>(O));
     }
     if (St.Sink) {
       EngineJobInfo Info{St.Id, St.Name};

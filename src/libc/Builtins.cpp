@@ -45,7 +45,7 @@ namespace {
 /// Convenience wrapper around the machine for the implementations.
 struct BuiltinCtx {
   Machine &M;
-  std::vector<Value> &Args;
+  ValueSpan Args;
   const CallExpr *Site;
   SourceLoc Loc;
 
@@ -618,11 +618,10 @@ bool callComparator(BuiltinCtx &C, const FunctionDecl *Cmp, SymPointer A,
                     SymPointer B, int &Out) {
   const Type *ConstVoidPtr = C.mutableTypes().getPointer(
       QualType(C.types().voidTy(), QualConst));
-  std::vector<Value> Args;
-  Args.push_back(Value::makePointer(ConstVoidPtr, A));
-  Args.push_back(Value::makePointer(ConstVoidPtr, B));
+  Value Args[] = {Value::makePointer(ConstVoidPtr, A),
+                  Value::makePointer(ConstVoidPtr, B)};
   Value R;
-  if (!C.M.callFunctionSync(Cmp, std::move(Args), C.Loc, R))
+  if (!C.M.callFunctionSync(Cmp, ValueSpan(Args, 2), C.Loc, R))
     return false;
   if (!R.isInt()) {
     C.M.flagUb(UbKind::CallTypeMismatch, C.Loc);
@@ -721,7 +720,7 @@ bool builtinBsearch(BuiltinCtx &C, Value &Result) {
 
 } // namespace
 
-bool cundef::runBuiltin(Machine &M, uint16_t Id, std::vector<Value> &Args,
+bool cundef::runBuiltin(Machine &M, uint16_t Id, ValueSpan Args,
                         const CallExpr *Site, Value &Result) {
   BuiltinCtx C{M, Args, Site, Site ? Site->Loc : SourceLoc()};
   switch (static_cast<BuiltinId>(Id)) {

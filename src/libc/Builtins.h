@@ -67,7 +67,7 @@ void assignBuiltinIds(AstContext &Ctx);
 
 /// Executes builtin \p Id. Returns false when the builtin reported
 /// undefinedness (or stopped the machine); otherwise sets \p Result.
-bool runBuiltin(Machine &M, uint16_t Id, std::vector<Value> &Args,
+bool runBuiltin(Machine &M, uint16_t Id, ValueSpan Args,
                 const CallExpr *Site, Value &Result);
 
 } // namespace cundef

@@ -30,7 +30,11 @@
 ///    past a shard's bound evicts its least-recently-used ready entry.
 ///    In-flight entries are not in the LRU, so they cannot be evicted.
 ///    Eviction drops only the cache's reference: whoever holds the
-///    value keeps it alive.
+///    value keeps it alive. An evicted value is never destroyed under a
+///    shard lock: publish() hands it back to its caller, who may drop
+///    it at once or later, off its critical path (the engine drops
+///    evicted artifacts after the job is queued). A value's destructor
+///    may therefore re-enter the cache.
 ///  * **Capacity 0 is pass-through.** Every begin() is Owner, publish()
 ///    stores nothing, and no counter moves.
 ///
@@ -47,6 +51,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -142,47 +147,49 @@ public:
   /// and fires every registered waiter with it, outside the shard lock.
   /// A null \p Value abandons the claim instead: nothing is stored,
   /// waiters fire with null, and the next lookup of the key is Owner.
-  /// No-op when the key holds no in-flight entry.
-  void publish(const KeyT &Key, ValueT Value) {
+  /// No-op when the key holds no in-flight entry. Returns the values
+  /// the LRU bound evicted, for the caller to drop outside every cache
+  /// lock, whenever suits it.
+  std::vector<ValueT> publish(const KeyT &Key, ValueT Value) {
+    std::vector<ValueT> Evicted;
     if (!enabled())
-      return;
+      return Evicted;
     Shard &S = shardFor(Key);
     std::vector<Waiter> Fire;
-    uint64_t Evicted = 0;
     {
       std::lock_guard<std::mutex> Lock(S.Mu);
       auto It = S.Entries.find(Key);
       if (It == S.Entries.end() || It->second.Ready)
-        return;
+        return Evicted;
       Fire = std::move(It->second.Waiters);
       if (Value) {
         It->second.Ready = Value;
         It->second.LruIt = S.Lru.insert(S.Lru.end(), Key);
         // Shard capacity is at least 1, so the entry just published
         // (at the back) is never its own victim.
-        for (; S.Lru.size() > S.Capacity; ++Evicted) {
-          S.Entries.erase(S.Lru.front());
-          S.Lru.pop_front();
-        }
+        while (S.Lru.size() > S.Capacity)
+          Evicted.push_back(evictFront(S));
       } else {
         S.Entries.erase(It);
       }
     }
     if (!Value)
       Stats.Abandoned.fetch_add(1, std::memory_order_relaxed);
-    else if (Evicted)
-      Stats.Evictions.fetch_add(Evicted, std::memory_order_relaxed);
+    else if (!Evicted.empty())
+      Stats.Evictions.fetch_add(Evicted.size(), std::memory_order_relaxed);
     // Waiters run arbitrary completion code (job finishers, sink
     // callbacks): never under a shard lock.
     for (Waiter &W : Fire)
       if (W)
         W(Value);
+    return Evicted;
   }
 
   /// Drops every ready entry whose key satisfies \p Stale (counted as
   /// evictions). In-flight entries stay pinned.
   template <typename Pred> void evictIf(Pred Stale) {
-    uint64_t Evicted = 0;
+    // Destroyed after the last shard unlocks.
+    std::vector<ValueT> Evicted;
     for (Shard &S : Shards) {
       std::lock_guard<std::mutex> Lock(S.Mu);
       for (auto It = S.Lru.begin(); It != S.Lru.end();) {
@@ -190,13 +197,14 @@ public:
           ++It;
           continue;
         }
-        S.Entries.erase(*It);
+        auto E = S.Entries.find(*It);
+        Evicted.push_back(std::move(E->second.Ready));
+        S.Entries.erase(E);
         It = S.Lru.erase(It);
-        ++Evicted;
       }
     }
-    if (Evicted)
-      Stats.Evictions.fetch_add(Evicted, std::memory_order_relaxed);
+    if (!Evicted.empty())
+      Stats.Evictions.fetch_add(Evicted.size(), std::memory_order_relaxed);
   }
 
   /// Blocking lookup over begin()/publish(): returns the value for
@@ -205,8 +213,12 @@ public:
   /// its own caller only; joiners woken by the abandon retry from
   /// begin(), so none hangs. \p WasHit (optional) reports whether this
   /// caller skipped \p Compute. \p Compute must not re-enter the cache.
+  /// \p Evicted (optional) receives the values this call's publish
+  /// evicted, for the caller to drop later; without it they are dropped
+  /// before returning (outside every cache lock either way).
   template <typename Fn>
-  ValueT getOrCompute(const KeyT &Key, Fn &&Compute, bool *WasHit = nullptr) {
+  ValueT getOrCompute(const KeyT &Key, Fn &&Compute, bool *WasHit = nullptr,
+                      std::vector<ValueT> *Evicted = nullptr) {
     for (;;) {
       auto Joined = std::make_shared<std::promise<ValueT>>();
       std::future<ValueT> Woken = Joined->get_future();
@@ -221,7 +233,10 @@ public:
           publish(Key, nullptr);
           throw;
         }
-        publish(Key, Value);
+        std::vector<ValueT> Dropped = publish(Key, Value);
+        if (Evicted)
+          std::move(Dropped.begin(), Dropped.end(),
+                    std::back_inserter(*Evicted));
         if (WasHit)
           *WasHit = false;
         return Value;
@@ -274,6 +289,16 @@ private:
     std::list<KeyT> Lru;
     size_t Capacity = 0;
   };
+
+  /// Unlinks the shard's least-recently-used ready entry and returns its
+  /// value (caller holds S.Mu).
+  static ValueT evictFront(Shard &S) {
+    auto It = S.Entries.find(S.Lru.front());
+    ValueT Value = std::move(It->second.Ready);
+    S.Entries.erase(It);
+    S.Lru.pop_front();
+    return Value;
+  }
 
   Shard &shardFor(const KeyT &Key) {
     // The top hash bits pick the shard; the map's buckets use the low

@@ -15,6 +15,8 @@
 //    Under -DCUNDEF_TSAN=ON this suite runs instrumented (ctest -L tsan).
 //  * **Failure.** An abandoned claim, or a throwing compute, releases
 //    the key: joiners never hang, and the key is claimable again.
+//  * **Eviction.** Evicted values are handed back and destroyed outside
+//    every cache lock, so a value's destructor may re-enter the cache.
 //
 // The engine-level behaviour (header-edit sweep, byte-identical
 // outcomes with the caches on and off) lives in
@@ -29,8 +31,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 using namespace cundef;
 
@@ -370,6 +374,61 @@ TYPED_TEST(ContentCacheTest, ThrowingComputeStrandsNoJoiner) {
                std::runtime_error);
   EXPECT_EQ(Cache.begin(Other, nullptr).K, Kind::Owner);
   EXPECT_EQ(Cache.stats().Abandoned, 2u);
+}
+
+namespace {
+
+/// A cached value whose destructor re-enters the cache that held it:
+/// destroyed under a shard lock, it would deadlock on that lock.
+struct ReentrantValue {
+  using Ref = std::shared_ptr<const ReentrantValue>;
+  ContentCache<uint64_t, Ref> *Cache;
+  std::vector<size_t> *SizesSeen;
+  ReentrantValue(ContentCache<uint64_t, Ref> *Cache,
+                 std::vector<size_t> *SizesSeen)
+      : Cache(Cache), SizesSeen(SizesSeen) {}
+  ~ReentrantValue() {
+    SizesSeen->push_back(Cache->size());
+    ContentCacheStats St = Cache->stats(); // re-enters, lock-free
+    (void)St;
+  }
+};
+
+} // namespace
+
+TEST(ContentCacheEviction, EvictedValuesDieOutsideEveryLock) {
+  using Ref = ReentrantValue::Ref;
+  ContentCache<uint64_t, Ref> Cache(1); // one shard of one entry
+  std::vector<size_t> SizesSeen;
+  auto Make = [&] {
+    return std::make_shared<const ReentrantValue>(&Cache, &SizesSeen);
+  };
+
+  // publish() hands the victim back: it lives until the caller drops
+  // it, and its destructor can take the shard lock.
+  Cache.begin(1, nullptr);
+  EXPECT_TRUE(Cache.publish(1, Make()).empty());
+  Cache.begin(2, nullptr);
+  std::vector<Ref> Evicted = Cache.publish(2, Make());
+  ASSERT_EQ(Evicted.size(), 1u);
+  EXPECT_TRUE(SizesSeen.empty()) << "still held by the caller";
+  Evicted.clear();
+  EXPECT_EQ(SizesSeen, std::vector<size_t>{1});
+
+  // getOrCompute() collects its publish's victims for the caller...
+  Cache.getOrCompute(3, Make, nullptr, &Evicted);
+  ASSERT_EQ(Evicted.size(), 1u);
+  EXPECT_EQ(SizesSeen.size(), 1u);
+  Evicted.clear();
+  EXPECT_EQ(SizesSeen.size(), 2u);
+  // ...or drops them itself, after unlocking.
+  Cache.getOrCompute(4, Make);
+  EXPECT_EQ(SizesSeen.size(), 3u);
+
+  // So does a sweep.
+  Cache.evictIf([](uint64_t) { return true; });
+  EXPECT_EQ(SizesSeen, (std::vector<size_t>{1, 1, 1, 0}));
+  EXPECT_EQ(Cache.stats().Evictions, 4u);
 }
 
 TEST(ContentCacheKeys, ResultKeyFoldsBothFingerprints) {

@@ -2,8 +2,9 @@
 //
 // Part of cundef, a semantics-based undefinedness checker for C.
 //
-// AST printing, the order chooser, configuration rendering, the tool
-// comparison renderer, header registry, and cross-target execution.
+// AST printing, the order chooser, configuration rendering, the k
+// cell's lazy digests, the tool comparison renderer, header registry,
+// and cross-target execution.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,8 @@
 #include "core/Machine.h"
 #include "driver/ToolRunner.h"
 #include "libc/Headers.h"
+
+#include <random>
 
 using namespace cundef;
 
@@ -50,13 +53,18 @@ TEST(AstPrinter, FunctionAndStatementDump) {
   EXPECT_NE(Dump.find("(return"), std::string::npos);
 }
 
+/// The operand indices of \p Order, in evaluation order.
+static std::vector<uint8_t> indices(const OperandOrder &Order) {
+  return std::vector<uint8_t>(Order.begin(), Order.end());
+}
+
 TEST(EvalOrder, PoliciesProducePermutations) {
   OrderChooser Ltr(EvalOrderKind::LeftToRight, 1);
-  EXPECT_EQ(Ltr.choose(3), (std::vector<uint8_t>{0, 1, 2}));
+  EXPECT_EQ(indices(Ltr.choose(3)), (std::vector<uint8_t>{0, 1, 2}));
   OrderChooser Rtl(EvalOrderKind::RightToLeft, 1);
-  EXPECT_EQ(Rtl.choose(3), (std::vector<uint8_t>{2, 1, 0}));
+  EXPECT_EQ(indices(Rtl.choose(3)), (std::vector<uint8_t>{2, 1, 0}));
   OrderChooser Rand(EvalOrderKind::Random, 7);
-  std::vector<uint8_t> P = Rand.choose(4);
+  std::vector<uint8_t> P = indices(Rand.choose(4));
   std::vector<uint8_t> Sorted = P;
   std::sort(Sorted.begin(), Sorted.end());
   EXPECT_EQ(Sorted, (std::vector<uint8_t>{0, 1, 2, 3}))
@@ -66,10 +74,10 @@ TEST(EvalOrder, PoliciesProducePermutations) {
 TEST(EvalOrder, ReplayOverridesPolicy) {
   OrderChooser Chooser(EvalOrderKind::LeftToRight, 1);
   Chooser.setReplay({1, 0});
-  EXPECT_EQ(Chooser.choose(2), (std::vector<uint8_t>{1, 0}));
-  EXPECT_EQ(Chooser.choose(2), (std::vector<uint8_t>{0, 1}));
+  EXPECT_EQ(indices(Chooser.choose(2)), (std::vector<uint8_t>{1, 0}));
+  EXPECT_EQ(indices(Chooser.choose(2)), (std::vector<uint8_t>{0, 1}));
   // Replay exhausted: the policy takes over.
-  EXPECT_EQ(Chooser.choose(2), (std::vector<uint8_t>{0, 1}));
+  EXPECT_EQ(indices(Chooser.choose(2)), (std::vector<uint8_t>{0, 1}));
   ASSERT_EQ(Chooser.trace().size(), 3u);
   EXPECT_EQ(Chooser.trace()[0].first, 1);
   EXPECT_EQ(Chooser.trace()[0].second, 2);
@@ -80,6 +88,24 @@ TEST(EvalOrder, SingleOperandHasNoAlternative) {
   Chooser.choose(1);
   ASSERT_EQ(Chooser.trace().size(), 1u);
   EXPECT_EQ(Chooser.trace()[0].second, 1) << "arity 1: nothing to search";
+}
+
+TEST(EvalOrder, OrdersCopyAndMoveInlineAndSpilled) {
+  for (unsigned N : {0u, 2u, 7u, 8u, OperandOrder::MaxOperands}) {
+    OperandOrder Order(N);
+    std::reverse(Order.data(), Order.data() + N);
+    OperandOrder Copy(Order);
+    EXPECT_EQ(indices(Copy), indices(Order)) << N;
+    OperandOrder Moved(std::move(Copy));
+    EXPECT_EQ(indices(Moved), indices(Order)) << N;
+    EXPECT_EQ(Copy.size(), 0u) << "a moved-from order is empty";
+    Copy = Moved;
+    Moved = OperandOrder(3);
+    EXPECT_EQ(indices(Copy), indices(Order)) << N;
+    EXPECT_EQ(indices(Moved), (std::vector<uint8_t>{0, 1, 2})) << N;
+    if (N)
+      EXPECT_EQ(Copy[N - 1], 0) << N;
+  }
 }
 
 TEST(Configuration, DescribeCellsNamesPaperCells) {
@@ -96,6 +122,99 @@ TEST(Configuration, DescribeCellsNamesPaperCells) {
                            "<locsWrittenTo>", "<notWritable>", "<control>",
                            "<env>", "<callStack>"})
     EXPECT_NE(Cells.find(Cell), std::string::npos) << Cell;
+}
+
+/// A k item with fabricated node pointers: kItemDigest hashes them as
+/// identities and never dereferences them.
+KItem randomItem(std::mt19937 &Rng) {
+  auto Node = [&] { return reinterpret_cast<const Expr *>(8 * (Rng() % 64 + 1)); };
+  switch (Rng() % 4) {
+  case 0:
+    return KItem::expr(Node());
+  case 1: {
+    KItem Item = KItem::forExpr(KKind::EvalOperands, Node());
+    Item.Perm = OperandOrder(Rng() % 12 + 1); // some spill
+    Item.Idx = static_cast<uint8_t>(Rng() % Item.Perm.size());
+    return Item;
+  }
+  case 2: {
+    KItem Item = KItem::simple(KKind::LeaveBlock);
+    Item.ObjectsToKill.assign(Rng() % 3, static_cast<uint32_t>(Rng()));
+    return Item;
+  }
+  default:
+    return KItem::simple(KKind::SeqPoint);
+  }
+}
+
+TEST(KCell, LazyDigestsMatchFullRecomputation) {
+  // Eager is fingerprinted after every operation; Lazy, which sees the
+  // same operations, only now and then, so its prefix digests lag by
+  // many items when it is copied, popped below its hashed prefix,
+  // updated in place, or pushed onto again. Both must always agree with a from-scratch
+  // recomputation, and so must copies that then diverge.
+  for (unsigned Seed = 1; Seed <= 20; ++Seed) {
+    std::mt19937 Rng(Seed);
+    KCell Eager, Lazy;
+    for (unsigned Op = 0; Op < 400; ++Op) {
+      switch (Rng() % 7) {
+      case 0:
+      case 1:
+      case 2: {
+        KItem Item = randomItem(Rng);
+        Eager.push_back(Item);
+        Lazy.push_back(std::move(Item));
+        break;
+      }
+      case 3:
+        if (!Eager.empty()) {
+          EXPECT_EQ(kItemDigest(Eager.take()), kItemDigest(Lazy.take()));
+        }
+        break;
+      case 4:
+        if (!Eager.empty()) {
+          Eager.pop_back();
+          Lazy.pop_back();
+        }
+        break;
+      case 5:
+        // Advance the top item in place, as an operand list does.
+        if (!Eager.empty()) {
+          ++Eager.mutableBack().Idx;
+          ++Lazy.mutableBack().Idx;
+        }
+        break;
+      case 6: {
+        // Copy, diverge the copy, and carry on with a second copy.
+        KCell Fork(Lazy);
+        Fork.push_back(randomItem(Rng));
+        EXPECT_EQ(Fork.digest(), Fork.computeDigest()) << "seed " << Seed;
+        KCell Again;
+        Again = Lazy;
+        Lazy = std::move(Again);
+        // Moved-from cells are empty and usable again.
+        KCell Moved(std::move(Fork));
+        EXPECT_EQ(Moved.digest(), Moved.computeDigest()) << "seed " << Seed;
+        for (KCell *Empty : {&Again, &Fork}) {
+          EXPECT_TRUE(Empty->empty());
+          Empty->push_back(randomItem(Rng));
+          EXPECT_EQ(Empty->digest(), Empty->computeDigest())
+              << "seed " << Seed;
+        }
+        break;
+      }
+      }
+      ASSERT_EQ(Eager.digest(), Eager.computeDigest())
+          << "seed " << Seed << " op " << Op;
+      if (Rng() % 8 == 0) {
+        ASSERT_EQ(Lazy.digest(), Lazy.computeDigest())
+            << "seed " << Seed << " op " << Op;
+        ASSERT_EQ(Lazy.digest(), Eager.digest());
+      }
+    }
+    EXPECT_EQ(Lazy.size(), Eager.size());
+    EXPECT_EQ(Lazy.digest(), Eager.digest());
+  }
 }
 
 TEST(ToolRunner, ComparisonRendersAllTools) {
