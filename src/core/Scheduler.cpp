@@ -43,6 +43,10 @@
 // children; finalization only counts the children it would have
 // spawned, which is exactly what the final seal would have dropped.
 //
+// Placement only moves wall-clock: a run's children queue on the worker
+// that executed it (it captured their snapshots), and a program
+// submitted from a worker is queued on that worker's deque.
+//
 //===----------------------------------------------------------------------===//
 
 #include "core/Scheduler.h"
@@ -167,6 +171,11 @@ struct Task {
   /// Set when the budget truncation or program completion made this
   /// task irrelevant; an in-flight run polls it and cancels.
   std::atomic<bool> Abandoned{false};
+  /// Counted in the pool's CommitLag: executed, not yet finalized,
+  /// dropped or abandoned. Whoever clears it first uncounts the run.
+  std::atomic<bool> Lagging{false};
+  /// The worker that executed the run; its children queue there.
+  unsigned Worker = 0;
 
   // --- Raw outputs of the speculative run -----------------------------
   RunStatus Status = RunStatus::Running;
@@ -191,6 +200,18 @@ struct Task {
 bool lexLess(const std::vector<uint8_t> &A, const std::vector<uint8_t> &B) {
   return std::lexicographical_compare(A.begin(), A.end(), B.begin(), B.end());
 }
+
+void raisePeak(std::atomic<uint64_t> &Peak, uint64_t Now) {
+  uint64_t Cur = Peak.load(std::memory_order_relaxed);
+  while (Now > Cur &&
+         !Peak.compare_exchange_weak(Cur, Now, std::memory_order_relaxed))
+    ;
+}
+
+/// The pool (an Impl's address) and index of the worker running on
+/// this thread; null on threads outside every pool.
+thread_local const void *CurrentPool = nullptr;
+thread_local unsigned CurrentWorker = 0;
 
 struct ProgramState {
   size_t Id = 0;
@@ -269,20 +290,29 @@ struct SearchScheduler::Impl {
   std::vector<WorkerDeque> Deques;
   std::atomic<uint64_t> RunsExecuted{0};
   std::atomic<uint64_t> Steals{0};
-  std::atomic<unsigned> NextPush{0};
   std::atomic<size_t> QueuedCount{0};
   std::atomic<uint64_t> PeakFrontier{0};
   /// Runs finalized by any program's commit wavefront (monotonic).
   std::atomic<uint64_t> RunsCommittedTotal{0};
-  /// Peak of (executed - committed): the speculation wavefront lag.
+  /// Runs executed and not yet finalized, dropped or abandoned, and
+  /// its peak: how far speculation runs ahead of the commit wavefront.
+  std::atomic<uint64_t> CommitLag{0};
   std::atomic<uint64_t> CommitLagPeak{0};
   std::mutex IdleMu;
   std::condition_variable IdleCv;
 
-  /// Submitted programs, by id. unique_ptr so reclaimFinished() can
-  /// free a completed program's arena without disturbing the index
-  /// space; a null slot is a reclaimed program.
+  /// Posted jobs, FIFO. QueuedJobs mirrors the size for lock-free
+  /// checks; RunningJobs counts jobs a worker is executing.
+  std::mutex JobMu;
+  std::deque<std::function<void()>> JobQ;
+  std::atomic<size_t> QueuedJobs{0};
+  std::atomic<size_t> RunningJobs{0};
+
+  /// Live programs; Programs[I] has id ProgramBase + I. unique_ptr so
+  /// reclaimFinished() can free a completed program's arena in place
+  /// (a null slot) and pop reclaimed slots off the front.
   std::deque<std::unique_ptr<ProgramState>> Programs;
+  size_t ProgramBase = 0;
   /// Guards Programs growth/reclaim (submits arrive while workers
   /// run; the deque's internal map is not safe to index concurrently
   /// with push_back) and the worker pool's Threads.
@@ -315,11 +345,6 @@ struct SearchScheduler::Impl {
   std::mutex DoneMu;
   std::condition_variable DoneCv;
 
-  ProgramState *program(size_t Id) {
-    std::lock_guard<std::mutex> Lock(SubmitMu);
-    return Id < Programs.size() ? Programs[Id].get() : nullptr;
-  }
-
   void drainCompleted() {
     for (;;) {
       size_t Id;
@@ -342,12 +367,8 @@ struct SearchScheduler::Impl {
     // Counted before it is visible: a worker that pops the task at once
     // would otherwise decrement first, and the count (and the peak taken
     // from it) would wrap below zero.
-    size_t Now = QueuedCount.fetch_add(1, std::memory_order_relaxed) + 1;
-    uint64_t Peak = PeakFrontier.load(std::memory_order_relaxed);
-    while (Now > Peak &&
-           !PeakFrontier.compare_exchange_weak(Peak, Now,
-                                               std::memory_order_relaxed))
-      ;
+    raisePeak(PeakFrontier,
+              QueuedCount.fetch_add(1, std::memory_order_relaxed) + 1);
     {
       WorkerDeque &D = Deques[Worker % Deques.size()];
       std::lock_guard<std::mutex> Lock(D.Mu);
@@ -415,18 +436,65 @@ struct SearchScheduler::Impl {
 
   bool stopping() const { return Stopping.load(std::memory_order_acquire); }
 
+  /// Runs the oldest posted job, if any. Like popTask(), InFlight is
+  /// claimed before the job leaves the queue.
+  bool runJob() {
+    if (QueuedJobs.load(std::memory_order_acquire) == 0)
+      return false;
+    std::function<void()> Job;
+    {
+      std::lock_guard<std::mutex> Lock(JobMu);
+      if (JobQ.empty())
+        return false;
+      Job = std::move(JobQ.front());
+      JobQ.pop_front();
+      InFlight.fetch_add(1, std::memory_order_acq_rel);
+      RunningJobs.fetch_add(1, std::memory_order_acq_rel);
+      QueuedJobs.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    Job();
+    RunningJobs.fetch_sub(1, std::memory_order_acq_rel);
+    InFlight.fetch_sub(1, std::memory_order_acq_rel);
+    return true;
+  }
+
+  /// The admission rule: compile first while fewer programs than
+  /// workers are in the search or being compiled.
+  bool jobsFirst() const {
+    const size_t Done = FinishedCount.load(std::memory_order_acquire);
+    return SubmittedCount.load(std::memory_order_acquire) - Done +
+               RunningJobs.load(std::memory_order_acquire) <
+           Jobs;
+  }
+
+  /// Ends \p T's commit lag if it still counts (finalized, dropped or
+  /// abandoned). Sequentially consistent with the worker's mark, so
+  /// exactly one side uncounts a run whose abandonment races its end.
+  void endLag(Task &T) {
+    if (T.Lagging.exchange(false))
+      CommitLag.fetch_sub(1, std::memory_order_relaxed);
+  }
+
   /// Workers idle between submissions until stop().
   void workerLoop(unsigned Worker) {
+    CurrentPool = this;
+    CurrentWorker = Worker;
     while (!stopping()) {
       drainCompleted();
+      const bool JobFirst = jobsFirst();
+      if (JobFirst && runJob())
+        continue;
       Task *T = popTask(Worker);
       if (!T) {
+        if (!JobFirst && runJob())
+          continue;
         // Untimed: an idle pool sleeps, it does not poll.
         // Every predicate input is paired with a locked notify
         // (wakeWorker/wakeAllWorkers), so no wakeup can be missed.
         std::unique_lock<std::mutex> Lock(IdleMu);
         IdleCv.wait(Lock, [&] {
           return QueuedCount.load(std::memory_order_relaxed) > 0 ||
+                 QueuedJobs.load(std::memory_order_acquire) > 0 ||
                  CompletedPending.load(std::memory_order_acquire) > 0 ||
                  stopping();
         });
@@ -443,14 +511,21 @@ struct SearchScheduler::Impl {
         InFlight.fetch_sub(1, std::memory_order_acq_rel);
         continue;
       }
+      T->Worker = Worker;
       executeTask(*T);
-      if (T->Abandoned.load(std::memory_order_acquire) ||
-          P.Done.load(std::memory_order_acquire)) {
+      // Counted before the overtaken check: finishProgram() and
+      // abandonTask() set their flag before they clear Lagging, so one
+      // of the two sides sees the other.
+      T->Lagging.store(true);
+      raisePeak(CommitLagPeak,
+                CommitLag.fetch_add(1, std::memory_order_relaxed) + 1);
+      if (T->Abandoned.load() || P.Done.load()) {
         // The run was overtaken (budget truncation or a finished
         // program) and will never finalize: release its snapshots so
         // they do not squat in the cache. A race that misses a
         // snapshot is harmless — the LRU evicts strays, and the cache
         // dies with the scheduler (or is swept by reclaimFinished()).
+        endLag(*T);
         Cache.drop(T->SnapId);
         for (const auto &[Depth, Id] : T->Snaps)
           Cache.drop(Id);
@@ -642,7 +717,8 @@ struct SearchScheduler::Impl {
   /// still-running task's snapshots are released by its own worker's
   /// post-execute cleanup instead.
   void abandonTask(Task &T) {
-    T.Abandoned.store(true, std::memory_order_release);
+    T.Abandoned.store(true);
+    endLag(T);
     Cache.drop(T.SnapId);
     if (T.State.load(std::memory_order_acquire) == Task::Executed) {
       for (const auto &[Depth, Id] : T.Snaps)
@@ -657,14 +733,8 @@ struct SearchScheduler::Impl {
   void finalizeTask(ProgramState &P, Task &T) {
     const size_t PinnedLen = T.Pinned.size();
     ++P.RunsFinalized;
-    const uint64_t Comm =
-        RunsCommittedTotal.fetch_add(1, std::memory_order_relaxed) + 1;
-    const uint64_t Exec = RunsExecuted.load(std::memory_order_relaxed);
-    uint64_t Lag = Exec > Comm ? Exec - Comm : 0;
-    uint64_t Peak = CommitLagPeak.load(std::memory_order_relaxed);
-    while (Lag > Peak && !CommitLagPeak.compare_exchange_weak(
-                             Peak, Lag, std::memory_order_relaxed))
-      ;
+    RunsCommittedTotal.fetch_add(1, std::memory_order_relaxed);
+    endLag(T);
 
     // The wave engine's cancellation point: the first stream entry
     // whose key an earlier generation committed. Everything before it
@@ -804,7 +874,7 @@ struct SearchScheduler::Impl {
     // stops speculation from outrunning a canonically early witness.
     // (A wall-clock heuristic only; commit order fixes the results.)
     for (auto It = NewTasks.rbegin(); It != NewTasks.rend(); ++It)
-      pushTask(*It, NextPush.fetch_add(1, std::memory_order_relaxed));
+      pushTask(*It, T.Worker);
     // Snapshots past the effective trace (or unmatched) are unusable.
     while (SnapIdx < T.Snaps.size())
       Cache.drop(T.Snaps[SnapIdx++].second);
@@ -826,10 +896,12 @@ struct SearchScheduler::Impl {
     P.Result.Steals = P.StealsAtomic.load(std::memory_order_relaxed);
     P.Result.PeakFrontier = static_cast<unsigned>(
         PeakFrontier.load(std::memory_order_relaxed)); // scheduler-wide
-    P.Done.store(true, std::memory_order_release);
-    for (Task &T : P.Arena)
+    P.Done.store(true);
+    for (Task &T : P.Arena) {
       if (T.State.load(std::memory_order_acquire) == Task::Queued)
         T.Abandoned.store(true, std::memory_order_release);
+      endLag(T);
+    }
     DoneDedupHits.fetch_add(P.Result.DedupHits, std::memory_order_relaxed);
     FinishedCount.fetch_add(1, std::memory_order_acq_rel);
     {
@@ -899,18 +971,37 @@ size_t SearchScheduler::submit(const AstContext &Ast, MachineOptions MOpts,
                 MOpts.Style != RuleStyle::Declarative;
 
   std::lock_guard<std::mutex> Lock(S.SubmitMu);
-  P.Id = S.Programs.size();
+  P.Id = S.ProgramBase + S.Programs.size();
   S.Programs.push_back(std::move(Slot));
   // SubmittedCount is bumped before seeding so drain() can never
   // observe a submitted-but-unaccounted program.
   S.SubmittedCount.fetch_add(1, std::memory_order_acq_rel);
   S.spawnPool();
-  S.seedProgram(P, S.NextPush.fetch_add(1, std::memory_order_relaxed));
+  // From outside the pool, programs spread round-robin by id.
+  S.seedProgram(P, CurrentPool == &S ? CurrentWorker : P.Id);
   return P.Id;
 }
 
+void SearchScheduler::post(std::function<void()> Job) {
+  Impl &S = *I;
+  {
+    std::lock_guard<std::mutex> Lock(S.SubmitMu);
+    S.spawnPool();
+  }
+  {
+    std::lock_guard<std::mutex> Lock(S.JobMu);
+    S.JobQ.push_back(std::move(Job));
+    S.QueuedJobs.fetch_add(1, std::memory_order_acq_rel);
+  }
+  S.wakeWorker();
+}
+
 SearchResult SearchScheduler::takeResult(size_t Program) {
-  ProgramState *P = I->program(Program);
+  Impl &S = *I;
+  std::lock_guard<std::mutex> Lock(S.SubmitMu);
+  ProgramState *P = Program - S.ProgramBase < S.Programs.size()
+                        ? S.Programs[Program - S.ProgramBase].get()
+                        : nullptr; // unsigned: ids below the base wrap
   assert(P && "takeResult: program unknown or already reclaimed");
   P->ResultTaken = true;
   return std::move(P->Result);
@@ -930,6 +1021,7 @@ SchedulerStats SearchScheduler::stats() const {
   St.DedupHits = S.DoneDedupHits.load(std::memory_order_relaxed);
   St.RunsCommitted = S.RunsCommittedTotal.load(std::memory_order_relaxed);
   St.CommitLagPeak = S.CommitLagPeak.load(std::memory_order_relaxed);
+  St.CommitLag = S.CommitLag.load(std::memory_order_relaxed);
   const SnapshotCache::Counters SC = S.Cache.counters();
   St.SnapshotEvictions = SC.Evictions;
   St.SnapshotCaptures = SC.Inserts;
@@ -955,31 +1047,36 @@ void SearchScheduler::drain() {
 
 bool SearchScheduler::reclaimFinished() {
   Impl &S = *I;
-  std::lock_guard<std::mutex> Lock(S.SubmitMu);
-  // Only a fully idle pool is safe: with every program finished, no
-  // queued task can spawn children and no in-flight run can outlive
-  // the InFlight wait below.
-  if (S.FinishedCount.load(std::memory_order_acquire) !=
-      S.SubmittedCount.load(std::memory_order_acquire))
-    return false;
-  // Queued tasks all belong to finished programs now: abandoned work
-  // the workers would drop one by one. Drop it wholesale.
-  for (auto &D : S.Deques) {
-    std::lock_guard<std::mutex> DL(D.Mu);
-    for (Task *T : D.Q) {
-      S.Cache.drop(T->SnapId);
-      T->State.store(Task::Dropped, std::memory_order_release);
-      S.QueuedCount.fetch_sub(1, std::memory_order_relaxed);
+  std::unique_lock<std::mutex> Lock(S.SubmitMu);
+  for (;;) {
+    // Only a fully idle pool is safe: with every program finished, no
+    // queued task can spawn children. A queued job may submit one.
+    if (S.FinishedCount.load(std::memory_order_acquire) !=
+            S.SubmittedCount.load(std::memory_order_acquire) ||
+        S.QueuedJobs.load(std::memory_order_acquire) > 0)
+      return false;
+    // Queued tasks all belong to finished programs now: abandoned work
+    // the workers would drop one by one. Drop it wholesale.
+    for (auto &D : S.Deques) {
+      std::lock_guard<std::mutex> DL(D.Mu);
+      for (Task *T : D.Q) {
+        S.Cache.drop(T->SnapId);
+        T->State.store(Task::Dropped, std::memory_order_release);
+        S.QueuedCount.fetch_sub(1, std::memory_order_relaxed);
+      }
+      D.Q.clear();
     }
-    D.Q.clear();
-  }
-  // Workers may still hold a popped (cancelling) task; their machines
-  // stop at the next cancel check, so this wait is bounded.
-  while (S.InFlight.load(std::memory_order_acquire) > 0)
+    if (S.InFlight.load(std::memory_order_acquire) == 0)
+      break;
+    // Workers may still hold a popped (cancelling) run, whose machine
+    // stops at the next cancel check, or a job's last steps. The wait
+    // releases SubmitMu: a running job may be submitting.
+    Lock.unlock();
     std::this_thread::yield();
+    Lock.lock();
+  }
   for (auto &Slot : S.Programs) {
-    if (!Slot || !Slot->Done.load(std::memory_order_acquire) ||
-        !Slot->ResultTaken)
+    if (!Slot || !Slot->ResultTaken)
       continue;
     // Executed-but-never-finalized tasks (overtaken by an early UB
     // winner) still pin their mid-run snapshot captures. A reused pool
@@ -992,6 +1089,9 @@ bool SearchScheduler::reclaimFinished() {
     }
     Slot.reset();
   }
+  // Ids stay monotonic: reclaimed slots leave the front behind a base.
+  for (; !S.Programs.empty() && !S.Programs.front(); ++S.ProgramBase)
+    S.Programs.pop_front();
   return true;
 }
 

@@ -43,7 +43,11 @@
 ///
 /// One scheduler can host **many programs** (the batched driver submits
 /// N translation units into a single worker pool); results aggregate
-/// per program id and are deterministic per program.
+/// per program id and are deterministic per program. Besides runs, the
+/// pool executes posted **jobs** (an engine's compile steps): a worker
+/// takes a queued job first while fewer programs than workers are in
+/// the search or being compiled, and search runs first otherwise, so
+/// the pool admits new programs only as fast as it finishes them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -140,9 +144,12 @@ struct SchedulerStats {
   /// the wave engine's started-run count). RunsExecuted - RunsCommitted
   /// is the speculative surplus (see speculativeWaste()).
   uint64_t RunsCommitted = 0;
-  /// Peak of (runs executed - runs committed): how far speculation ran
-  /// ahead of the commit wavefront.
+  /// Peak of CommitLag: how far speculation ran ahead of the commit
+  /// wavefront.
   uint64_t CommitLagPeak = 0;
+  /// Live gauge, not monotonic: runs whose execution ended and that are
+  /// not yet finalized, dropped or abandoned. 0 on an idle pool.
+  uint64_t CommitLag = 0;
   uint64_t SnapshotCaptures = 0; ///< snapshots captured at choice points
   uint64_t SnapshotTakes = 0;    ///< child fork attempts
   uint64_t SnapshotHits = 0;     ///< forks served (entry still cached)
@@ -167,12 +174,12 @@ struct SchedulerStats {
 
 /// Memory-observability counters: how much per-program state the
 /// scheduler currently retains. After drain() + reclaimFinished() on an
-/// idle pool, RetainedPrograms and PendingSnapshots are both zero
-/// (ProgramSlots is the monotonic index space, which reclamation nulls
-/// but never shrinks) — the reclaim contract
+/// idle pool, all three are zero — the reclaim contract
 /// tests/test_catalog_coverage.cpp pins down over a 200+-program batch.
 struct SchedulerMemoryStats {
-  size_t ProgramSlots = 0;     ///< slots in the program index (monotonic)
+  /// Live slots of the program index: reclamation pops reclaimed slots
+  /// off its front (ids stay monotonic behind a base offset).
+  size_t ProgramSlots = 0;
   size_t RetainedPrograms = 0; ///< non-reclaimed program states (arenas)
   size_t PendingSnapshots = 0; ///< live entries in the snapshot cache
 };
@@ -225,8 +232,15 @@ public:
   /// program; any nonzero capacity is supplied by Config.SnapshotBudget,
   /// since the cache is shared across programs. Returns the program id
   /// (submission order).
+  /// Called from a worker (a posted job), the root run goes on that
+  /// worker's own deque, so that worker can start it next.
   size_t submit(const AstContext &Ast, MachineOptions MOpts,
                 SearchOptions SOpts, bool RootGated = false);
+
+  /// Queues \p Job to run once on a pool worker (spawning the pool on
+  /// the first call). Thread-safe; a running job counts as in flight,
+  /// like a run. Jobs still queued at stop() never run.
+  void post(std::function<void()> Job);
 
   /// The finished result for \p Program (valid once it completed).
   SearchResult takeResult(size_t Program);
@@ -248,12 +262,13 @@ public:
 
   /// Reclaims the per-program search state (task arenas, visited sets)
   /// of completed programs whose result was taken. Only acts when the
-  /// pool is fully idle — every submitted program done and no run in
-  /// flight — so it is safe to call whenever, and an engine calls it
-  /// after drain(): a long-lived service then holds memory proportional
-  /// to the largest batch, not to its whole history. Returns true when
-  /// the pool was idle and reclamation ran (callers holding resources
-  /// the pool references — e.g. ASTs — may free theirs then too).
+  /// pool is fully idle — every submitted program done, no job queued,
+  /// no run or job in flight — so it is safe to call whenever, and an
+  /// engine calls it after drain(): a long-lived service then holds
+  /// memory proportional to the largest batch, not to its whole
+  /// history. Returns true when the pool was idle and reclamation ran
+  /// (callers holding resources the pool references — e.g. ASTs — may
+  /// free theirs then too).
   bool reclaimFinished();
 
   /// Live snapshot of the retained-state counters (see

@@ -4,16 +4,24 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Threading model:
+// Threading model: one pool. The engine runs on its scheduler's
+// workers (EngineConfig::Workers threads in total) and nothing else.
 //
-//  * submit() only enqueues: it copies the source into a frontend task
-//    and returns. The frontend pool dequeues tasks, resolves each
-//    through the translation cache (one compile per content key,
-//    however many submissions race on it), and either finishes the job
-//    right there (compile failure, result-cache hit, static-only
-//    request) or seeds the search scheduler with the shared artifact.
-//    Frontend compilation of later submissions therefore overlaps
-//    searches already running on the warm steal pool.
+//  * submit() only enqueues: it copies the source into a compile job,
+//    posts it to the scheduler, and returns. A worker runs the job: it
+//    resolves the unit through the translation cache (one compile per
+//    content key; racing identical submissions wait on that one
+//    compile), then either finishes the job right there (compile
+//    failure, result-cache hit, static-only request), parks it as a
+//    joiner of an identical in-flight search (the owner's completion
+//    finishes it), or submits the search, whose root run goes on the
+//    same worker's deque.
+//
+//  * Admission: a worker takes a queued compile job first while fewer
+//    programs than workers are in the search or being compiled, and
+//    search runs first otherwise (core/Scheduler.h). A batch far
+//    larger than the pool therefore waits as source text, not as
+//    started searches holding snapshots.
 //
 //  * A pooled job's artifact must outlive every machine that touches
 //    it — including runs of a *finished* program that are still
@@ -26,9 +34,9 @@
 //    does not forfeit reuse — and a cache *eviction* can never free an
 //    AST a machine still reads (shared_ptr).
 //
-//  * The completion callback runs on a search worker with no scheduler
-//    locks held and takes the engine mutex only to look up the job, so
-//    sinks may re-enter the engine (submit chains, service pipelines).
+//  * The completion callback runs on a worker with no scheduler locks
+//    held and takes the engine mutex only to look up the job, so sinks
+//    may re-enter the engine (submit chains, service pipelines).
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,9 +49,7 @@
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 
 using namespace cundef;
@@ -170,16 +176,7 @@ struct AnalysisEngine::Impl {
   /// seen yet).
   std::atomic<uint64_t> LastContextHash{0};
 
-  /// One queued submission: everything the frontend stage needs, owned
-  /// by the task (the caller's source was copied at submit).
-  struct FrontendTask {
-    std::shared_ptr<JobState> St;
-    AnalysisRequest Req;
-    std::string Source;
-  };
-
-  /// Guards Pending, Graveyard, ShutDown, and the frontend
-  /// pool state (FeQueue, FeThreads, FeStop).
+  /// Guards Pending, Graveyard and ShutDown.
   std::mutex Mu;
   /// Pooled jobs by scheduler program id.
   std::unordered_map<size_t, std::shared_ptr<JobState>> Pending;
@@ -188,44 +185,12 @@ struct AnalysisEngine::Impl {
   std::vector<CompiledProgramRef> Graveyard;
   bool ShutDown = false;
 
-  std::deque<FrontendTask> FeQueue;
-  std::condition_variable FeCv;
-  std::vector<std::thread> FeThreads;
-  bool FeStop = false;
-
   std::atomic<size_t> NextJobId{1};
   std::atomic<size_t> Outstanding{0};
   std::mutex DrainMu;
   std::condition_variable DrainCv;
 
-  //===--- Frontend pool --------------------------------------------------===//
-
-  unsigned frontendWorkers() const {
-    return Cfg.FrontendWorkers ? Cfg.FrontendWorkers : 2;
-  }
-
-  /// Spawns the frontend pool (caller holds Mu).
-  void spawnFrontendPool() {
-    const unsigned N = frontendWorkers();
-    FeThreads.reserve(N);
-    for (unsigned T = 0; T < N; ++T)
-      FeThreads.emplace_back([this] { frontendWorker(); });
-  }
-
-  void frontendWorker() {
-    for (;;) {
-      FrontendTask Task;
-      {
-        std::unique_lock<std::mutex> Lock(Mu);
-        FeCv.wait(Lock, [&] { return FeStop || !FeQueue.empty(); });
-        if (FeQueue.empty())
-          return; // FeStop with the queue already drained
-        Task = std::move(FeQueue.front());
-        FeQueue.pop_front();
-      }
-      processSubmission(std::move(Task));
-    }
-  }
+  //===--- Compile job (pool worker thread) -------------------------------===//
 
   /// Resolves \p Source through the translation cache into \p Key's
   /// artifact. \p Key receives the unit's content address whether or
@@ -305,12 +270,13 @@ struct AnalysisEngine::Impl {
     return O;
   }
 
-  /// The whole per-job frontend stage, on a frontend worker: cache
-  /// lookup / compile, then finish inline (compile failure, cache hit,
-  /// static-only request) or seed the search scheduler.
-  void processSubmission(FrontendTask Task) {
-    JobState &St = *Task.St;
-    const AnalysisRequest &Req = Task.Req;
+  /// The whole per-job frontend stage, a compile job on a pool worker:
+  /// cache lookup / compile, then finish inline (compile failure, cache
+  /// hit, static-only request) or seed the search scheduler.
+  void processSubmission(const std::shared_ptr<JobState> &StPtr,
+                         const AnalysisRequest &Req,
+                         const std::string &Source) {
+    JobState &St = *StPtr;
 
     // Once the cache is full, every new program evicts another's
     // artifact (AST, types, diagnostics). Freeing it is no part of this
@@ -323,10 +289,10 @@ struct AnalysisEngine::Impl {
     TranslationKey TKey;
     CompiledProgramRef Art;
     try {
-      Art = frontend(Req, Task.Source, St.Name, &Hit, TKey, &Evicted);
+      Art = frontend(Req, Source, St.Name, &Hit, TKey, &Evicted);
     } catch (const std::exception &E) {
       // A throwing frontend (OOM, realistically) must not escape a
-      // pool thread — that would terminate the whole service and
+      // pool worker — that would terminate the whole service and
       // strand the job's future. Fail this job, keep serving.
       DriverOutcome O;
       O.CompileErrors =
@@ -359,7 +325,6 @@ struct AnalysisEngine::Impl {
       // locks. Capture this job's own frontend facts now — they are
       // the only fields of the final outcome that are not the cached
       // run's.
-      auto StPtr = Task.St;
       const bool TrHit = Hit;
       const double FeMicros = O.FrontendMicros;
       ResultClaim Claim = RCache.begin(
@@ -430,11 +395,11 @@ struct AnalysisEngine::Impl {
       // Pending: the completion callback takes Mu before its lookup.
       size_t Prog = Sched.submit(Art->ast(), Req.machine(), SO,
                                  /*RootGated=*/true);
-      Pending.emplace(Prog, Task.St);
+      Pending.emplace(Prog, StPtr);
     }
   }
 
-  //===--- Completion (search worker thread) ------------------------------===//
+  //===--- Completion (pool worker thread) --------------------------------===//
 
   void onProgramDone(size_t Prog) {
     std::shared_ptr<JobState> St;
@@ -573,12 +538,12 @@ JobHandle AnalysisEngine::submit(const AnalysisRequest &Req,
       St->Done = true;
       return Handle;
     }
-    if (S.FeThreads.empty())
-      S.spawnFrontendPool();
     S.Outstanding.fetch_add(1, std::memory_order_acq_rel);
-    S.FeQueue.push_back({St, Req, std::move(Source)});
   }
-  S.FeCv.notify_one();
+  // The job owns the copied source and request until it has run.
+  S.Sched.post([&S, St, Req, Source = std::move(Source)] {
+    S.processSubmission(St, Req, Source);
+  });
   return Handle;
 }
 
@@ -630,20 +595,11 @@ void AnalysisEngine::shutdown() {
       return;
     S.ShutDown = true;
   }
+  // drain() waits on every accepted job, and ShutDown blocks new ones:
+  // no compile job is left, so the pool can be joined.
   drain();
-  // The queue is empty (drain waited on every accepted job) and
-  // ShutDown blocks new ones: the frontend pool can be joined.
-  std::vector<std::thread> Fe;
-  {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    S.FeStop = true;
-    Fe.swap(S.FeThreads);
-  }
-  S.FeCv.notify_all();
-  for (std::thread &T : Fe)
-    T.join();
   S.Sched.stop();
-  // Both pools are joined: no machine references any artifact anymore.
+  // The pool is joined: no machine references any artifact anymore.
   std::lock_guard<std::mutex> Lock(S.Mu);
   S.Graveyard.clear();
 }

@@ -14,16 +14,18 @@
 /// strict execution and evaluation-order search — for every
 /// translation unit submitted to it.
 ///
-/// Submission is truly asynchronous: submit() copies the source,
-/// enqueues a frontend task, and returns a future-backed JobHandle in
-/// O(1) — neither the frontend pass nor any search runs on the calling
-/// thread. A small frontend worker pool compiles submissions (through
-/// the translation cache, so identical units compile once and share
-/// one immutable CompiledProgram) and hands clean artifacts to the
-/// search pool; frontend work on later submissions overlaps searches
-/// already running on the warm pool. Per-job events (program finished,
-/// UB found, frontier truncated) stream to an optional EngineSink from
-/// engine threads as programs complete.
+/// Submission is truly asynchronous: submit() copies the source, posts
+/// a compile job, and returns a future-backed JobHandle in O(1) —
+/// neither the frontend pass nor any search runs on the calling thread.
+/// One pool of EngineConfig::Workers threads does everything: any
+/// worker compiles (through the translation cache, so identical units
+/// compile once and share one immutable CompiledProgram) or searches.
+/// A worker takes a compile job first while fewer programs than workers
+/// are in the search, and search runs first otherwise, so a large batch
+/// waits as source text rather than as started searches; the root run
+/// of a program is queued on the worker that compiled it. Per-job events
+/// (program finished, UB found, frontier truncated) stream to an
+/// optional EngineSink from pool workers as programs complete.
 ///
 /// Every other entry point — Driver::runSource, the batched tool
 /// runner, the suite scorers, the kcc CLI — is a thin adapter over this
@@ -36,7 +38,7 @@
 /// Determinism: per-program results never depend on pool width, steal
 /// interleaving, what else is in flight, or whether the artifact came
 /// from the cache (equal keys mean interchangeable artifacts —
-/// frontend/Frontend.h); sharing pools and artifacts across
+/// frontend/Frontend.h); sharing the pool and artifacts across
 /// submissions is a wall-clock optimization only.
 ///
 //===----------------------------------------------------------------------===//
@@ -162,7 +164,8 @@ struct BatchInput {
 /// AnalysisRequest; everything here is shared by every job the engine
 /// ever runs.
 struct EngineConfig {
-  /// Worker threads of the persistent pool. 0 = auto-detect
+  /// Threads of the persistent pool, which compiles and searches: the
+  /// engine starts no other thread. 0 = auto-detect
   /// std::thread::hardware_concurrency().
   unsigned Workers = 0;
   /// Cap the pool at hardware concurrency (tests disable this to force
@@ -181,11 +184,6 @@ struct EngineConfig {
   /// its search entirely. 0 disables it (the kcc --result-cache=off A/B
   /// mode).
   unsigned ResultCacheEntries = 256;
-  /// Threads of the frontend pool, which compiles submissions off the
-  /// submitting thread; every search runs on the search pool. 0 = auto
-  /// (2): enough to overlap frontend work with searches without
-  /// oversubscribing the search workers.
-  unsigned FrontendWorkers = 0;
 };
 
 /// Pool configuration for an engine dedicated to \p Req: the pool is
@@ -197,9 +195,8 @@ EngineConfig engineConfigFor(const AnalysisRequest &Req);
 /// Engine memory-observability counters: what the engine currently
 /// retains per job, beyond the caches that are *supposed* to persist
 /// (the translation cache keeps its artifacts by design). After
-/// drain() on an otherwise idle engine, every counter here is zero
-/// except ProgramSlots (the scheduler's monotonic index space) — the
-/// reclaim contract that keeps a long-lived service's footprint
+/// drain() on an otherwise idle engine, every counter here is zero —
+/// the reclaim contract that keeps a long-lived service's footprint
 /// proportional to its largest batch, not its whole history.
 /// tests/test_catalog_coverage.cpp pins this down over the 200+-program
 /// coverage batch.
@@ -207,7 +204,8 @@ struct EngineMemoryStats {
   size_t PendingJobs = 0;        ///< submitted, outcome not yet final
   size_t GraveyardArtifacts = 0; ///< finished jobs' artifact refs awaiting
                                  ///< the post-drain reclaim
-  size_t ProgramSlots = 0;       ///< scheduler program index (monotonic)
+  size_t ProgramSlots = 0;       ///< live slots of the scheduler's
+                                 ///< program index
   size_t RetainedPrograms = 0;   ///< un-reclaimed per-program search state
   size_t PendingSnapshots = 0;   ///< live snapshot-cache entries
 };
@@ -218,10 +216,12 @@ struct EngineJobInfo {
   std::string Name; ///< translation unit name
 };
 
-/// Streaming event interface. Callbacks fire on engine threads —
-/// frontend workers for jobs that end there (compile failures, cache
-/// hits, static-only requests), search workers for searched jobs — so
-/// implementations must be thread-safe. A callback may call back into
+/// Streaming event interface. Callbacks fire on the engine's pool
+/// workers — the one that compiled a job that ends there (compile
+/// failures, cache hits, static-only requests), the one that finished
+/// a searched job's search, or the owner's for a job that joined an
+/// identical in-flight search — so implementations must be
+/// thread-safe. A callback may call back into
 /// the engine — including submit() — but must not block on the job it
 /// is being called for. Event order per job: onFrontierTruncated /
 /// onUbFound (as applicable), then onProgramFinished last.
@@ -279,7 +279,7 @@ private:
 };
 
 /// The persistent analysis service. Construction is cheap; the worker
-/// pools spawn lazily on the first submission and live until
+/// pool spawns lazily on the first submission and lives until
 /// shutdown() (or destruction). One engine serves any number of
 /// submissions, concurrent or sequential, with any mix of requests.
 class AnalysisEngine {
@@ -301,7 +301,7 @@ public:
   /// (tests/test_translation_cache.cpp pins the invalidation down).
   HeaderRegistry &headers();
 
-  /// Resolved search-pool width.
+  /// Resolved pool width (threads that compile and search).
   unsigned workers() const;
 
   /// Compile-only entry point: the frontend half of the pipeline, run
@@ -330,12 +330,12 @@ public:
 
   /// Blocks until every outstanding job completed (events fired,
   /// futures set), then reclaims finished per-program search state.
-  /// The pools stay alive, idle, ready for the next submission; the
+  /// The pool stays alive, idle, ready for the next submission; the
   /// translation cache keeps its artifacts (that is the point of a
   /// persistent service).
   void drain();
 
-  /// Graceful shutdown: drain(), then stop and join both pools.
+  /// Graceful shutdown: drain(), then stop and join the pool.
   /// Idempotent. Submissions after shutdown complete immediately with
   /// an Internal outcome explaining the rejection (no events fire).
   void shutdown();

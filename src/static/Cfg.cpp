@@ -6,9 +6,6 @@
 
 #include "static/Cfg.h"
 
-#include "support/StringInterner.h"
-#include "support/Strings.h"
-
 #include <algorithm>
 #include <map>
 
@@ -360,35 +357,3 @@ private:
 } // namespace cundef
 
 Cfg Cfg::build(const FunctionDecl *F) { return CfgBuilder(F).run(); }
-
-std::string Cfg::dump(const StringInterner &Interner) const {
-  std::string Out = strFormat("cfg %s: blocks=%zu entry=B%u exit=B%u\n",
-                              Interner.str(Fn->Name).c_str(), Blocks.size(),
-                              Entry, Exit);
-  for (const CfgBlock &B : Blocks) {
-    std::string Line = strFormat("  B%u:", B.Id);
-    if (B.Id == Exit) {
-      Out += Line + " exit\n";
-      continue;
-    }
-    if (!B.Stmts.empty())
-      Line += strFormat(" stmts=%zu", B.Stmts.size());
-    if (B.isSwitch()) {
-      Line += " switch ->";
-      for (size_t I = 0; I < B.Succs.size(); ++I) {
-        const CaseStmt *C = B.SwitchCases[I];
-        Line += C ? strFormat(" B%u(case %lld)", B.Succs[I],
-                              static_cast<long long>(C->Value))
-                  : strFormat(" B%u(default)", B.Succs[I]);
-      }
-    } else if (B.isConditional()) {
-      Line += strFormat(" if -> B%u B%u", B.Succs[0], B.Succs[1]);
-    } else if (!B.Succs.empty()) {
-      Line += " ->";
-      for (BlockId S : B.Succs)
-        Line += strFormat(" B%u", S);
-    }
-    Out += Line + "\n";
-  }
-  return Out;
-}

@@ -31,8 +31,6 @@
 
 namespace cundef {
 
-class StringInterner;
-
 using BlockId = uint32_t;
 constexpr BlockId NoBlock = ~0u;
 
@@ -76,14 +74,6 @@ public:
   /// Blocks reachable from entry, in reverse post-order — the iteration
   /// order every dataflow fixpoint uses (deterministic).
   const std::vector<BlockId> &rpo() const { return Rpo; }
-
-  /// Renders the graph shape for golden tests:
-  ///   B0: stmts=2 if -> B2 B3
-  ///   B1: exit
-  ///   B2: stmts=1 -> B1
-  /// Switch terminators print their labeled edges
-  /// (`switch -> B2(case 1) B3(default)`).
-  std::string dump(const StringInterner &Interner) const;
 
 private:
   friend class CfgBuilder;

@@ -15,8 +15,7 @@ using namespace cundef;
 
 namespace {
 
-/// Folds per-pair verdicts (however they were produced: one tool run
-/// per half, or one shared batched scheduler) into Figure 2 scores.
+/// Folds per-pair verdicts into Figure 2 scores.
 JulietScores aggregateJuliet(const std::vector<TestCase> &Tests,
                              const std::vector<PairVerdict> &Verdicts) {
   std::map<JulietClass, ClassScore> ByClass;
@@ -47,27 +46,6 @@ JulietScores aggregateJuliet(const std::vector<TestCase> &Tests,
   return Scores;
 }
 
-/// Per-pair verdicts through one shared scheduler: both halves of every
-/// test become one submission each, in a stable (test, bad/good) order.
-std::vector<PairVerdict>
-batchedVerdicts(const AnalysisRequest &Req,
-                const std::vector<TestCase> &Tests) {
-  std::vector<BatchInput> Programs;
-  Programs.reserve(Tests.size() * 2);
-  for (const TestCase &Test : Tests) {
-    Programs.push_back({Test.Bad, Test.Name + "_bad.c"});
-    Programs.push_back({Test.Good, Test.Name + "_good.c"});
-  }
-  std::vector<ToolResult> Results = runKccBatched(Req, Programs);
-  std::vector<PairVerdict> Verdicts(Tests.size());
-  for (size_t I = 0; I < Tests.size(); ++I) {
-    Verdicts[I].FlaggedBad = Results[2 * I].flagged();
-    Verdicts[I].FlaggedGood = Results[2 * I + 1].flagged();
-    Verdicts[I].Micros = Results[2 * I].Micros + Results[2 * I + 1].Micros;
-  }
-  return Verdicts;
-}
-
 } // namespace
 
 JulietScores cundef::scoreJuliet(Tool &T, const std::vector<TestCase> &Tests) {
@@ -76,11 +54,6 @@ JulietScores cundef::scoreJuliet(Tool &T, const std::vector<TestCase> &Tests) {
   for (const TestCase &Test : Tests)
     Verdicts.push_back(runOnPair(T, Test));
   return aggregateJuliet(Tests, Verdicts);
-}
-
-JulietScores cundef::scoreJulietBatched(const AnalysisRequest &Req,
-                                        const std::vector<TestCase> &Tests) {
-  return aggregateJuliet(Tests, batchedVerdicts(Req, Tests));
 }
 
 namespace {

@@ -61,16 +61,6 @@ struct CustomScores {
 
 CustomScores scoreCustom(Tool &T, const std::vector<TestCase> &Tests);
 
-/// Batched kcc scoring: every half of every pair is submitted to ONE
-/// shared engine worker pool (runKccBatched), so the pool stays busy
-/// across the whole suite instead of draining per test. Scores are
-/// identical to running a kcc Tool with the same AnalysisRequest
-/// through scoreJuliet/scoreCustom; only wall-clock attribution
-/// differs (per-test Micros is submit-to-completion time on the shared
-/// pool, so concurrent tests' times overlap).
-JulietScores scoreJulietBatched(const AnalysisRequest &Req,
-                                const std::vector<TestCase> &Tests);
-
 /// One desktop case's scored outcome against its manifest expectation.
 struct DesktopCaseScore {
   std::string Name;
@@ -109,9 +99,10 @@ struct DesktopScores {
 };
 
 /// Scores the desktop suite batched through one shared engine worker
-/// pool, exactly like scoreJulietBatched. Verdicts
-/// and reported codes are deterministic across scheduler kind and
-/// worker count (the determinism contract of core/Scheduler.h).
+/// pool (runKccBatched), so the pool stays busy across the whole suite
+/// instead of draining per case. Verdicts and reported codes are
+/// deterministic across worker count (the determinism contract of
+/// core/Scheduler.h).
 DesktopScores scoreDesktopBatched(const AnalysisRequest &Req,
                                   const std::vector<DesktopCase> &Cases);
 

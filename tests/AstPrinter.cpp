@@ -6,6 +6,7 @@
 
 #include "AstPrinter.h"
 
+#include "support/StringInterner.h"
 #include "support/Strings.h"
 
 using namespace cundef;
@@ -370,4 +371,36 @@ void AstPrinter::printStmt(const Stmt *S, std::string &Out,
     return;
   }
   }
+}
+
+std::string cundef::dumpCfg(const Cfg &G, const StringInterner &Interner) {
+  std::string Out = strFormat("cfg %s: blocks=%zu entry=B%u exit=B%u\n",
+                              Interner.str(G.function()->Name).c_str(),
+                              G.size(), G.entry(), G.exit());
+  for (const CfgBlock &B : G.blocks()) {
+    std::string Line = strFormat("  B%u:", B.Id);
+    if (B.Id == G.exit()) {
+      Out += Line + " exit\n";
+      continue;
+    }
+    if (!B.Stmts.empty())
+      Line += strFormat(" stmts=%zu", B.Stmts.size());
+    if (B.isSwitch()) {
+      Line += " switch ->";
+      for (size_t I = 0; I < B.Succs.size(); ++I) {
+        const CaseStmt *C = B.SwitchCases[I];
+        Line += C ? strFormat(" B%u(case %lld)", B.Succs[I],
+                              static_cast<long long>(C->Value))
+                  : strFormat(" B%u(default)", B.Succs[I]);
+      }
+    } else if (B.isConditional()) {
+      Line += strFormat(" if -> B%u B%u", B.Succs[0], B.Succs[1]);
+    } else if (!B.Succs.empty()) {
+      Line += " ->";
+      for (BlockId S : B.Succs)
+        Line += strFormat(" B%u", S);
+    }
+    Out += Line + "\n";
+  }
+  return Out;
 }

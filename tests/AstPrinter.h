@@ -14,6 +14,7 @@
 #define CUNDEF_TESTS_ASTPRINTER_H
 
 #include "ast/Ast.h"
+#include "static/Cfg.h"
 
 #include <string>
 
@@ -33,6 +34,14 @@ private:
 
   const AstContext &Ctx;
 };
+
+/// Renders a control-flow graph's shape for golden tests:
+///   B0: stmts=2 if -> B2 B3
+///   B1: exit
+///   B2: stmts=1 -> B1
+/// Switch terminators print their labeled edges
+/// (`switch -> B2(case 1) B3(default)`).
+std::string dumpCfg(const Cfg &G, const StringInterner &Interner);
 
 } // namespace cundef
 

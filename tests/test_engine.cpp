@@ -21,6 +21,11 @@
 //    round on fresh or reused engines — and the result cache turns
 //    repeat traffic into at least a 3x wall-clock gain without
 //    changing a single outcome.
+//  * One pool compiles and searches: a one-worker engine, where every
+//    compile job and every run share a single thread, gives the same
+//    outcomes as four workers; sinks may resubmit from that thread;
+//    and the pool's bookkeeping (program index, commit lag) returns to
+//    zero at every drain.
 //
 //===----------------------------------------------------------------------===//
 
@@ -431,4 +436,205 @@ TEST(Engine, ShutdownIsGracefulAndFinal) {
 
   Eng.shutdown(); // idempotent
   Eng.drain();    // harmless on a stopped engine
+}
+
+//===----------------------------------------------------------------------===//
+// One pool for compile jobs and search runs.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+EngineConfig forcedWorkers(unsigned Workers) {
+  EngineConfig Cfg;
+  Cfg.Workers = Workers;
+  Cfg.ClampWorkersToHardware = false;
+  return Cfg;
+}
+
+} // namespace
+
+TEST(Engine, OneWorkerPoolMatchesFourWorkersAndDriver) {
+  // Every kind of job a compile job can end in, on one thread and on
+  // four: a search with order-dependent UB, a compile error, a
+  // static-only request, a deep search and its duplicate (which joins
+  // the first or hits its published outcome), a second deep search,
+  // output passthrough, and a resubmission after its outcome is final
+  // (a result-cache hit). Outcomes equal sequential Driver runs.
+  const AnalysisRequest Search =
+      AnalysisRequest::Builder().searchRuns(96).buildOrDie();
+  const AnalysisRequest Static = AnalysisRequest::Builder()
+                                     .staticAnalyze(StaticAnalysisMode::Only)
+                                     .buildOrDie();
+  const BatchInput Deep = {cundef_bench::deepTreeProgram(6, 128, 5),
+                           "deep.c"};
+  const std::vector<std::pair<const AnalysisRequest *, BatchInput>> Mix = {
+      {&Search, corpus()[0]},
+      {&Search, corpus()[2]},
+      {&Static, corpus()[3]},
+      {&Search, Deep},
+      {&Search, Deep},
+      {&Search, {cundef_bench::deepTreeProgram(7, 128, 9), "deep2.c"}},
+      {&Search, corpus()[1]},
+  };
+  auto run = [&](unsigned Workers) {
+    AnalysisEngine Eng(forcedWorkers(Workers));
+    EXPECT_EQ(Eng.workers(), Workers);
+    std::vector<JobHandle> Handles;
+    for (const auto &[Req, In] : Mix)
+      Handles.push_back(Eng.submit(*Req, In.Source, In.Name));
+    std::vector<DriverOutcome> Out;
+    for (JobHandle &H : Handles)
+      Out.push_back(H.take());
+    Out.push_back(Eng.submit(Search, corpus()[0].Source, corpus()[0].Name)
+                      .take());
+    EXPECT_TRUE(Out.back().ResultCacheHit);
+    const ResultCacheStats RS = Eng.resultCacheStats();
+    EXPECT_EQ(RS.Hits + RS.InflightJoins, 2u) << "workers=" << Workers;
+    return Out;
+  };
+  const std::vector<DriverOutcome> One = run(1);
+  const std::vector<DriverOutcome> Four = run(4);
+  Driver SearchDrv(Search), StaticDrv(Static);
+  for (size_t I = 0; I < One.size(); ++I) {
+    const auto &[Req, In] = I < Mix.size() ? Mix[I] : Mix[0];
+    const std::string Tag = In.Name + " #" + std::to_string(I);
+    Driver &Drv = Req == &Static ? StaticDrv : SearchDrv;
+    const DriverOutcome Ref = Drv.runSource(In.Source, In.Name);
+    for (const DriverOutcome *O : {&One[I], &Four[I]}) {
+      expectIdentical(Ref, *O, Tag);
+      EXPECT_EQ(Ref.StaticOnly, O->StaticOnly) << Tag;
+      EXPECT_EQ(Ref.StaticUb.size(), O->StaticUb.size()) << Tag;
+      EXPECT_EQ(Ref.StaticHints.size(), O->StaticHints.size()) << Tag;
+    }
+  }
+  EXPECT_FALSE(One[1].CompileOk);
+  EXPECT_TRUE(One[2].StaticOnly);
+}
+
+namespace {
+
+/// Submits the next link of a chain from the completion callback, on
+/// the engine's own (single) worker.
+struct ChainSink : EngineSink {
+  AnalysisEngine *Eng = nullptr;
+  const AnalysisRequest *Req = nullptr;
+  unsigned Links = 0;
+  std::atomic<unsigned> Finished{0};
+
+  void submitLink(unsigned I) {
+    Eng->submit(*Req, cundef_bench::deepTreeProgram(3, 16, I),
+                "link" + std::to_string(I) + ".c", this);
+  }
+  void onProgramFinished(const EngineJobInfo &, const DriverOutcome &,
+                         double) override {
+    const unsigned Done = Finished.fetch_add(1) + 1;
+    if (Done < Links)
+      submitLink(Done);
+  }
+};
+
+} // namespace
+
+TEST(Engine, SinkMaySubmitFromTheOnlyWorker) {
+  const AnalysisRequest Req =
+      AnalysisRequest::Builder().searchRuns(16).buildOrDie();
+  AnalysisEngine Eng(forcedWorkers(1));
+  ChainSink Sink;
+  Sink.Eng = &Eng;
+  Sink.Req = &Req;
+  Sink.Links = 12;
+  Sink.submitLink(0);
+  // Each link is submitted before its predecessor stops counting as
+  // outstanding, so drain() returns only after the whole chain.
+  Eng.drain();
+  EXPECT_EQ(Sink.Finished.load(), Sink.Links);
+}
+
+TEST(Engine, ShutdownRunsQueuedCompileJobs) {
+  // Sixteen compile jobs queue behind one worker; shutdown() drains
+  // them all (none is dropped or rejected) and returns.
+  const AnalysisRequest Req =
+      AnalysisRequest::Builder().searchRuns(16).buildOrDie();
+  AnalysisEngine Eng(forcedWorkers(1));
+  std::vector<JobHandle> Handles;
+  for (unsigned I = 0; I < 16; ++I)
+    Handles.push_back(Eng.submit(Req, cundef_bench::deepTreeProgram(4, 32, I),
+                                 "queued" + std::to_string(I) + ".c"));
+  Eng.shutdown();
+  for (JobHandle &H : Handles) {
+    ASSERT_TRUE(H.done());
+    EXPECT_TRUE(H.wait().CompileOk) << H.wait().CompileErrors;
+  }
+}
+
+TEST(Engine, IdenticalSubmissionsCompileOnce) {
+  // Eight identical units on four workers race through the translation
+  // cache's singleflight: one compile, seven hits or joins, and eight
+  // identical outcomes.
+  const AnalysisRequest Req =
+      AnalysisRequest::Builder().searchRuns(64).buildOrDie();
+  AnalysisEngine Eng(forcedWorkers(4));
+  const std::vector<BatchInput> Same(
+      8, {cundef_bench::deepTreeProgram(12, 64, 1), "same.c"});
+  const std::vector<DriverOutcome> Out = analyzeBatch(Eng, Req, Same);
+  const TranslationCacheStats T = Eng.translationStats();
+  EXPECT_EQ(T.Lookups, 8u);
+  EXPECT_EQ(T.Misses, 1u);
+  ASSERT_EQ(Out.size(), Same.size());
+  for (size_t I = 1; I < Out.size(); ++I)
+    expectIdentical(Out[0], Out[I], "copy " + std::to_string(I));
+}
+
+TEST(Engine, ProgramIndexTracksTheLargestBatch) {
+  // 10 000 programs in batches of 1 to 4, drained after each batch:
+  // reclaimed slots leave the scheduler's program index, so it never
+  // holds more than the largest batch. The result cache is off so
+  // every submission reaches the scheduler.
+  const AnalysisRequest Req =
+      AnalysisRequest::Builder().searchRuns(1).buildOrDie();
+  EngineConfig Cfg = forcedWorkers(2);
+  Cfg.ResultCacheEntries = 0;
+  AnalysisEngine Eng(Cfg);
+  const std::string Source = "int main(void) { return 0; }\n";
+  size_t Programs = 0, PeakSlots = 0;
+  for (unsigned Batch = 0; Programs < 10000; ++Batch) {
+    std::vector<JobHandle> Handles;
+    for (unsigned I = 0; I <= Batch % 4; ++I)
+      Handles.push_back(Eng.submit(Req, Source, "slot.c"));
+    for (JobHandle &H : Handles)
+      H.wait();
+    Programs += Handles.size();
+    PeakSlots = std::max(PeakSlots, Eng.memoryStats().ProgramSlots);
+    Eng.drain();
+    ASSERT_EQ(Eng.memoryStats().ProgramSlots, 0u) << "batch " << Batch;
+  }
+  EXPECT_EQ(Eng.poolStats().Programs, Programs);
+  EXPECT_GT(PeakSlots, 0u);
+  EXPECT_LE(PeakSlots, 4u);
+}
+
+TEST(Engine, CommitLagCountsOnlyUnfinalizedRuns) {
+  // A run lags from the end of its execution until it is finalized,
+  // dropped or abandoned, so the live lag is 0 at every drain, and the
+  // peak over programs searched one at a time stays within the runs
+  // one program executed. Hidden-UB sums end with a winner that
+  // overtakes speculative runs; deep trees fill their budget.
+  const AnalysisRequest Req =
+      AnalysisRequest::Builder().searchRuns(256).buildOrDie();
+  AnalysisEngine Eng(forcedWorkers(4));
+  uint64_t MaxRuns = 0;
+  for (unsigned I = 0; I < 12; ++I) {
+    const std::string Source =
+        I % 2 ? cundef_bench::symmetricSums(6 + I / 2, /*HiddenUb=*/true)
+              : cundef_bench::deepTreeProgram(6 + I / 2, 64, I);
+    const SchedulerStats Before = Eng.poolStats();
+    Eng.submit(Req, Source, "lag" + std::to_string(I) + ".c").wait();
+    Eng.drain();
+    const SchedulerStats After = Eng.poolStats();
+    MaxRuns = std::max(MaxRuns, After.RunsExecuted - Before.RunsExecuted);
+    EXPECT_EQ(After.CommitLag, 0u) << "program " << I;
+  }
+  const SchedulerStats St = Eng.poolStats();
+  EXPECT_GT(St.CommitLagPeak, 0u);
+  EXPECT_LE(St.CommitLagPeak, MaxRuns);
 }

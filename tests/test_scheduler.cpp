@@ -778,8 +778,8 @@ TEST(Scheduler, CountersSurfaceThroughDriver) {
 //===----------------------------------------------------------------------===//
 
 TEST(Scheduler, BatchedSuiteScoresMatchPerTest) {
-  // scoreJulietBatched routes the whole suite through one shared
-  // scheduler; scores must match the per-test Tool path exactly.
+  // runKccBatched routes both halves of every pair through one shared
+  // scheduler; every verdict must match the per-test Tool path.
   JulietGenerator Gen(/*ScaleDivisor=*/256); // a handful per class
   std::vector<TestCase> Tests = Gen.generate();
   ASSERT_FALSE(Tests.empty());
@@ -794,16 +794,18 @@ TEST(Scheduler, BatchedSuiteScoresMatchPerTest) {
                             .searchJobs(2)
                             .buildOrDie();
 
+  std::vector<BatchInput> Programs;
+  for (const TestCase &Test : Tests) {
+    Programs.push_back({Test.Bad, Test.Name + "_bad.c"});
+    Programs.push_back({Test.Good, Test.Name + "_good.c"});
+  }
+  const std::vector<ToolResult> Batched = runKccBatched(Req, Programs);
+  ASSERT_EQ(Batched.size(), 2 * Tests.size());
   std::unique_ptr<Tool> Kcc = Tool::create(ToolKind::Kcc);
-  JulietScores PerTest = scoreJuliet(*Kcc, Tests);
-  JulietScores Batched = scoreJulietBatched(Req, Tests);
-
-  ASSERT_EQ(PerTest.PerClass.size(), Batched.PerClass.size());
-  for (size_t I = 0; I < PerTest.PerClass.size(); ++I) {
-    EXPECT_EQ(PerTest.PerClass[I].Tests, Batched.PerClass[I].Tests) << I;
-    EXPECT_EQ(PerTest.PerClass[I].Passed, Batched.PerClass[I].Passed) << I;
-    EXPECT_EQ(PerTest.PerClass[I].FalsePositives,
-              Batched.PerClass[I].FalsePositives)
-        << I;
+  for (size_t I = 0; I < Tests.size(); ++I) {
+    const PairVerdict PerTest = runOnPair(*Kcc, Tests[I]);
+    EXPECT_EQ(PerTest.FlaggedBad, Batched[2 * I].flagged()) << Tests[I].Name;
+    EXPECT_EQ(PerTest.FlaggedGood, Batched[2 * I + 1].flagged())
+        << Tests[I].Name;
   }
 }

@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "AstPrinter.h"
 #include "TestUtil.h"
 
 #include "static/Cfg.h"
@@ -37,7 +38,7 @@ std::string cfgDump(const std::string &Source, const char *Fn = "main") {
   EXPECT_TRUE(F && F->Body) << "no definition of " << Fn;
   if (!F || !F->Body)
     return "";
-  return Cfg::build(F).dump(C->interner());
+  return dumpCfg(Cfg::build(F), C->interner());
 }
 
 /// Static *must* findings of the flow layer only (Domain set by one of
@@ -250,7 +251,7 @@ TEST(CfgShape, RpoIsDeterministicAndStartsAtEntry) {
 
   Cfg A = Cfg::build(F);
   Cfg B = Cfg::build(F);
-  EXPECT_EQ(A.dump(C->interner()), B.dump(C->interner()))
+  EXPECT_EQ(dumpCfg(A, C->interner()), dumpCfg(B, C->interner()))
       << "equal ASTs must produce equal graphs";
   EXPECT_EQ(A.rpo(), B.rpo());
 
