@@ -572,8 +572,26 @@ public:
 /// Owns all AST nodes plus the per-TU type context.
 class AstContext {
 public:
-  AstContext(const TargetConfig &Config, StringInterner &Interner)
-      : Types(Config), Interner(Interner) {}
+  /// \p Base, when given, is a frozen prelude's context (interned in
+  /// \p Interner's base) to continue from: its types and function
+  /// declarations are shared, never written, and declaration ids
+  /// continue after its own. It must outlive this context.
+  AstContext(const TargetConfig &Config, StringInterner &Interner,
+             const AstContext *Base = nullptr)
+      : Types(Config, Base ? &Base->Types : nullptr), Interner(Interner),
+        Base(Base) {
+    if (Base) {
+      TU.Functions = Base->TU.Functions;
+      NextDeclId = Base->NextDeclId;
+    }
+  }
+
+  /// Whether TU.Functions[Index] is still the base's declaration (a
+  /// clone takes the same index).
+  bool isShared(size_t Index) const {
+    return Base && Index < Base->TU.Functions.size() &&
+           TU.Functions[Index] == Base->TU.Functions[Index];
+  }
 
   /// Allocates an AST node in the arena.
   template <typename T, typename... ArgTs> T *create(ArgTs &&...Args) {
@@ -592,6 +610,7 @@ public:
   uint32_t NextDeclId = 1;
 
 private:
+  const AstContext *Base;
   std::vector<std::unique_ptr<void, void (*)(void *)>> Arena;
 };
 

@@ -43,6 +43,8 @@
 
 namespace cundef {
 
+struct Prelude;
+
 /// Content address of one frontend run: two independent 64-bit WordHasher
 /// digests (collision odds are negligible at service scales). Two
 /// submissions with equal keys would produce byte-identical artifacts,
@@ -101,6 +103,9 @@ private:
   CompiledProgram() = default;
 
   TranslationKey Key;
+  /// The header prelude (frontend/Prelude.h) the interner and AST
+  /// continue, or null; declared first, so it is destroyed last.
+  std::shared_ptr<const Prelude> Base;
   std::unique_ptr<StringInterner> Interner;
   std::unique_ptr<AstContext> Ast;
   std::vector<UbReport> StaticUb;

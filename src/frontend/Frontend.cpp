@@ -6,6 +6,8 @@
 
 #include "frontend/Frontend.h"
 
+#include "frontend/Prelude.h"
+
 #include "libc/Builtins.h"
 #include "parse/Parser.h"
 #include "sema/Sema.h"
@@ -55,16 +57,61 @@ TranslationKey cundef::translationKeyFor(const FrontendOptions &Opts,
   return Key;
 }
 
+std::shared_ptr<const Prelude>
+cundef::preludeFor(const FrontendOptions &Opts, const IncludePrefix &Prefix,
+                   const HeaderRegistry &Headers) {
+  if (Prefix.Headers.empty())
+    return nullptr;
+  // Only the target reaches a prelude: the static-checks flags act on
+  // the whole unit after parsing.
+  uint64_t Target = targetConfigFingerprint(Opts.Target);
+  std::string Key(reinterpret_cast<const char *>(&Target), sizeof Target);
+  for (const std::string &Name : Prefix.Headers) {
+    Key += Name;
+    Key += '\n';
+  }
+  return Headers.prelude(Key, [&]() -> std::shared_ptr<const Prelude> {
+    std::string Source;
+    for (const std::string &Name : Prefix.Headers)
+      Source += "#include <" + Name + ">\n";
+    auto P = std::make_shared<Prelude>();
+    DiagnosticEngine Diags;
+    Preprocessor PP(P->Interner, Diags, Headers);
+    std::vector<Token> Toks = PP.run(Source, "<prelude>");
+    if (!Diags.all().empty())
+      return nullptr;
+    P->Ast = std::make_unique<AstContext>(Opts.Target, P->Interner);
+    Parser Parse(std::move(Toks), *P->Ast, Diags);
+    Parse.parseTranslationUnit();
+    // Only macros, typedefs and prototypes: a unit's sema and static
+    // checks then only read what it shares.
+    bool Eligible = Diags.all().empty() && P->Ast->TU.Globals.empty() &&
+                    !P->Ast->Types.hasTagTypes();
+    for (const FunctionDecl *F : P->Ast->TU.Functions)
+      Eligible = Eligible && !F->Body;
+    if (!Eligible)
+      return nullptr;
+    assignBuiltinIds(*P->Ast);
+    P->Text = PP.takeState();
+    P->FileScope = Parse.takeState();
+    return P;
+  });
+}
+
 namespace cundef {
 
 /// The one producer of CompiledProgram (its friend): assembles the
 /// artifact mutably, then releases it as shared-const.
 class FrontendPipeline {
 public:
+  /// \p Pre is null or the prelude of \p Prefix, the source's include
+  /// block; the compile continues from it.
   static CompiledProgramRef run(const FrontendOptions &Opts,
                                 const std::string &Source,
                                 const std::string &Name,
                                 const HeaderRegistry &Headers,
+                                std::shared_ptr<const Prelude> Pre,
+                                const IncludePrefix &Prefix,
                                 const TranslationKey *PrecomputedKey) {
     auto Start = std::chrono::steady_clock::now();
     auto Result = std::shared_ptr<CompiledProgram>(new CompiledProgram());
@@ -73,27 +120,33 @@ public:
     // whole header registry for a field nobody reads on that path.
     if (PrecomputedKey)
       Result->Key = *PrecomputedKey;
-    Result->Interner = std::make_unique<StringInterner>();
+    Result->Base = std::move(Pre);
+    const Prelude *Base = Result->Base.get();
+    Result->Interner =
+        std::make_unique<StringInterner>(Base ? &Base->Interner : nullptr);
     DiagnosticEngine Diags;
-    Preprocessor PP(*Result->Interner, Diags, Headers);
-    std::vector<Token> Toks = PP.run(Source, Name);
+    Preprocessor PP(*Result->Interner, Diags, Headers,
+                    Base ? &Base->Text : nullptr);
+    std::vector<Token> Toks = PP.run(Source, Name, Base ? &Prefix : nullptr);
     if (Diags.hasErrors()) {
       Result->Errors = Diags.render();
       finish(*Result, Start);
       return Result;
     }
-    Result->Ast = std::make_unique<AstContext>(Opts.Target,
-                                               *Result->Interner);
-    Parser P(std::move(Toks), *Result->Ast, Diags);
+    Result->Ast = std::make_unique<AstContext>(
+        Opts.Target, *Result->Interner, Base ? Base->Ast.get() : nullptr);
+    Parser P(std::move(Toks), *Result->Ast, Diags,
+             Base ? &Base->FileScope : nullptr);
     bool ParseOk = P.parseTranslationUnit();
+    // Builtin ids come before the syntactic checker: its va_start/
+    // va_arg checks recognize __cundef_va_arg by builtin id. They are
+    // assigned also when parsing failed, as a prelude's already are.
+    assignBuiltinIds(*Result->Ast);
     UbSink StaticSink;
     UbSink HintSink;
     if (ParseOk) {
       Sema S(*Result->Ast, Diags, StaticSink);
       S.run();
-      // Builtin ids come before the syntactic checker: its va_start/
-      // va_arg checks recognize __cundef_va_arg by builtin id.
-      assignBuiltinIds(*Result->Ast);
       if (Opts.StaticChecks) {
         StaticChecker Checker(*Result->Ast, StaticSink);
         Checker.run();
@@ -138,5 +191,18 @@ cundef::compileTranslationUnit(const FrontendOptions &Opts,
                                const std::string &Name,
                                const HeaderRegistry &Headers,
                                const TranslationKey *PrecomputedKey) {
-  return FrontendPipeline::run(Opts, Source, Name, Headers, PrecomputedKey);
+  IncludePrefix Prefix = scanIncludePrefix(Source);
+  return FrontendPipeline::run(Opts, Source, Name, Headers,
+                               preludeFor(Opts, Prefix, Headers), Prefix,
+                               PrecomputedKey);
+}
+
+CompiledProgramRef
+cundef::compileWithPrelude(const FrontendOptions &Opts,
+                           const std::string &Source, const std::string &Name,
+                           const HeaderRegistry &Headers,
+                           std::shared_ptr<const Prelude> P) {
+  IncludePrefix Prefix = P ? scanIncludePrefix(Source) : IncludePrefix();
+  return FrontendPipeline::run(Opts, Source, Name, Headers, std::move(P),
+                               Prefix, nullptr);
 }

@@ -36,6 +36,7 @@
 namespace cundef {
 
 class HeaderRegistry;
+struct Prelude;
 
 /// The frontend's configuration surface: the subset of an
 /// AnalysisRequest that can change what compilation produces.
@@ -68,6 +69,8 @@ TranslationKey translationKeyFor(const FrontendOptions &Opts,
 /// equal inputs produce interchangeable artifacts (the cache relies on
 /// it). Thread-safe for concurrent calls as long as \p Headers is not
 /// mutated concurrently (the engine's documented registry contract).
+/// A source starting with an eligible include block continues from
+/// that block's prelude (frontend/Prelude.h) in \p Headers.
 /// \p PrecomputedKey, when given, is stamped onto the artifact —
 /// callers that addressed the cache pass theirs, so the stamped key IS
 /// the cache key. Without one the artifact's key stays zero: uncached
@@ -76,6 +79,16 @@ CompiledProgramRef
 compileTranslationUnit(const FrontendOptions &Opts, const std::string &Source,
                        const std::string &Name, const HeaderRegistry &Headers,
                        const TranslationKey *PrecomputedKey = nullptr);
+
+/// compileTranslationUnit continuing from \p P, which is null (the
+/// includes are translated in place) or preludeFor()'s answer for
+/// \p Source's include block under \p Opts. Both give the same
+/// artifact; tests compare them.
+CompiledProgramRef compileWithPrelude(const FrontendOptions &Opts,
+                                      const std::string &Source,
+                                      const std::string &Name,
+                                      const HeaderRegistry &Headers,
+                                      std::shared_ptr<const Prelude> P);
 
 } // namespace cundef
 

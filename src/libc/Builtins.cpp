@@ -31,9 +31,11 @@ void cundef::assignBuiltinIds(AstContext &Ctx) {
       {"bsearch", BuiltinBsearch}, {"__cundef_va_arg", BuiltinVaArg},
       {"sprintf", BuiltinSprintf}, {"snprintf", BuiltinSnprintf},
   };
-  for (FunctionDecl *F : Ctx.TU.Functions) {
-    if (F->Body)
-      continue; // a user definition shadows the library
+  for (size_t I = 0; I < Ctx.TU.Functions.size(); ++I) {
+    FunctionDecl *F = Ctx.TU.Functions[I];
+    if (F->Body || Ctx.isShared(I))
+      continue; // a user definition shadows the library; a prelude's
+                // declarations were marked when it was built
     auto It = Names.find(Ctx.Interner.str(F->Name));
     if (It != Names.end())
       F->BuiltinId = It->second;
@@ -50,18 +52,10 @@ struct BuiltinCtx {
   SourceLoc Loc;
 
   const TypeContext &types() const { return M.ast().Types; }
-  TypeContext &mutableTypes() {
-    // getPointer uniques types; logically const but requires mutation.
-    return const_cast<TypeContext &>(M.ast().Types);
-  }
   const Type *intTy() const { return types().intTy(); }
   const Type *sizeTy() const { return types().sizeTy(); }
-  const Type *charPtrTy() {
-    return mutableTypes().getPointer(QualType(types().charTy()));
-  }
-  const Type *voidPtrTy() {
-    return mutableTypes().getPointer(QualType(types().voidTy()));
-  }
+  const Type *charPtrTy() const { return types().charPtrTy(); }
+  const Type *voidPtrTy() const { return types().voidPtrTy(); }
 
   bool wantArgs(size_t N) {
     if (Args.size() >= N)
@@ -616,8 +610,7 @@ bool builtinVaArg(BuiltinCtx &C, Value &Result) {
 /// are about misusing exactly this interface).
 bool callComparator(BuiltinCtx &C, const FunctionDecl *Cmp, SymPointer A,
                     SymPointer B, int &Out) {
-  const Type *ConstVoidPtr = C.mutableTypes().getPointer(
-      QualType(C.types().voidTy(), QualConst));
+  const Type *ConstVoidPtr = C.types().constVoidPtrTy();
   Value Args[] = {Value::makePointer(ConstVoidPtr, A),
                   Value::makePointer(ConstVoidPtr, B)};
   Value R;

@@ -62,7 +62,8 @@ enum BuiltinId : uint16_t {
   BuiltinSnprintf,
 };
 
-/// Marks bodyless functions whose name is a known builtin.
+/// Marks bodyless functions whose name is a known builtin, leaving
+/// the declarations Ctx shares with its base as they are.
 void assignBuiltinIds(AstContext &Ctx);
 
 /// Executes builtin \p Id. Returns false when the builtin reported

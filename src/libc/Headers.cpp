@@ -13,7 +13,9 @@ using namespace cundef;
 // --target=wideint they contradict the machine's type widths, and
 // verdicts change: with 8-byte ints (wideint) `INT_MAX + 1` no longer
 // overflows, and under ilp32 `(long)LONG_MAX` is -1 because the macro is
-// a `long long` constant there.
+// a `long long` constant there. Translated header preludes
+// (frontend/Prelude.h) are keyed by the target fingerprint as well as
+// the header names, so per-target header texts compose with them.
 
 static const char StddefH[] = R"(
 #ifndef _CUNDEF_STDDEF_H

@@ -570,7 +570,7 @@ void Parser::parseExternalDeclaration() {
     }
     if (D.Ty.Ty->isFunction()) {
       // Function declaration or definition.
-      FunctionDecl *&Fn = Functions[D.Name];
+      FunctionDecl *&Fn = functionSlot(D.Name);
       if (!Fn) {
         Fn = Ctx.create<FunctionDecl>();
         Fn->Name = D.Name;
@@ -635,7 +635,7 @@ Stmt *Parser::parseLocalDeclaration() {
       }
       if (D.Ty.Ty->isFunction()) {
         // Local function declaration ("extern" implied).
-        FunctionDecl *&Fn = Functions[D.Name];
+        FunctionDecl *&Fn = functionSlot(D.Name);
         if (!Fn) {
           Fn = Ctx.create<FunctionDecl>();
           Fn->Name = D.Name;

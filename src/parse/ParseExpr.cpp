@@ -316,8 +316,10 @@ Expr *Parser::parsePrimary() {
     DeclRefExpr *Ref = Ctx.create<DeclRefExpr>(Loc, Tok.Sym);
     if (VarDecl *Var = lookupVar(Tok.Sym)) {
       Ref->Var = Var;
-    } else if (auto It = Functions.find(Tok.Sym); It != Functions.end()) {
-      Ref->Fn = It->second;
+    } else if (FunctionDecl *Fn = lookupFunction(Tok.Sym)) {
+      Ref->Fn = Fn;
+      if (Base && !Functions.count(Tok.Sym))
+        BaseRefs.push_back(Ref);
     } else {
       Diags.error(Loc, strFormat("use of undeclared identifier '%s'",
                                  Ctx.Interner.str(Tok.Sym).c_str()));

@@ -8,11 +8,14 @@
 
 #include "support/Strings.h"
 
+#include <algorithm>
+#include <iterator>
+
 using namespace cundef;
 
 Parser::Parser(std::vector<Token> Toks, AstContext &Ctx,
-               DiagnosticEngine &Diags)
-    : Toks(std::move(Toks)), Ctx(Ctx), Diags(Diags) {
+               DiagnosticEngine &Diags, const ParserState *Base)
+    : Toks(std::move(Toks)), Ctx(Ctx), Diags(Diags), Base(Base) {
   assert(!this->Toks.empty() && this->Toks.back().is(TokenKind::Eof) &&
          "token stream must be Eof-terminated");
   pushScope(); // file scope
@@ -90,6 +93,11 @@ const QualType *Parser::lookupTypedef(Symbol Name) const {
     auto Found = It->Typedefs.find(Name);
     if (Found != It->Typedefs.end())
       return &Found->second;
+    if (Base && std::next(It) == Scopes.rend()) {
+      auto InBase = Base->Typedefs.find(Name);
+      if (InBase != Base->Typedefs.end())
+        return &InBase->second;
+    }
     // A variable shadowing the name hides the typedef.
     if (It->Vars.count(Name) || It->EnumConsts.count(Name))
       return nullptr;
@@ -117,6 +125,42 @@ Type *Parser::lookupTag(Symbol Name) const {
   return nullptr;
 }
 
+FunctionDecl *Parser::lookupFunction(Symbol Name) const {
+  auto It = Functions.find(Name);
+  if (It != Functions.end())
+    return It->second;
+  if (Base) {
+    auto InBase = Base->Functions.find(Name);
+    if (InBase != Base->Functions.end())
+      return InBase->second;
+  }
+  return nullptr;
+}
+
+FunctionDecl *&Parser::functionSlot(Symbol Name) {
+  FunctionDecl *&Slot = Functions[Name];
+  if (Slot || !Base)
+    return Slot;
+  auto InBase = Base->Functions.find(Name);
+  if (InBase == Base->Functions.end())
+    return Slot;
+  // Copy on write: the clone takes the shared declaration's place, and
+  // assignBuiltinIds decides its builtin id again.
+  FunctionDecl *Shared = InBase->second;
+  FunctionDecl *Clone = Ctx.create<FunctionDecl>();
+  Clone->Name = Shared->Name;
+  Clone->FnTy = Shared->FnTy;
+  Clone->Params = Shared->Params;
+  Clone->Body = Shared->Body;
+  Clone->Loc = Shared->Loc;
+  Clone->AllDeclTypes = Shared->AllDeclTypes;
+  Clone->DeclQuals = Shared->DeclQuals;
+  std::replace(Ctx.TU.Functions.begin(), Ctx.TU.Functions.end(), Shared,
+               Clone);
+  ClonedBase = true;
+  return Slot = Clone;
+}
+
 bool Parser::parseTranslationUnit() {
   try {
     while (!at(TokenKind::Eof))
@@ -124,5 +168,15 @@ bool Parser::parseTranslationUnit() {
   } catch (const NestingLimitExceeded &) {
     // Reported where it was detected; the unit is abandoned.
   }
+  if (ClonedBase)
+    for (DeclRefExpr *Ref : BaseRefs)
+      Ref->Fn = lookupFunction(Ref->Fn->Name);
   return !Diags.hasErrors();
+}
+
+ParserState Parser::takeState() {
+  ParserState State;
+  State.Typedefs = std::move(Scopes.front().Typedefs);
+  State.Functions = std::move(Functions);
+  return State;
 }

@@ -25,13 +25,29 @@
 
 namespace cundef {
 
+/// The parser's file scope after a prelude's headers, frozen: the
+/// typedefs and function declarations a continuing parser starts with.
+struct ParserState {
+  std::map<Symbol, QualType> Typedefs;
+  std::map<Symbol, FunctionDecl *> Functions;
+};
+
 class Parser {
 public:
-  Parser(std::vector<Token> Toks, AstContext &Ctx, DiagnosticEngine &Diags);
+  /// \p Base, when given, is the file scope to continue from (with
+  /// Ctx continuing the base's AstContext); it is never written. A
+  /// declaration of one of its functions clones that function into
+  /// Ctx.TU at the same index, and every reference is resolved to the
+  /// clone.
+  Parser(std::vector<Token> Toks, AstContext &Ctx, DiagnosticEngine &Diags,
+         const ParserState *Base = nullptr);
 
   /// Parses the whole token stream into Ctx.TU. Returns false if any
   /// syntax error was reported.
   bool parseTranslationUnit();
+
+  /// The file scope after parsing, for a prelude.
+  ParserState takeState();
 
 private:
   //===--- Token stream -------------------------------------------------===//
@@ -86,6 +102,10 @@ private:
   const QualType *lookupTypedef(Symbol Name) const;
   const int64_t *lookupEnumConst(Symbol Name) const;
   Type *lookupTag(Symbol Name) const;
+  FunctionDecl *lookupFunction(Symbol Name) const;
+  /// The unit's declaration of \p Name to add a declaration to (null
+  /// slot when there is none yet); a base function is cloned first.
+  FunctionDecl *&functionSlot(Symbol Name);
 
   //===--- Declarations (ParseDecl.cpp) ----------------------------------===//
   struct DeclSpec {
@@ -142,6 +162,11 @@ private:
   DiagnosticEngine &Diags;
   std::vector<Scope> Scopes;
   std::map<Symbol, FunctionDecl *> Functions;
+  const ParserState *Base;
+  /// References resolved to base functions, retargeted to their clones
+  /// at the end of the unit when any were made.
+  std::vector<DeclRefExpr *> BaseRefs;
+  bool ClonedBase = false;
 };
 
 } // namespace cundef

@@ -48,6 +48,8 @@ public:
 
   /// Associates \p FileId with \p Name for rendering.
   void registerFile(uint32_t FileId, std::string Name);
+  /// Registered file names by id ("" where none is).
+  const std::vector<std::string> &files() const { return FileNames; }
 
   void clear() {
     Diags.clear();

@@ -108,8 +108,10 @@ const char *cundef::tokenKindName(TokenKind Kind) {
 }
 
 Lexer::Lexer(const std::string &Buffer, uint32_t FileId,
-             StringInterner &Interner, DiagnosticEngine &Diags)
-    : Buf(Buffer), FileId(FileId), Interner(Interner), Diags(Diags) {}
+             StringInterner &Interner, DiagnosticEngine &Diags, size_t Begin,
+             uint32_t Line)
+    : Buf(Buffer), FileId(FileId), Interner(Interner), Diags(Diags),
+      Pos(Begin), Line(Line) {}
 
 char Lexer::advance() {
   assert(Pos < Buf.size() && "advancing past end of buffer");

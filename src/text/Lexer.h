@@ -27,9 +27,10 @@ namespace cundef {
 class Lexer {
 public:
   /// Lexes \p Buffer (not owned; must outlive the lexer). \p FileId tags
-  /// every token's location.
+  /// every token's location. Lexing starts at byte \p Begin, the start
+  /// of line \p Line outside any comment.
   Lexer(const std::string &Buffer, uint32_t FileId, StringInterner &Interner,
-        DiagnosticEngine &Diags);
+        DiagnosticEngine &Diags, size_t Begin = 0, uint32_t Line = 1);
 
   /// Returns the next token, advancing. At end of input returns Eof
   /// forever.

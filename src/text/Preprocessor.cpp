@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
+#include <string_view>
 #include <unordered_map>
 
 using namespace cundef;
@@ -185,12 +187,19 @@ private:
 } // namespace
 
 Preprocessor::Preprocessor(StringInterner &Interner, DiagnosticEngine &Diags,
-                           const HeaderRegistry &Headers)
-    : Interner(Interner), Diags(Diags), Headers(Headers) {
+                           const HeaderRegistry &Headers,
+                           const PreprocessorState *Base)
+    : Interner(Interner), Diags(Diags), Headers(Headers), Base(Base),
+      NextFileId(Base ? Base->NextFileId : 2) {
   SymDefined = Interner.intern("defined");
   SymVaArgs = Interner.intern("__VA_ARGS__");
   SymLine = Interner.intern("__LINE__");
   SymFile = Interner.intern("__FILE__");
+  if (Base) {
+    for (uint32_t Id = 2; Id < Base->Files.size(); ++Id)
+      Diags.registerFile(Id, Base->Files[Id]);
+    return; // the base defined the predefined macros
+  }
   define("__CUNDEF__", "1");
   define("__STDC__", "1");
 }
@@ -206,7 +215,27 @@ void Preprocessor::define(const std::string &Name, const std::string &Body) {
 
 bool Preprocessor::isDefined(const std::string &Name) const {
   Symbol Sym = Interner.lookup(Name);
-  return Sym != NoSymbol && Macros.count(Sym) != 0;
+  return Sym != NoSymbol && findMacro(Sym);
+}
+
+const MacroDef *Preprocessor::findMacro(Symbol Sym) const {
+  auto It = Macros.find(Sym);
+  if (It != Macros.end())
+    return It->second.Undefined ? nullptr : &It->second;
+  if (Base) {
+    auto BaseIt = Base->Macros.find(Sym);
+    if (BaseIt != Base->Macros.end())
+      return &BaseIt->second;
+  }
+  return nullptr;
+}
+
+PreprocessorState Preprocessor::takeState() {
+  PreprocessorState State;
+  State.Macros = std::move(Macros);
+  State.Files = Diags.files();
+  State.NextFileId = NextFileId;
+  return State;
 }
 
 const LexedHeader *HeaderRegistry::lexed(const std::string &Name) const {
@@ -227,16 +256,109 @@ const LexedHeader *HeaderRegistry::lexed(const std::string &Name) const {
   return E.Lexed.get();
 }
 
-uint32_t Preprocessor::lexBuffer(const std::string &Source,
-                                 const std::string &Name,
-                                 std::vector<Token> &Out) {
-  uint32_t FileId = NextFileId++;
-  Diags.registerFile(FileId, Name);
-  Lexer Lex(Source, FileId, Interner, Diags);
-  Out.reserve(Source.size() / BytesPerTokenEstimate);
+std::shared_ptr<const Prelude> HeaderRegistry::prelude(
+    const std::string &Key,
+    const std::function<std::shared_ptr<const Prelude>()> &Build) const {
+  std::lock_guard<std::mutex> Lock(PreludeMu);
+  auto [It, New] = Preludes.try_emplace(Key);
+  if (New) {
+    // A block seen once is translated in place: a single compile, such
+    // as a cold kcc process's, never pays for a prelude it cannot share.
+    if (Preludes.size() > kMaxPreludes)
+      Preludes.erase(It);
+    return nullptr;
+  }
+  if (!It->second)
+    It->second = Build();
+  return *It->second;
+}
+
+size_t HeaderRegistry::preludeCount() const {
+  std::lock_guard<std::mutex> Lock(PreludeMu);
+  return Preludes.size();
+}
+
+namespace {
+
+bool isHorizontalSpace(char C) {
+  return C == ' ' || C == '\t' || C == '\r' || C == '\v' || C == '\f';
+}
+
+bool isWordChar(char C) {
+  return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
+}
+
+/// Whether \p Line holds only blanks, comments closed on it and at most
+/// one `#include <name>`, the line's first token, whose name goes to
+/// \p Name. The name is words joined by single '.' or '/', so its
+/// tokens spell it exactly.
+bool scanPrefixLine(std::string_view Line, std::string &Name) {
+  if (Line.find('\\') != std::string_view::npos)
+    return false; // a line splice could join the next line
+  for (size_t I = 0; I < Line.size();) {
+    if (isHorizontalSpace(Line[I])) {
+      ++I;
+    } else if (Line.compare(I, 2, "//") == 0) {
+      return true;
+    } else if (Line.compare(I, 2, "/*") == 0) {
+      I = Line.find("*/", I + 2);
+      if (I == std::string_view::npos)
+        return false;
+      I += 2;
+    } else if (Line[I] == '#' && Name.empty()) {
+      I = Line.find_first_not_of(" \t", I + 1);
+      if (I == std::string_view::npos || Line.compare(I, 7, "include"))
+        return false;
+      I = Line.find_first_not_of(" \t", I + 7);
+      if (I == std::string_view::npos || Line[I] != '<')
+        return false;
+      size_t Start = ++I;
+      for (char Prev = '/'; I < Line.size() && Line[I] != '>'; Prev = Line[I++])
+        if (!(std::isalpha(static_cast<unsigned char>(Line[I])) ||
+              Line[I] == '_' ||
+              (isWordChar(Prev) && (std::isdigit(Line[I]) || Line[I] == '.' ||
+                                    Line[I] == '/'))))
+          return false;
+      if (I == Line.size() || I == Start || !isWordChar(Line[I - 1]))
+        return false;
+      Name = std::string(Line.substr(Start, I++ - Start));
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
+} // namespace
+
+IncludePrefix cundef::scanIncludePrefix(const std::string &Source) {
+  IncludePrefix Result;
+  for (size_t Pos = 0; Pos < Source.size();) {
+    size_t Eol = std::min(Source.find('\n', Pos), Source.size());
+    std::string Name;
+    if (!scanPrefixLine(std::string_view(Source).substr(Pos, Eol - Pos),
+                        Name))
+      break;
+    if (!Name.empty())
+      Result.Headers.push_back(std::move(Name));
+    Pos = Eol + 1;
+    Result.End = std::min(Pos, Source.size());
+    ++Result.Lines;
+  }
+  return Result.Headers.empty() ? IncludePrefix() : Result;
+}
+
+void Preprocessor::lexMainFile(const std::string &Source,
+                               const std::string &Name,
+                               const IncludePrefix *Skip,
+                               std::vector<Token> &Out) {
+  Diags.registerFile(1, Name);
+  size_t Begin = Skip ? Skip->End : 0;
+  Lexer Lex(Source, /*FileId=*/1, Interner, Diags, Begin,
+            Skip ? Skip->Lines + 1 : 1);
+  Out.reserve((Source.size() - Begin) / BytesPerTokenEstimate);
   for (Token T = Lex.next(); T.isNot(TokenKind::Eof); T = Lex.next())
     Out.push_back(std::move(T));
-  return FileId;
 }
 
 std::vector<Token> Preprocessor::copyHeader(const LexedHeader &Header,
@@ -263,12 +385,13 @@ std::vector<Token> Preprocessor::copyHeader(const LexedHeader &Header,
 }
 
 std::vector<Token> Preprocessor::run(const std::string &Source,
-                                     const std::string &FileName) {
+                                     const std::string &FileName,
+                                     const IncludePrefix *Skip) {
   std::vector<Token> Raw;
-  uint32_t FileId = lexBuffer(Source, FileName, Raw);
+  lexMainFile(Source, FileName, Skip, Raw);
   CurrentFileName = FileName;
   std::vector<Token> Out;
-  Out.reserve(Raw.size() + OutHeadroom);
+  Out.reserve(Raw.size() + (Base ? 0 : OutHeadroom));
   try {
     processTokens(Raw, Out, /*IncludeDepth=*/0);
   } catch (const ExpansionLimitExceeded &) {
@@ -277,10 +400,7 @@ std::vector<Token> Preprocessor::run(const std::string &Source,
   promoteKeywords(Out);
   Token Eof;
   Eof.Kind = TokenKind::Eof;
-  if (!Out.empty())
-    Eof.Loc = Out.back().Loc;
-  else
-    Eof.Loc = SourceLoc(FileId, 1, 1);
+  Eof.Loc = Out.empty() ? SourceLoc(1, 1, 1) : Out.back().Loc;
   Out.push_back(Eof);
   return Out;
 }
@@ -403,6 +523,8 @@ size_t Preprocessor::processDirective(const std::vector<Token> &Toks,
   if (Name == "undef") {
     if (Line.empty() || Line[0].isNot(TokenKind::Identifier))
       Diags.error(Loc, "macro name missing in #undef");
+    else if (Base && Base->Macros.count(Line[0].Sym))
+      Macros[Line[0].Sym].Undefined = true; // hides the base's definition
     else
       Macros.erase(Line[0].Sym);
     return End;
@@ -440,7 +562,7 @@ size_t Preprocessor::processDirective(const std::vector<Token> &Toks,
   if (Name == "ifdef" || Name == "ifndef") {
     bool Defined =
         !Line.empty() && Line[0].is(TokenKind::Identifier) &&
-        Macros.count(Line[0].Sym) != 0;
+        findMacro(Line[0].Sym);
     bool Taken = (Name == "ifdef") ? Defined : !Defined;
     if (Taken)
       return End; // fall into the group; #endif handled when reached
@@ -518,7 +640,7 @@ long long Preprocessor::evaluateCondition(std::vector<Token> Line,
       if (Paren)
         ++J;
       if (J < Line.size() && Line[J].is(TokenKind::Identifier)) {
-        Defined = Macros.count(Line[J].Sym) != 0;
+        Defined = findMacro(Line[J].Sym) != nullptr;
         ++J;
       } else {
         Diags.error(Loc, "operator 'defined' requires an identifier");
@@ -704,13 +826,13 @@ void Preprocessor::expandInto(const Token *In, size_t N,
       Out.push_back(F);
       continue;
     }
-    auto It = Macros.find(T.Sym);
-    if (It == Macros.end() ||
+    const MacroDef *Found = findMacro(T.Sym);
+    if (!Found ||
         std::find(Hidden.begin(), Hidden.end(), T.Sym) != Hidden.end()) {
       Out.push_back(T);
       continue;
     }
-    const MacroDef &Macro = It->second;
+    const MacroDef &Macro = *Found;
     // Function-like: require '(' as the next token of this sequence.
     if (Macro.FunctionLike &&
         (I + 1 >= N || In[I + 1].isNot(TokenKind::LParen))) {

@@ -24,13 +24,17 @@
 #include "text/Token.h"
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace cundef {
+
+struct Prelude;
 
 /// A registered header, lexed once per registry. Every #include of it
 /// copies this form instead of lexing the text again.
@@ -59,6 +63,7 @@ public:
     E.Content = std::move(Content);
     E.Lexed.reset();
     FingerprintMemo.store(0, std::memory_order_relaxed);
+    Preludes.clear();
   }
 
   /// The lexed form of header \p Name, or null when none is registered.
@@ -67,6 +72,23 @@ public:
   const LexedHeader *lexed(const std::string &Name) const;
 
   size_t size() const { return Files.size(); }
+
+  /// Bound on the keys of preludes one registry keeps (each distinct
+  /// include block and target takes one slot, also when its prelude
+  /// turned out ineligible). Past it, new keys get no prelude.
+  static constexpr size_t kMaxPreludes = 32;
+
+  /// The prelude under \p Key (frontend/Prelude.h): null on the key's
+  /// first request, built by \p Build on its second, one build at a
+  /// time; null also when \p Build returned null or the bound is full.
+  /// Like lexed() forms, preludes stay immutable until add() drops
+  /// them all.
+  std::shared_ptr<const Prelude>
+  prelude(const std::string &Key,
+          const std::function<std::shared_ptr<const Prelude>()> &Build) const;
+
+  /// Keys prelude() has taken since the last add().
+  size_t preludeCount() const;
 
   /// Content digest of the whole registry (every name and body, in the
   /// map's deterministic order). The translation cache folds this into
@@ -99,26 +121,67 @@ private:
   std::map<std::string, Entry> Files;
   mutable std::mutex Mu;
   mutable std::atomic<uint64_t> FingerprintMemo{0};
+  /// Filled by prelude() under PreludeMu (empty until a key's second
+  /// request); a build takes Mu via lexed().
+  mutable std::map<std::string, std::optional<std::shared_ptr<const Prelude>>>
+      Preludes;
+  mutable std::mutex PreludeMu;
 };
+
+/// The leading block of a source's `#include <name>` lines, found by a
+/// conservative textual scan: whole lines of blanks, comments closed on
+/// their line and `#include <name>` directives whose names are words
+/// joined by '.' or '/'. Lexing the source from End at line Lines + 1
+/// yields the tokens a whole-source lex yields there.
+struct IncludePrefix {
+  std::vector<std::string> Headers; ///< names in include order
+  size_t End = 0;                   ///< byte offset just past the block
+  uint32_t Lines = 0;               ///< lines the block spans
+};
+
+IncludePrefix scanIncludePrefix(const std::string &Source);
 
 /// A macro definition.
 struct MacroDef {
   bool FunctionLike = false;
   bool Variadic = false;
+  /// An #undef of a base macro, recorded in the overlay.
+  bool Undefined = false;
   std::vector<Symbol> Params;
   std::vector<Token> Body;
 };
 
+/// The preprocessor's state after a prelude's include block, frozen. A
+/// preprocessor continuing from it starts with these macros (as a base
+/// its own definitions overlay), file ids and file names.
+struct PreprocessorState {
+  std::map<Symbol, MacroDef> Macros;
+  /// File names by id, as registered with the diagnostics (id 1, the
+  /// main file, is renamed by each compile).
+  std::vector<std::string> Files;
+  uint32_t NextFileId = 2;
+};
+
 class Preprocessor {
 public:
+  /// \p Base, when given, is the state to continue from; it must
+  /// outlive the preprocessor and is never written.
   Preprocessor(StringInterner &Interner, DiagnosticEngine &Diags,
-               const HeaderRegistry &Headers);
+               const HeaderRegistry &Headers,
+               const PreprocessorState *Base = nullptr);
 
   /// Preprocesses \p Source (named \p FileName for diagnostics) and
   /// returns the fully expanded, keyword-promoted token stream,
-  /// terminated by an Eof token.
+  /// terminated by an Eof token. \p Skip, when given, is the source's
+  /// include block, already translated into the base: lexing starts
+  /// after it.
   std::vector<Token> run(const std::string &Source,
-                         const std::string &FileName);
+                         const std::string &FileName,
+                         const IncludePrefix *Skip = nullptr);
+
+  /// The state after run(), for a prelude. Leaves the preprocessor
+  /// empty.
+  PreprocessorState takeState();
 
   /// Predefines an object-like macro, as with a -D command line option.
   /// \p Body is lexed as C tokens.
@@ -138,10 +201,12 @@ private:
   /// run(), which abandons the unit.
   struct ExpansionLimitExceeded {};
 
-  /// Lexes a buffer into raw tokens and registers the file name.
-  /// Returns the issued file id.
-  uint32_t lexBuffer(const std::string &Source, const std::string &Name,
-                     std::vector<Token> &Out);
+  /// Lexes the main file from \p Skip's end into raw tokens as file 1.
+  void lexMainFile(const std::string &Source, const std::string &Name,
+                   const IncludePrefix *Skip, std::vector<Token> &Out);
+
+  /// The definition in effect for \p Sym, or null.
+  const MacroDef *findMacro(Symbol Sym) const;
 
   /// The raw tokens of one #include of \p Header: a copy of its lexed
   /// form under a fresh file id registered as \p Name, its spellings
@@ -211,8 +276,9 @@ private:
   StringInterner &Interner;
   DiagnosticEngine &Diags;
   const HeaderRegistry &Headers;
+  const PreprocessorState *Base;
   std::map<Symbol, MacroDef> Macros;
-  uint32_t NextFileId = 1;
+  uint32_t NextFileId;
   Symbol SymDefined, SymVaArgs, SymLine, SymFile;
   std::string CurrentFileName;
 };

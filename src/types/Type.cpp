@@ -8,6 +8,9 @@
 
 #include "support/Strings.h"
 
+#include <algorithm>
+#include <iterator>
+
 using namespace cundef;
 
 bool Type::isUnsignedInteger(const TargetConfig &Config) const {
@@ -52,9 +55,21 @@ unsigned Type::integerRank() const {
   }
 }
 
-TypeContext::TypeContext(const TargetConfig &Config) : Config(Config) {
+TypeContext::TypeContext(const TargetConfig &Config, const TypeContext *Base)
+    : Config(Config), Base(Base) {
+  if (Base) {
+    std::copy(std::begin(Base->Builtins), std::end(Base->Builtins),
+              Builtins);
+    CharPtr = Base->CharPtr;
+    VoidPtr = Base->VoidPtr;
+    ConstVoidPtr = Base->ConstVoidPtr;
+    return;
+  }
   for (int K = 0; K <= (int)TypeKind::Double; ++K)
     Builtins[K] = makeBuiltin(static_cast<TypeKind>(K));
+  CharPtr = getPointer(QualType(charTy()));
+  VoidPtr = getPointer(QualType(voidTy()));
+  ConstVoidPtr = getPointer(QualType(voidTy(), QualConst));
 }
 
 const Type *TypeContext::makeBuiltin(TypeKind Kind) {
@@ -64,6 +79,9 @@ const Type *TypeContext::makeBuiltin(TypeKind Kind) {
 
 const Type *TypeContext::getPointer(QualType Pointee) {
   auto Key = std::make_pair(Pointee.Ty, Pointee.Quals);
+  if (Base)
+    if (auto It = Base->PointerTypes.find(Key); It != Base->PointerTypes.end())
+      return It->second;
   auto It = PointerTypes.find(Key);
   if (It != PointerTypes.end())
     return It->second;
@@ -77,6 +95,9 @@ const Type *TypeContext::getPointer(QualType Pointee) {
 const Type *TypeContext::getArray(QualType Element, uint64_t Size,
                                   bool SizeKnown) {
   auto Key = std::make_tuple(Element.Ty, Element.Quals, Size, SizeKnown);
+  if (Base)
+    if (auto It = Base->ArrayTypes.find(Key); It != Base->ArrayTypes.end())
+      return It->second;
   auto It = ArrayTypes.find(Key);
   if (It != ArrayTypes.end())
     return It->second;

@@ -198,9 +198,18 @@ public:
 };
 
 /// Owns and uniques all types for one translation unit.
+///
+/// A context may continue a frozen base (a compile continuing from a
+/// header prelude, frontend/Prelude.h): it shares the base's builtin
+/// and pointer types, consults the base's uniquing tables before its
+/// own, and never writes to the base, so every type stays
+/// pointer-identical across the two layers.
 class TypeContext {
 public:
-  explicit TypeContext(const TargetConfig &Config);
+  /// \p Base, when given, must outlive this context, must not change
+  /// while it does, and must have the same \p Config.
+  explicit TypeContext(const TargetConfig &Config,
+                       const TypeContext *Base = nullptr);
 
   const TargetConfig &config() const { return Config; }
 
@@ -230,6 +239,11 @@ public:
   const Type *ptrdiffTy() const {
     return Config.PointerSize == 8 ? longTy() : intTy();
   }
+  /// The pointer types libc builtins return, uniqued when the context
+  /// is built so a machine reading a frozen context never creates one.
+  const Type *charPtrTy() const { return CharPtr; }
+  const Type *voidPtrTy() const { return VoidPtr; }
+  const Type *constVoidPtrTy() const { return ConstVoidPtr; }
 
   /// Builtin by kind (only for non-derived kinds).
   const Type *builtin(TypeKind Kind) const {
@@ -247,6 +261,10 @@ public:
   Type *createEnum(Symbol Tag);
   /// Computes layout (field offsets, size, align) and marks complete.
   void completeRecord(Type *RecordTy, std::vector<FieldInfo> Fields);
+  /// Whether any struct, union or enum type was created here.
+  bool hasTagTypes() const {
+    return !OwnedRecords.empty() || !OwnedEnums.empty();
+  }
 
   /// Size in bytes of a complete object type.
   uint64_t sizeOf(QualType Ty) const;
@@ -276,10 +294,12 @@ private:
   const Type *makeBuiltin(TypeKind Kind);
 
   TargetConfig Config;
+  const TypeContext *Base;
   std::vector<std::unique_ptr<Type>> OwnedTypes;
   std::vector<std::unique_ptr<RecordInfo>> OwnedRecords;
   std::vector<std::unique_ptr<EnumInfo>> OwnedEnums;
   const Type *Builtins[(int)TypeKind::Double + 1] = {};
+  const Type *CharPtr = nullptr, *VoidPtr = nullptr, *ConstVoidPtr = nullptr;
   std::map<std::pair<const Type *, uint8_t>, const Type *> PointerTypes;
   std::map<std::tuple<const Type *, uint8_t, uint64_t, bool>, const Type *>
       ArrayTypes;

@@ -6,6 +6,7 @@
 
 #include "AstPrinter.h"
 
+#include "frontend/CompiledProgram.h"
 #include "support/StringInterner.h"
 #include "support/Strings.h"
 
@@ -402,5 +403,42 @@ std::string cundef::dumpCfg(const Cfg &G, const StringInterner &Interner) {
     }
     Out += Line + "\n";
   }
+  return Out;
+}
+
+std::string cundef::dumpArtifact(const CompiledProgram &P) {
+  std::string Out = strFormat("ok=%d\nerrors:\n%s", P.ok() ? 1 : 0,
+                              P.errors().c_str());
+  auto Findings = [&](const char *Title, const std::vector<UbReport> &Rs) {
+    Out += Title;
+    for (const UbReport &R : Rs)
+      Out += strFormat("  %u %s|%s|%u:%u:%u|%d|%d|%s\n", ubCode(R.Kind),
+                       R.Description.c_str(), R.Function.c_str(), R.Loc.File,
+                       R.Loc.Line, R.Loc.Col, R.StaticFinding ? 1 : 0,
+                       static_cast<int>(R.Verdict), R.Domain);
+  };
+  Findings("static:\n", P.staticUb());
+  Findings("hints:\n", P.staticHints());
+  if (!P.hasAst())
+    return Out;
+  const AstContext &Ctx = P.ast();
+  AstPrinter Printer(Ctx);
+  auto TypeName = [&](QualType T) { return Ctx.Types.typeName(T, Ctx.Interner); };
+  for (const FunctionDecl *F : Ctx.TU.Functions) {
+    Out += Printer.print(F);
+    Out += strFormat("  type=%s builtin=%u quals=%u loc=%u:%u:%u params:",
+                     TypeName(QualType(F->FnTy)).c_str(), F->BuiltinId,
+                     F->DeclQuals, F->Loc.File, F->Loc.Line, F->Loc.Col);
+    for (const VarDecl *V : F->Params)
+      Out += strFormat(" %s#%u", Ctx.Interner.str(V->Name).c_str(), V->DeclId);
+    Out += " decls:";
+    for (const Type *T : F->AllDeclTypes)
+      Out += " " + TypeName(QualType(T));
+    Out += "\n";
+  }
+  for (const VarDecl *G : Ctx.TU.Globals)
+    Out += strFormat("global %s#%u %s\n", Ctx.Interner.str(G->Name).c_str(),
+                     G->DeclId, TypeName(G->Ty).c_str());
+  Out += strFormat("next-decl-id=%u\n", Ctx.NextDeclId);
   return Out;
 }

@@ -43,6 +43,16 @@ private:
 /// (`switch -> B2(case 1) B3(default)`).
 std::string dumpCfg(const Cfg &G, const StringInterner &Interner);
 
+class CompiledProgram;
+
+/// Renders everything a compile produced, by name (never by symbol
+/// number): rendered diagnostics, static findings and may-hints, and,
+/// when there is an AST, every function (AST dump, type, builtin id,
+/// parameter and declaration-type lists) and global with their
+/// declaration ids, and the next declaration id. Two compiles of one
+/// unit that agree here produced the same artifact.
+std::string dumpArtifact(const CompiledProgram &P);
+
 } // namespace cundef
 
 #endif // CUNDEF_TESTS_ASTPRINTER_H
