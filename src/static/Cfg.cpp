@@ -7,6 +7,7 @@
 #include "static/Cfg.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 
 using namespace cundef;
@@ -18,52 +19,71 @@ namespace cundef {
 /// line (break/continue/goto/return) leave the cursor on a fresh
 /// *unreached* block so trailing dead statements still land somewhere
 /// without corrupting edges.
+///
+/// Every write goes to the current block, and a block is current for
+/// one stretch of the build only, so each block's statements and
+/// successors are contiguous runs of the shared arrays.
 class CfgBuilder {
 public:
-  explicit CfgBuilder(const FunctionDecl *F) { G.Fn = F; }
+  CfgBuilder(Cfg &G, const FunctionDecl *F) : G(G) {
+    G.Fn = F;
+    G.Blocks.clear();
+    G.Stmts.clear();
+    G.Succs.clear();
+    G.Cases.clear();
+    G.Rpo.clear();
+    G.Work.Breaks.clear(); // a build that threw may have left entries
+    G.Work.Continues.clear();
+    G.Work.Open.clear();
+  }
 
-  Cfg run() {
+  void run() {
     G.Entry = newBlock();
     G.Exit = newBlock();
     Cur = G.Entry;
     buildStmt(G.Fn->Body);
-    edge(Cur, G.Exit); // falling off the end
+    edge(G.Exit); // falling off the end
     seal();
-    return std::move(G);
   }
 
 private:
-  Cfg G;
+  Cfg &G;
   BlockId Cur = 0;
-  std::vector<BlockId> BreakTargets;
-  std::vector<BlockId> ContinueTargets;
-  std::map<const LabelStmt *, BlockId> LabelBlocks;
-  std::map<const Stmt *, BlockId> CaseBlocks; ///< CaseStmt / DefaultStmt
+  std::vector<BlockId> &BreakTargets = G.Work.Breaks;
+  std::vector<BlockId> &ContinueTargets = G.Work.Continues;
+  std::map<const Stmt *, BlockId> Targets; ///< label, case, default
 
   BlockId newBlock() {
     BlockId Id = static_cast<BlockId>(G.Blocks.size());
     G.Blocks.emplace_back();
-    G.Blocks.back().Id = Id;
     return Id;
   }
 
-  void edge(BlockId From, BlockId To) { G.Blocks[From].Succs.push_back(To); }
-
-  BlockId labelBlock(const LabelStmt *L) {
-    auto It = LabelBlocks.find(L);
-    if (It != LabelBlocks.end())
-      return It->second;
-    BlockId Id = newBlock();
-    LabelBlocks.emplace(L, Id);
-    return Id;
+  /// Appends to the current block's run [Begin, End) of \p Array.
+  template <typename T>
+  void append(std::vector<T> &Array, uint32_t &Begin, uint32_t &End, T X) {
+    if (Begin == End)
+      Begin = End = static_cast<uint32_t>(Array.size());
+    assert(End == Array.size() && "a block's run must be contiguous");
+    Array.push_back(X);
+    ++End;
+  }
+  void addStmt(const Stmt *S) {
+    CfgBlock &B = G.Blocks[Cur];
+    append(G.Stmts, B.StmtBegin, B.StmtEnd, S);
+  }
+  void edge(BlockId To) {
+    CfgBlock &B = G.Blocks[Cur];
+    append(G.Succs, B.SuccBegin, B.SuccEnd, To);
   }
 
-  BlockId caseBlock(const Stmt *CaseOrDefault) {
-    auto It = CaseBlocks.find(CaseOrDefault);
-    if (It != CaseBlocks.end())
+  /// The block a label, case or default statement starts.
+  BlockId targetBlock(const Stmt *S) {
+    auto It = Targets.find(S);
+    if (It != Targets.end())
       return It->second;
     BlockId Id = newBlock();
-    CaseBlocks.emplace(CaseOrDefault, Id);
+    Targets.emplace(S, Id);
     return Id;
   }
 
@@ -83,27 +103,21 @@ private:
   /// short-circuit operators into atomic condition blocks.
   void buildCond(const Expr *E, BlockId True, BlockId False) {
     const Expr *Inner = peelToBool(E);
-    if (const auto *B = dynCast<BinaryExpr>(Inner)) {
-      if (B->Op == BinaryOp::LogAnd) {
-        BlockId Mid = newBlock();
+    if (const auto *B = dynCast<BinaryExpr>(Inner);
+        B && (B->Op == BinaryOp::LogAnd || B->Op == BinaryOp::LogOr)) {
+      BlockId Mid = newBlock();
+      if (B->Op == BinaryOp::LogAnd)
         buildCond(B->Lhs, Mid, False);
-        Cur = Mid;
-        buildCond(B->Rhs, True, False);
-        return;
-      }
-      if (B->Op == BinaryOp::LogOr) {
-        BlockId Mid = newBlock();
+      else
         buildCond(B->Lhs, True, Mid);
-        Cur = Mid;
-        buildCond(B->Rhs, True, False);
-        return;
-      }
+      Cur = Mid;
+      buildCond(B->Rhs, True, False);
+      return;
     }
-    if (const auto *U = dynCast<UnaryExpr>(Inner)) {
-      if (U->Op == UnaryOp::LogNot) {
-        buildCond(U->Sub, False, True);
-        return;
-      }
+    if (const auto *U = dynCast<UnaryExpr>(Inner);
+        U && U->Op == UnaryOp::LogNot) {
+      buildCond(U->Sub, False, True);
+      return;
     }
     if (const auto *C = dynCast<CondExpr>(Inner)) {
       BlockId T = newBlock(), F = newBlock();
@@ -114,10 +128,9 @@ private:
       buildCond(C->Else, True, False);
       return;
     }
-    CfgBlock &B = G.Blocks[Cur];
-    B.Cond = E;
-    B.Succs.push_back(True);
-    B.Succs.push_back(False);
+    G.Blocks[Cur].Cond = E;
+    edge(True);
+    edge(False);
   }
 
   //===--- Statements ----------------------------------------------------===//
@@ -132,9 +145,10 @@ private:
       buildOne(S);
       return;
     }
-    std::vector<std::pair<const CompoundStmt *, size_t>> Open;
+    auto &Open = G.Work.Open;
+    size_t Bottom = Open.size(); // a switch or loop body nests a walk
     Open.emplace_back(Block, 0);
-    while (!Open.empty()) {
+    while (Open.size() > Bottom) {
       auto &[C, Next] = Open.back();
       if (Next == C->Body.size()) {
         Open.pop_back();
@@ -158,7 +172,7 @@ private:
       return;
     case StmtKind::Decl:
     case StmtKind::Expr:
-      G.Blocks[Cur].Stmts.push_back(S);
+      addStmt(S);
       return;
     case StmtKind::If: {
       const auto *I = cast<IfStmt>(S);
@@ -168,11 +182,11 @@ private:
       buildCond(I->Cond, Then, Else);
       Cur = Then;
       buildStmt(I->Then);
-      edge(Cur, Join);
+      edge(Join);
       if (I->Else) {
         Cur = Else;
         buildStmt(I->Else);
-        edge(Cur, Join);
+        edge(Join);
       }
       Cur = Join;
       return;
@@ -182,14 +196,14 @@ private:
       BlockId Head = newBlock();
       BlockId Body = newBlock();
       BlockId After = newBlock();
-      edge(Cur, Head);
+      edge(Head);
       Cur = Head;
       buildCond(W->Cond, Body, After);
       BreakTargets.push_back(After);
       ContinueTargets.push_back(Head);
       Cur = Body;
       buildStmt(W->Body);
-      edge(Cur, Head);
+      edge(Head);
       BreakTargets.pop_back();
       ContinueTargets.pop_back();
       Cur = After;
@@ -200,12 +214,12 @@ private:
       BlockId Body = newBlock();
       BlockId CondB = newBlock();
       BlockId After = newBlock();
-      edge(Cur, Body);
+      edge(Body);
       BreakTargets.push_back(After);
       ContinueTargets.push_back(CondB);
       Cur = Body;
       buildStmt(D->Body);
-      edge(Cur, CondB);
+      edge(CondB);
       BreakTargets.pop_back();
       ContinueTargets.pop_back();
       Cur = CondB;
@@ -220,104 +234,96 @@ private:
       BlockId Body = newBlock();
       BlockId Inc = newBlock();
       BlockId After = newBlock();
-      edge(Cur, Head);
+      edge(Head);
       Cur = Head;
       if (F->Cond)
         buildCond(F->Cond, Body, After);
       else
-        edge(Cur, Body);
+        edge(Body);
       BreakTargets.push_back(After);
       ContinueTargets.push_back(Inc);
       Cur = Body;
       buildStmt(F->Body);
-      edge(Cur, Inc);
+      edge(Inc);
       BreakTargets.pop_back();
       ContinueTargets.pop_back();
       Cur = Inc;
       if (F->Inc)
-        G.Blocks[Cur].Stmts.push_back(S); // the Inc expression rides as
-                                          // the ForStmt itself (domains
-                                          // transfer F->Inc)
-      edge(Cur, Head);
+        addStmt(S); // the Inc expression rides as the ForStmt itself
+                    // (domains transfer F->Inc)
+      edge(Head);
       Cur = After;
       return;
     }
     case StmtKind::Switch: {
       const auto *SW = cast<SwitchStmt>(S);
       BlockId After = newBlock();
-      BlockId DispatchId = Cur;
-      // Materialize every target first: newBlock() may reallocate the
-      // block vector, so no CfgBlock reference is held across it.
-      std::vector<BlockId> Targets;
-      std::vector<const CaseStmt *> Labels;
+      G.Blocks[Cur].Cond = SW->Cond; // Cur dispatches
+      G.Blocks[Cur].Switch = SW;
+      G.Blocks[Cur].CaseBegin = static_cast<uint32_t>(G.Cases.size());
       for (const CaseStmt *C : SW->Cases) {
-        Targets.push_back(caseBlock(C));
-        Labels.push_back(C);
+        edge(targetBlock(C));
+        G.Cases.push_back(C);
       }
       // The default edge (or fall-out when there is none) is always
       // last, marked by a null CaseStmt.
-      Targets.push_back(SW->Default ? caseBlock(SW->Default) : After);
-      Labels.push_back(nullptr);
-      CfgBlock &Dispatch = G.Blocks[DispatchId];
-      Dispatch.Cond = SW->Cond;
-      Dispatch.Switch = SW;
-      Dispatch.Succs = std::move(Targets);
-      Dispatch.SwitchCases = std::move(Labels);
+      edge(SW->Default ? targetBlock(SW->Default) : After);
+      G.Cases.push_back(nullptr);
 
       BreakTargets.push_back(After);
       // Statements before the first label are unreachable; park them in
       // a fresh block with no predecessors.
       Cur = newBlock();
       buildStmt(SW->Body);
-      edge(Cur, After); // fallthrough out of the last label
+      edge(After); // fallthrough out of the last label
       BreakTargets.pop_back();
       Cur = After;
       return;
     }
     case StmtKind::Case: {
       const auto *C = cast<CaseStmt>(S);
-      BlockId B = caseBlock(C);
-      edge(Cur, B); // fallthrough from the previous label's statements
+      BlockId B = targetBlock(C);
+      edge(B); // fallthrough from the previous label's statements
       Cur = B;
       buildStmt(C->Sub);
       return;
     }
     case StmtKind::Default: {
       const auto *D = cast<DefaultStmt>(S);
-      BlockId B = caseBlock(D);
-      edge(Cur, B);
+      BlockId B = targetBlock(D);
+      edge(B);
       Cur = B;
       buildStmt(D->Sub);
       return;
     }
     case StmtKind::Break:
       if (!BreakTargets.empty())
-        edge(Cur, BreakTargets.back());
+        edge(BreakTargets.back());
       Cur = newBlock();
       return;
     case StmtKind::Continue:
       if (!ContinueTargets.empty())
-        edge(Cur, ContinueTargets.back());
+        edge(ContinueTargets.back());
       Cur = newBlock();
       return;
     case StmtKind::Goto: {
       const auto *Gt = cast<GotoStmt>(S);
       if (Gt->Target)
-        edge(Cur, labelBlock(Gt->Target));
+        edge(targetBlock(Gt->Target));
       Cur = newBlock();
       return;
     }
     case StmtKind::Label: {
       const auto *L = cast<LabelStmt>(S);
-      BlockId B = labelBlock(L);
-      edge(Cur, B);
+      BlockId B = targetBlock(L);
+      edge(B);
       Cur = B;
       buildStmt(L->Sub);
       return;
     }
     case StmtKind::Return:
-      G.Blocks[Cur].Stmts.push_back(S);
-      edge(Cur, G.Exit);
+      addStmt(S);
+      edge(G.Exit);
       Cur = newBlock();
       return;
     }
@@ -325,35 +331,42 @@ private:
 
   //===--- Sealing -------------------------------------------------------===//
 
+  /// Reverse post-order over reachable blocks (iterative DFS; succ
+  /// order is the AST order, so the result is deterministic). An edge
+  /// to a block still open on the DFS stack closes a cycle.
   void seal() {
-    for (const CfgBlock &B : G.Blocks)
-      for (BlockId S : B.Succs)
-        G.Blocks[S].Preds.push_back(B.Id);
-    // Reverse post-order over reachable blocks (iterative DFS; succ
-    // order is the AST order, so the result is deterministic).
-    std::vector<uint8_t> State(G.Blocks.size(), 0); // 0 new, 1 open, 2 done
-    std::vector<std::pair<BlockId, size_t>> Stack;
-    std::vector<BlockId> Post;
-    Stack.emplace_back(G.Entry, 0);
+    std::vector<uint8_t> &State = G.Work.Visit; // 0 new, 1 open, 2 done
+    State.assign(G.Blocks.size(), 0);
+    auto &Stack = G.Work.Dfs;
+    Stack.emplace_back(G.Entry, G.Blocks[G.Entry].SuccBegin);
     State[G.Entry] = 1;
+    G.Acyclic = true;
     while (!Stack.empty()) {
       auto &[B, Next] = Stack.back();
-      if (Next < G.Blocks[B].Succs.size()) {
-        BlockId S = G.Blocks[B].Succs[Next++];
+      if (Next < G.Blocks[B].SuccEnd) {
+        BlockId S = G.Succs[Next++];
         if (!State[S]) {
           State[S] = 1;
-          Stack.emplace_back(S, 0);
+          Stack.emplace_back(S, G.Blocks[S].SuccBegin);
+        } else if (State[S] == 1) {
+          G.Acyclic = false;
         }
       } else {
         State[B] = 2;
-        Post.push_back(B);
+        G.Rpo.push_back(B);
         Stack.pop_back();
       }
     }
-    G.Rpo.assign(Post.rbegin(), Post.rend());
+    std::reverse(G.Rpo.begin(), G.Rpo.end());
   }
 };
 
 } // namespace cundef
 
-Cfg Cfg::build(const FunctionDecl *F) { return CfgBuilder(F).run(); }
+void Cfg::rebuild(const FunctionDecl *F) { CfgBuilder(*this, F).run(); }
+
+Cfg Cfg::build(const FunctionDecl *F) {
+  Cfg G;
+  G.rebuild(F);
+  return G;
+}

@@ -6,39 +6,54 @@
 ///
 /// \file
 /// The generic forward-dataflow engine the flow-sensitive domains
-/// (static/Domains.h) share: round-robin sweeps over the CFG in reverse
-/// post-order, joining edge states into block-entry states until a
-/// fixpoint. A Domain supplies
+/// (static/Domains.h) share: sweeps over the CFG in reverse post-order,
+/// joining edge states into block-entry states until a fixpoint, then
+/// one reporting pass from the settled states. A Domain supplies
 ///
-///   using State = ...;                       // copyable abstract state
-///   State boundary();                        // state at function entry
-///   bool join(State &Into, const State &In); // lattice join, true if
-///                                            // Into changed
-///   void transferStmt(const Stmt *S, State &St);
-///   void transferCondEval(const Expr *Cond, State &St);
-///     // apply the side effects of *evaluating* a terminator condition
-///     // (assignments and ++/-- are legal inside conditions); runs once
-///     // per block, before any edge refinement
-///   bool transferCond(const Expr *Cond, bool Taken, State &St);
-///     // refine St along the (atomic) condition's Taken edge; false
-///     // means the edge is infeasible under St (never propagated)
+///   using Cell = ...;     // one slot's value (trivially copyable)
+///   using State = Cell *; // width() cells
+///   size_t width();
+///   void boundary(State St);                // state at function entry
+///   bool join(State Into, const Cell *In);  // pointwise; true if changed
+///   void transferStmt(const Stmt *S, State St);
+///   void transferCondEval(const Expr *Cond, State St);
+///     // side effects of *evaluating* a terminator condition, once per
+///     // block, before any edge refinement
+///   bool transferCond(const Expr *Cond, bool Taken, State St);
 ///   bool transferSwitchEdge(const Expr *Cond, const CaseStmt *Case,
-///                           State &St);
-///     // refine along one switch edge (Case == null: default edge);
-///     // false means the edge is infeasible under St
-///   void setWidening(bool On);
-///     // joins may over-approximate to guarantee termination; flipped
-///     // on after a fixed number of sweeps (infinite-height domains
-///     // widen, finite ones ignore it)
+///                           State St);
+///     // refine St along one edge (Case == null: default edge); false
+///     // means the edge is infeasible under St (never propagated)
+///   void setWidening(bool On); // after WideningSweep sweeps
+///   void setReporting(bool On); // transfers report only while on;
+///                               // edge refinements never report
 ///
-/// Statement transfer convention: a ForStmt appearing in a block's
-/// statement list stands for its increment expression only (the CFG
-/// places it in the dedicated increment block); Decl / Expr / Return
-/// statements mean themselves.
+/// A ForStmt in a block's statement list stands for its increment
+/// expression only (the CFG's increment block); Decl / Expr / Return
+/// statements mean themselves. Sweeps visit blocks in RPO and joins
+/// happen in successor order, so the fixpoint is a pure function of the
+/// CFG and the domain.
 ///
-/// Determinism: sweeps visit blocks in RPO, edge joins happen in
-/// successor order, and states live in per-block slots — the fixpoint
-/// is a pure function of the CFG and the domain, never of scheduling.
+/// Cost rules, each exact:
+///  * A sweep visits only *dirty* blocks, whose entry state changed
+///    since their last visit. Revisiting a clean block B changes
+///    nothing: transfers are pure functions of the entry state, so B
+///    yields the edge states it yielded before, each already joined
+///    into its successor. Entry states change only by joins, and every
+///    join is an upper bound of both sides (nullness and init join in a
+///    lattice; the interval hull contains both sides, widening only
+///    moves a slot to top), so joining the same edge state again is
+///    idempotent. Sweep counts, and so the widening schedule, are those
+///    of visiting every reached block.
+///  * The first sweep reports and is the last when the graph is acyclic
+///    (RPO is then topological: each reached block is visited once,
+///    after all its predecessors, with its final entry state, in the
+///    reporting pass's order) or when the domain tracks no slot (every
+///    edge is then feasible, since refinements only cut edges on a
+///    tracked slot, so each reachable block is reached from its DFS
+///    parent, which precedes it in RPO, and empty states never change).
+///  * One buffer of (blocks + 2) * width() cells holds every entry state
+///    and two scratch states; a copy is a memcpy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,20 +62,10 @@
 
 #include "static/Cfg.h"
 
+#include <cstring>
 #include <vector>
 
 namespace cundef {
-
-/// Per-block fixpoint states: the state at each block's entry, plus
-/// which blocks were ever reached (In[b] is meaningful only when
-/// Reached[b]; unreachable code is never analyzed, so it can never
-/// produce a finding).
-template <typename DomainT> struct DataflowResult {
-  std::vector<typename DomainT::State> In;
-  std::vector<uint8_t> Reached;
-
-  bool reached(BlockId B) const { return Reached[B] != 0; }
-};
 
 /// Sweeps after which the domain is asked to widen its joins. Finite
 /// domains converge well before this; the interval domain widens
@@ -72,59 +77,101 @@ constexpr unsigned WideningSweep = 4;
 /// non-monotone domain bug turning into an infinite loop.
 constexpr unsigned MaxSweeps = 64;
 
-template <typename DomainT>
-DataflowResult<DomainT> runForwardDataflow(const Cfg &G, DomainT &Dom) {
-  DataflowResult<DomainT> R;
-  R.In.resize(G.size());
-  R.Reached.assign(G.size(), 0);
-  R.In[G.entry()] = Dom.boundary();
-  R.Reached[G.entry()] = 1;
+/// Runs a domain to its fixpoint over a CFG and reports from each
+/// reached block's settled entry state; reused across functions.
+template <typename DomainT> class ForwardDataflow {
+public:
+  using Cell = typename DomainT::Cell;
 
-  bool Changed = true;
-  for (unsigned Sweep = 0; Changed && Sweep < MaxSweeps; ++Sweep) {
-    Dom.setWidening(Sweep >= WideningSweep);
-    Changed = false;
-    for (BlockId B : G.rpo()) {
-      if (!R.Reached[B])
-        continue;
-      const CfgBlock &Blk = G.block(B);
-      typename DomainT::State Out = R.In[B];
-      for (const Stmt *S : Blk.Stmts)
-        Dom.transferStmt(S, Out);
-      if (Blk.Cond)
-        Dom.transferCondEval(Blk.Cond, Out);
-      if (Blk.isSwitch()) {
-        for (size_t I = 0; I < Blk.Succs.size(); ++I) {
-          typename DomainT::State EdgeSt = Out;
-          if (Dom.transferSwitchEdge(Blk.Cond, Blk.SwitchCases[I], EdgeSt))
-            Changed |= propagate(R, Dom, Blk.Succs[I], EdgeSt);
+  void run(const Cfg &G, DomainT &Dom) {
+    W = Dom.width();
+    const size_t N = G.size();
+    Cells.resize((N + 2) * W);
+    Reached.assign(N, 0);
+    Dirty.assign(N, 0);
+    Cell *Out = Cells.data() + N * W;
+    Cell *Edge = Out + W;
+    Dom.boundary(in(G.entry()));
+    Reached[G.entry()] = Dirty[G.entry()] = 1;
+
+    const bool OneSweep = G.acyclic() || W == 0;
+    Dom.setReporting(OneSweep);
+    bool Changed = true;
+    for (unsigned Sweep = 0; Changed && Sweep < MaxSweeps; ++Sweep) {
+      Dom.setWidening(Sweep >= WideningSweep);
+      Changed = false;
+      for (BlockId B : G.rpo()) {
+        if (!Dirty[B])
+          continue;
+        Dirty[B] = 0;
+        transferBlock(G, Dom, B, Out);
+        const CfgBlock &Blk = G.block(B);
+        CfgSpan<BlockId> Succs = G.succs(B);
+        if (Blk.isSwitch()) {
+          for (size_t I = 0; I < Succs.size(); ++I) {
+            copy(Edge, Out);
+            if (Dom.transferSwitchEdge(Blk.Cond, G.switchCase(B, I), Edge))
+              Changed |= propagate(Dom, Succs[I], Edge);
+          }
+        } else if (Blk.isConditional()) {
+          copy(Edge, Out);
+          if (Dom.transferCond(Blk.Cond, /*Taken=*/true, Edge))
+            Changed |= propagate(Dom, Succs[0], Edge);
+          if (Dom.transferCond(Blk.Cond, /*Taken=*/false, Out))
+            Changed |= propagate(Dom, Succs[1], Out);
+        } else {
+          for (BlockId S : Succs)
+            Changed |= propagate(Dom, S, Out);
         }
-      } else if (Blk.isConditional()) {
-        typename DomainT::State TrueSt = Out;
-        if (Dom.transferCond(Blk.Cond, /*Taken=*/true, TrueSt))
-          Changed |= propagate(R, Dom, Blk.Succs[0], TrueSt);
-        typename DomainT::State FalseSt = std::move(Out);
-        if (Dom.transferCond(Blk.Cond, /*Taken=*/false, FalseSt))
-          Changed |= propagate(R, Dom, Blk.Succs[1], FalseSt);
-      } else {
-        for (BlockId S : Blk.Succs)
-          Changed |= propagate(R, Dom, S, Out);
       }
+      if (OneSweep)
+        break;
     }
+    if (!OneSweep) {
+      Dom.setReporting(true);
+      Dom.setWidening(false);
+      for (BlockId B : G.rpo())
+        if (Reached[B])
+          transferBlock(G, Dom, B, Out);
+    }
+    Dom.setReporting(false);
   }
-  return R;
-}
 
-template <typename DomainT>
-bool propagate(DataflowResult<DomainT> &R, DomainT &Dom, BlockId To,
-               const typename DomainT::State &St) {
-  if (!R.Reached[To]) {
-    R.Reached[To] = 1;
-    R.In[To] = St;
-    return true;
+private:
+  Cell *in(BlockId B) { return Cells.data() + B * W; }
+  void copy(Cell *To, const Cell *From) {
+    if (W)
+      std::memcpy(To, From, W * sizeof(Cell));
   }
-  return Dom.join(R.In[To], St);
-}
+
+  /// Runs block \p B's statements and condition side effects on a copy
+  /// of its entry state, left in \p Out.
+  void transferBlock(const Cfg &G, DomainT &Dom, BlockId B, Cell *Out) {
+    copy(Out, in(B));
+    for (const Stmt *S : G.stmts(B))
+      Dom.transferStmt(S, Out);
+    if (const Expr *Cond = G.block(B).Cond)
+      Dom.transferCondEval(Cond, Out);
+  }
+
+  bool propagate(DomainT &Dom, BlockId To, const Cell *St) {
+    bool Changed;
+    if (!Reached[To]) {
+      Reached[To] = 1;
+      copy(in(To), St);
+      Changed = true;
+    } else {
+      Changed = Dom.join(in(To), St);
+    }
+    Dirty[To] |= Changed;
+    return Changed;
+  }
+
+  size_t W = 0;
+  /// The entry state of every block, then two scratch states.
+  std::vector<Cell> Cells;
+  std::vector<uint8_t> Reached, Dirty;
+};
 
 } // namespace cundef
 

@@ -7,11 +7,12 @@
 #include "static/Domains.h"
 
 #include "sema/ConstEval.h"
+#include "static/Cfg.h"
 #include "support/StringInterner.h"
 #include "types/Type.h"
 
 #include <algorithm>
-#include <cstring>
+#include <tuple>
 
 using namespace cundef;
 
@@ -27,25 +28,11 @@ const VarDecl *varOf(const Expr *E) {
   return DR ? DR->Var : nullptr;
 }
 
-/// True when \p E is a constant null pointer expression — the purely
-/// syntactic checker already owns those sites (codes 47/48), so the
-/// flow domains stay silent on them.
-bool isConstNull(const Expr *E, const TypeContext &Types) {
-  while (true) {
-    if (const auto *IC = dynCast<ImplicitCastExpr>(E)) {
-      if (IC->CK == CastKind::LValueToRValue)
-        return false;
-      E = IC->Sub;
-      continue;
-    }
-    if (const auto *C = dynCast<CastExpr>(E)) {
-      E = C->Sub;
-      continue;
-    }
-    break;
-  }
-  auto V = constEvalInt(E, Types);
-  return V && *V == 0;
+/// The kind and operand of an implicit or explicit cast.
+std::pair<CastKind, const Expr *> castParts(const Expr *E) {
+  if (const auto *IC = dynCast<ImplicitCastExpr>(E))
+    return {IC->CK, IC->Sub};
+  return {cast<CastExpr>(E)->CK, cast<CastExpr>(E)->Sub};
 }
 
 /// The object variable at the bottom of an lvalue designator, without
@@ -65,16 +52,25 @@ const VarDecl *designatorBase(const Expr *E) {
       E = IX->Base;
       continue;
     }
-    if (const auto *IC = dynCast<ImplicitCastExpr>(E)) {
-      E = IC->Sub;
-      continue;
-    }
-    if (const auto *C = dynCast<CastExpr>(E)) {
-      E = C->Sub;
-      continue;
-    }
-    return nullptr;
+    if (!isa<ImplicitCastExpr>(E) && !isa<CastExpr>(E))
+      return nullptr;
+    E = castParts(E).second;
   }
+}
+
+bool isPointer(const Expr *E) { return E->Ty.Ty && E->Ty.Ty->isPointer(); }
+
+/// The expression a non-declaration block statement evaluates: an
+/// expression statement's, a return's value, or a ForStmt's increment
+/// (it stands for that in a CFG block).
+const Expr *stmtExpr(const Stmt *S) {
+  if (const auto *E = dynCast<ExprStmt>(S))
+    return E->E;
+  if (const auto *R = dynCast<ReturnStmt>(S))
+    return R->Value;
+  if (const auto *F = dynCast<ForStmt>(S))
+    return F->Inc;
+  return nullptr;
 }
 
 /// Is \p V an object on the current frame (auto local or parameter)?
@@ -82,164 +78,243 @@ bool isFrameLocal(const VarDecl *V) {
   return V && !V->IsGlobal && V->Storage == StorageClass::None;
 }
 
-/// Collects every variable whose address escapes: explicit `&v` (through
-/// any member/index designator), or an array decaying to a pointer
-/// *value* (passed, assigned, arithmetic) rather than being indexed.
-class AddrTakenCollector {
-public:
-  explicit AddrTakenCollector(std::set<uint32_t> &Out) : Out(Out) {}
+/// The interval type range of an integer type, or nullopt when it does
+/// not fit int64_t.
+std::optional<Interval> integerTypeRange(const Type *Ty,
+                                         const TypeContext &Types) {
+  if (!Ty || !Ty->isIntegral())
+    return std::nullopt;
+  if (Ty->isBool())
+    return Interval{0, 1};
+  unsigned W = Types.bitWidthOf(Ty);
+  if (W == 0 || W > 64)
+    return std::nullopt;
+  if (Ty->isUnsignedInteger(Types.config())) {
+    if (W >= 64)
+      return std::nullopt; // uint64 max not representable in int64
+    return Interval{0, (int64_t(1) << W) - 1};
+  }
+  int64_t Max = W == 64 ? INT64_MAX : (int64_t(1) << (W - 1)) - 1;
+  return Interval{-Max - 1, Max};
+}
 
-  void walkStmt(const Stmt *S) {
-    if (!S)
-      return;
-    switch (S->Kind) {
-    case StmtKind::Compound:
-      for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
-        walkStmt(Sub);
-      return;
-    case StmtKind::Decl:
-      for (const VarDecl *V : cast<DeclStmt>(S)->Decls)
-        walkExpr(V->Init, false);
-      return;
-    case StmtKind::Expr:
-      walkExpr(cast<ExprStmt>(S)->E, false);
-      return;
-    case StmtKind::If: {
-      const auto *I = cast<IfStmt>(S);
-      walkExpr(I->Cond, false);
-      walkStmt(I->Then);
-      walkStmt(I->Else);
-      return;
-    }
-    case StmtKind::While: {
-      const auto *W = cast<WhileStmt>(S);
-      walkExpr(W->Cond, false);
-      walkStmt(W->Body);
-      return;
-    }
-    case StmtKind::Do: {
-      const auto *D = cast<DoStmt>(S);
-      walkStmt(D->Body);
-      walkExpr(D->Cond, false);
-      return;
-    }
-    case StmtKind::For: {
-      const auto *F = cast<ForStmt>(S);
-      walkStmt(F->Init);
-      walkExpr(F->Cond, false);
-      walkExpr(F->Inc, false);
-      walkStmt(F->Body);
-      return;
-    }
-    case StmtKind::Switch: {
-      const auto *SW = cast<SwitchStmt>(S);
-      walkExpr(SW->Cond, false);
-      walkStmt(SW->Body);
-      return;
-    }
-    case StmtKind::Case:
-      walkStmt(cast<CaseStmt>(S)->Sub);
-      return;
-    case StmtKind::Default:
-      walkStmt(cast<DefaultStmt>(S)->Sub);
-      return;
-    case StmtKind::Label:
-      walkStmt(cast<LabelStmt>(S)->Sub);
-      return;
-    case StmtKind::Return:
-      walkExpr(cast<ReturnStmt>(S)->Value, false);
-      return;
-    default:
-      return;
+} // namespace
+
+namespace cundef {
+
+/// The setup walk of FlowContext::reset, over the expressions of the
+/// function's CFG: notes every frame-local variable the function
+/// declares or names, and every variable whose address escapes:
+/// explicit `&v` (through any member/index designator), or an array
+/// decaying to a pointer *value* (passed, assigned, arithmetic) rather
+/// than being indexed.
+class SetupWalk {
+public:
+  explicit SetupWalk(FlowContext &FC) : FC(FC) {}
+
+  void walk(const Cfg &G) {
+    for (BlockId B = 0; B < G.size(); ++B) {
+      for (const Stmt *S : G.stmts(B)) {
+        if (const auto *D = dynCast<DeclStmt>(S))
+          for (const VarDecl *V : D->Decls) {
+            note(V);
+            walkExpr(V->Init, false);
+          }
+        walkExpr(stmtExpr(S), false);
+      }
+      walkExpr(G.block(B).Cond, false);
     }
   }
 
 private:
-  std::set<uint32_t> &Out;
+  FlowContext &FC;
+
+  void note(const VarDecl *V) {
+    if (isFrameLocal(V))
+      FC.Locals.push_back(V);
+  }
 
   void mark(const Expr *Designator) {
     if (const VarDecl *V = designatorBase(Designator))
-      Out.insert(V->DeclId);
+      FC.Escaped.push_back(V);
   }
 
+  /// Returns constEvalInt(E). An operator folds only when its operands
+  /// do (constEvalInt's own rule), so each node is folded at most once;
+  /// folded operators are recorded for FlowContext::constInt.
   /// \p IndexBase: this expression is the base operand of a subscript,
   /// where array-to-pointer decay is just an access, not an escape.
-  void walkExpr(const Expr *E, bool IndexBase) {
+  std::optional<int64_t> walkExpr(const Expr *E, bool IndexBase) {
     if (!E)
-      return;
+      return std::nullopt;
+    bool Fold = false;
     switch (E->Kind) {
+    case ExprKind::IntLit:
+    case ExprKind::Sizeof: // unevaluated operand
+      return constEvalInt(E, FC.types());
+    case ExprKind::DeclRef:
+      note(cast<DeclRefExpr>(E)->Var);
+      return std::nullopt;
     case ExprKind::Unary: {
       const auto *U = cast<UnaryExpr>(E);
       if (U->Op == UnaryOp::AddrOf)
         mark(U->Sub);
-      walkExpr(U->Sub, false);
-      return;
+      Fold = walkExpr(U->Sub, false).has_value();
+      break;
     }
     case ExprKind::ImplicitCast: {
       const auto *IC = cast<ImplicitCastExpr>(E);
       if (IC->CK == CastKind::ArrayDecay && !IndexBase)
         mark(IC->Sub);
-      walkExpr(IC->Sub, false);
-      return;
+      Fold = walkExpr(IC->Sub, false).has_value();
+      break;
     }
     case ExprKind::Cast:
-      walkExpr(cast<CastExpr>(E)->Sub, false);
-      return;
+      Fold = walkExpr(cast<CastExpr>(E)->Sub, false).has_value();
+      break;
     case ExprKind::Index: {
       const auto *IX = cast<IndexExpr>(E);
       walkExpr(IX->Base, true);
       walkExpr(IX->Index, false);
-      return;
+      return std::nullopt;
     }
     case ExprKind::Binary: {
       const auto *B = cast<BinaryExpr>(E);
-      walkExpr(B->Lhs, false);
-      walkExpr(B->Rhs, false);
-      return;
+      bool L = walkExpr(B->Lhs, false).has_value();
+      Fold = walkExpr(B->Rhs, false).has_value() && L;
+      break;
     }
     case ExprKind::Assign: {
       const auto *A = cast<AssignExpr>(E);
       walkExpr(A->Lhs, false);
       walkExpr(A->Rhs, false);
-      return;
+      return std::nullopt;
     }
     case ExprKind::Cond: {
       const auto *C = cast<CondExpr>(E);
-      walkExpr(C->Cond, false);
+      Fold = walkExpr(C->Cond, false).has_value();
       walkExpr(C->Then, false);
       walkExpr(C->Else, false);
-      return;
+      break;
     }
     case ExprKind::Call: {
       const auto *C = cast<CallExpr>(E);
       walkExpr(C->Callee, false);
       for (const Expr *Arg : C->Args)
         walkExpr(Arg, false);
-      return;
+      return std::nullopt;
     }
     case ExprKind::Member:
       walkExpr(cast<MemberExpr>(E)->Base, false);
-      return;
+      return std::nullopt;
     case ExprKind::InitList:
       for (const Expr *I : cast<InitListExpr>(E)->Inits)
         walkExpr(I, false);
-      return;
+      return std::nullopt;
     default:
-      return; // literals, declrefs, sizeof (unevaluated)
+      return std::nullopt; // float and string literals
     }
+    if (!Fold)
+      return std::nullopt;
+    std::optional<int64_t> V = constEvalInt(E, FC.types());
+    if (V)
+      FC.Consts.emplace_back(E, *V);
+    return V;
   }
 };
 
-} // namespace
+} // namespace cundef
 
 //===----------------------------------------------------------------------===//
 // FlowContext
 //===----------------------------------------------------------------------===//
 
-FlowContext::FlowContext(AstContext &Ctx, const FunctionDecl *Fn)
-    : Ctx(Ctx), Fn(Fn), FnName(Ctx.Interner.str(Fn->Name)) {
-  AddrTakenCollector Collector(AddrTaken);
-  Collector.walkStmt(Fn->Body);
+const VarSlots FlowContext::NoSlots;
+
+void FlowContext::reset(AstContext &Unit, const Cfg &G) {
+  Ctx = &Unit;
+  Fn = G.function();
+  RangeTy = nullptr;
+  RangeOfTy.reset();
+  Reporting = false;
+  CondDepth = 0;
+  Findings.clear();
+  Consts.clear();
+  Locals.clear();
+  Escaped.clear();
+  SetupWalk(*this).walk(G);
+  std::sort(Consts.begin(), Consts.end());
+
+  // One dense table over the locals' declaration ids, which the parser
+  // hands out consecutively within a function.
+  Slots.clear();
+  NumNull = NumInit = NumItv = 0;
+  MinDeclId = 0;
+  if (Locals.empty())
+    return;
+  uint32_t Lo = UINT32_MAX, Hi = 0;
+  for (const VarDecl *V : Locals) {
+    Lo = std::min(Lo, V->DeclId);
+    Hi = std::max(Hi, V->DeclId);
+  }
+  MinDeclId = Lo;
+  Slots.resize(size_t(Hi - Lo) + 1);
+  std::vector<uint8_t> &Seen = SlotState; // 0 new, 1 escaped, 2 assigned
+  Seen.assign(Slots.size(), 0);
+  for (const VarDecl *V : Escaped)
+    if (size_t K = V->DeclId - Lo; K < Seen.size())
+      Seen[K] = 1;
+  for (const VarDecl *V : Locals)
+    if (size_t K = V->DeclId - Lo; Seen[K] == 0) {
+      Seen[K] = 2;
+      assignSlots(V, Slots[K]);
+    }
+}
+
+/// Gives \p V (a frame-local whose address never escapes) a slot in
+/// every domain that tracks it.
+void FlowContext::assignSlots(const VarDecl *V, VarSlots &S) {
+  const Type *Ty = V->Ty.Ty;
+  if (!Ty)
+    return;
+  if (Ty->isPointer())
+    S.Null = static_cast<int32_t>(NumNull++);
+  if (auto R = typeRange(Ty)) {
+    S.Itv = static_cast<int32_t>(NumItv++);
+    S.Range = *R;
+  }
+  if (V->IsParam)
+    return; // parameters arrive initialized
+  if (Ty->isScalar() || Ty->isArray()) {
+    S.InitCount = 1;
+  } else if (Ty->isRecord() && Ty->Record && Ty->Record->Complete &&
+             Ty->Record->Fields.size() < 0xFFFE) {
+    S.InitCount = static_cast<uint32_t>(Ty->Record->Fields.size());
+    S.InitPerField = true;
+  } else {
+    return;
+  }
+  S.Init = static_cast<int32_t>(NumInit);
+  NumInit += S.InitCount;
+}
+
+std::optional<int64_t> FlowContext::constInt(const Expr *E) {
+  if (isa<IntLitExpr>(E) || isa<SizeofExpr>(E))
+    return constEvalInt(E, Ctx->Types);
+  // Other constants are operators, all folded by the setup walk.
+  auto It = std::lower_bound(Consts.begin(), Consts.end(),
+                             std::make_pair(E, INT64_MIN));
+  if (It != Consts.end() && It->first == E)
+    return It->second;
+  return std::nullopt;
+}
+
+std::optional<Interval> FlowContext::typeRange(const Type *Ty) {
+  if (Ty != RangeTy) {
+    RangeTy = Ty;
+    RangeOfTy = integerTypeRange(Ty, Ctx->Types);
+  }
+  return RangeOfTy;
 }
 
 void FlowContext::must(UbKind Kind, SourceLoc Loc, const char *Domain) {
@@ -258,41 +333,29 @@ void FlowContext::may(UbKind Kind, SourceLoc Loc, const char *Domain) {
 
 void FlowContext::emit(UbKind Kind, SourceLoc Loc, const char *Domain,
                        FindingVerdict Verdict) {
-  if (!Reporting)
-    return;
-  auto Key = std::make_tuple(Loc.Line, Loc.Col, static_cast<uint16_t>(Kind),
-                             static_cast<uint8_t>(Verdict));
-  if (!Seen.insert(Key).second)
-    return;
-  UbReport R(Kind, ubShortDescription(Kind), FnName, Loc,
-             /*StaticFinding=*/true);
-  R.Verdict = Verdict;
-  R.Domain = Domain;
-  (Verdict == FindingVerdict::Must ? MustFindings : MayFindings)
-      .push_back(std::move(R));
+  if (Reporting)
+    Findings.push_back({Loc, Domain, Kind, Verdict});
 }
 
-static void sortFindings(std::vector<UbReport> &Findings) {
-  std::sort(Findings.begin(), Findings.end(),
-            [](const UbReport &A, const UbReport &B) {
-              if (A.Loc.Line != B.Loc.Line)
-                return A.Loc.Line < B.Loc.Line;
-              if (A.Loc.Col != B.Loc.Col)
-                return A.Loc.Col < B.Loc.Col;
-              if (A.Kind != B.Kind)
-                return A.Kind < B.Kind;
-              return std::strcmp(A.Domain, B.Domain) < 0;
-            });
-}
-
-std::vector<UbReport> FlowContext::takeMust() {
-  sortFindings(MustFindings);
-  return std::move(MustFindings);
-}
-
-std::vector<UbReport> FlowContext::takeHints() {
-  sortFindings(MayFindings);
-  return std::move(MayFindings);
+void FlowContext::flush(UbSink &Must, UbSink &Hints) {
+  // Stable, so the first emission of a key survives the dedup; a code
+  // belongs to one domain, so equal keys never differ in domain.
+  auto Key = [](const Finding &F) {
+    return std::make_tuple(F.Verdict, F.Loc.Line, F.Loc.Col, F.Kind);
+  };
+  std::stable_sort(
+      Findings.begin(), Findings.end(),
+      [&](const Finding &A, const Finding &B) { return Key(A) < Key(B); });
+  for (size_t I = 0; I < Findings.size(); ++I) {
+    const Finding &F = Findings[I];
+    if (I > 0 && Key(Findings[I - 1]) == Key(F))
+      continue;
+    UbReport R(F.Kind, ubShortDescription(F.Kind), Ctx->Interner.str(Fn->Name),
+               F.Loc, /*StaticFinding=*/true);
+    R.Verdict = F.Verdict;
+    R.Domain = F.Domain;
+    (F.Verdict == FindingVerdict::Must ? Must : Hints).report(std::move(R));
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,18 +365,6 @@ std::vector<UbReport> FlowContext::takeHints() {
 namespace {
 
 constexpr const char *NullnessName = "nullness";
-
-PtrVal lookupPtr(const NullnessDomain::State &St, const VarDecl *V) {
-  auto It = St.find(V->DeclId);
-  return It == St.end() ? PtrVal{} : It->second;
-}
-
-void setPtr(NullnessDomain::State &St, const VarDecl *V, PtrVal Val) {
-  if (Val == PtrVal{})
-    St.erase(V->DeclId);
-  else
-    St[V->DeclId] = Val;
-}
 
 PtrVal joinPtrVal(PtrVal A, PtrVal B) {
   PtrVal R;
@@ -335,6 +386,8 @@ bool returnsMaybeNull(const std::string &Name) {
   static const char *const Names[] = {"malloc", "calloc",  "realloc",
                                       "getenv", "fopen",   "strchr",
                                       "strrchr", "strstr", "memchr"};
+  if (Name.size() < 5 || Name.size() > 7)
+    return false;
   for (const char *N : Names)
     if (Name == N)
       return true;
@@ -343,87 +396,66 @@ bool returnsMaybeNull(const std::string &Name) {
 
 } // namespace
 
-bool NullnessDomain::tracked(const VarDecl *V) const {
-  return V && V->Ty.Ty && V->Ty.Ty->isPointer() && isFrameLocal(V) &&
-         !FC.addrTaken(V);
+/// True when \p E is a constant null pointer expression — the purely
+/// syntactic checker already owns those sites (codes 47/48), so the
+/// flow domains stay silent on them.
+bool NullnessDomain::isConstNull(const Expr *E) {
+  while (true) {
+    if (const auto *IC = dynCast<ImplicitCastExpr>(E)) {
+      if (IC->CK == CastKind::LValueToRValue)
+        return false;
+      E = IC->Sub;
+    } else if (const auto *C = dynCast<CastExpr>(E)) {
+      E = C->Sub;
+    } else {
+      break;
+    }
+  }
+  auto V = FC.constInt(E);
+  return V && *V == 0;
 }
 
-bool NullnessDomain::join(State &Into, const State &In) {
-  // Absent means Unknown, which is *not* top (Unknown joined with Null
-  // is MaybeNull), so iterate the union of keys.
-  std::vector<uint32_t> Keys;
-  Keys.reserve(Into.size() + In.size());
-  for (const auto &KV : Into)
-    Keys.push_back(KV.first);
-  for (const auto &KV : In)
-    Keys.push_back(KV.first);
-  std::sort(Keys.begin(), Keys.end());
-  Keys.erase(std::unique(Keys.begin(), Keys.end()), Keys.end());
+void NullnessDomain::boundary(State St) { std::fill_n(St, width(), PtrVal{}); }
 
+bool NullnessDomain::join(State Into, const Cell *In) {
   bool Changed = false;
-  for (uint32_t K : Keys) {
-    auto AIt = Into.find(K);
-    PtrVal A = AIt == Into.end() ? PtrVal{} : AIt->second;
-    auto BIt = In.find(K);
-    PtrVal B = BIt == In.end() ? PtrVal{} : BIt->second;
-    PtrVal J = joinPtrVal(A, B);
-    if (J != A) {
+  for (size_t I = 0, W = width(); I < W; ++I) {
+    PtrVal J = joinPtrVal(Into[I], In[I]);
+    if (!(J == Into[I])) {
+      Into[I] = J;
       Changed = true;
-      if (J == PtrVal{})
-        Into.erase(K);
-      else
-        Into[K] = J;
     }
   }
   return Changed;
 }
 
-void NullnessDomain::transferStmt(const Stmt *S, State &St) {
-  switch (S->Kind) {
-  case StmtKind::Decl:
-    for (const VarDecl *V : cast<DeclStmt>(S)->Decls) {
+void NullnessDomain::transferStmt(const Stmt *S, State St) {
+  if (const auto *D = dynCast<DeclStmt>(S)) {
+    for (const VarDecl *V : D->Decls) {
       if (!V->Init)
         continue;
       PtrVal Init = evalPtr(V->Init, St);
-      if (tracked(V))
-        setPtr(St, V, Init);
+      if (int32_t Slot = slot(V); Slot >= 0)
+        St[Slot] = Init;
     }
     return;
-  case StmtKind::Expr:
-    evalPtr(cast<ExprStmt>(S)->E, St);
-    return;
-  case StmtKind::Return: {
-    const Expr *Val = cast<ReturnStmt>(S)->Value;
-    if (!Val)
-      return;
-    PtrVal V = evalPtr(Val, St);
-    if (Val->Ty.Ty && Val->Ty.Ty->isPointer() && V.Kind == PtrVal::NonNull &&
-        V.Local)
-      FC.must(UbKind::StackAddressEscape, Val->Loc, NullnessName);
-    return;
   }
-  case StmtKind::For: // stands for the increment expression (Cfg.cpp)
-    evalPtr(cast<ForStmt>(S)->Inc, St);
-    return;
-  default:
-    return;
-  }
+  const Expr *E = stmtExpr(S);
+  PtrVal V = evalPtr(E, St);
+  if (isa<ReturnStmt>(S) && E && isPointer(E) && V.Kind == PtrVal::NonNull &&
+      V.Local)
+    FC.must(UbKind::StackAddressEscape, E->Loc, NullnessName);
 }
 
-void NullnessDomain::transferCondEval(const Expr *Cond, State &St) {
-  evalPtr(Cond, St);
-}
 
-void NullnessDomain::walk(const Expr *E, State &St) { (void)evalPtr(E, St); }
-
-void NullnessDomain::checkDeref(const Expr *PtrOperand, State &St,
+void NullnessDomain::checkDeref(const Expr *PtrOperand, State St,
                                 bool IsWrite) {
   PtrVal V = evalPtr(PtrOperand, St);
   if (!FC.reporting())
     return;
   SourceLoc Loc = PtrOperand->Loc;
   if (V.Kind == PtrVal::Null) {
-    if (!isConstNull(PtrOperand, FC.Ctx.Types))
+    if (!isConstNull(PtrOperand))
       FC.must(UbKind::DerefNullPointer, Loc, NullnessName);
   } else if (V.Kind == PtrVal::MaybeNull) {
     FC.may(UbKind::DerefNullPointer, Loc, NullnessName);
@@ -435,7 +467,7 @@ void NullnessDomain::checkDeref(const Expr *PtrOperand, State &St,
 
 /// Write-side checks for a store destination that is not a tracked
 /// variable: dereferencing stores check the pointer they go through.
-void NullnessDomain::storeTo(const Expr *Lhs, State &St) {
+void NullnessDomain::storeTo(const Expr *Lhs, State St) {
   switch (Lhs->Kind) {
   case ExprKind::Unary: {
     const auto *U = cast<UnaryExpr>(Lhs);
@@ -478,7 +510,7 @@ void NullnessDomain::storeTo(const Expr *Lhs, State &St) {
   }
 }
 
-PtrVal NullnessDomain::evalPtr(const Expr *E, State &St) {
+PtrVal NullnessDomain::evalPtr(const Expr *E, State St) {
   if (!E)
     return {};
   switch (E->Kind) {
@@ -494,15 +526,7 @@ PtrVal NullnessDomain::evalPtr(const Expr *E, State &St) {
   }
   case ExprKind::ImplicitCast:
   case ExprKind::Cast: {
-    CastKind CK;
-    const Expr *Sub;
-    if (const auto *IC = dynCast<ImplicitCastExpr>(E)) {
-      CK = IC->CK;
-      Sub = IC->Sub;
-    } else {
-      CK = cast<CastExpr>(E)->CK;
-      Sub = cast<CastExpr>(E)->Sub;
-    }
+    auto [CK, Sub] = castParts(E);
     switch (CK) {
     case CastKind::NullToPointer:
       return PtrVal{PtrVal::Null};
@@ -510,14 +534,11 @@ PtrVal NullnessDomain::evalPtr(const Expr *E, State &St) {
       return PtrVal{PtrVal::NonNull};
     case CastKind::ArrayDecay: {
       PtrVal R{PtrVal::NonNull};
-      if (const VarDecl *V = designatorBase(Sub)) {
+      if (const VarDecl *V = designatorBase(Sub))
         R.Local = isFrameLocal(V);
-        // Walk subscript expressions inside the designator for their
-        // side effects / checks.
-        walk(Sub, St);
-      } else {
-        walk(Sub, St);
-      }
+      // Walk subscript expressions inside the designator for their
+      // side effects / checks.
+      walk(Sub, St);
       const Type *ArrTy = Sub->Ty.Ty;
       R.ConstTarget = Sub->Ty.isConst() ||
                       (ArrTy && ArrTy->isArray() && ArrTy->Pointee.isConst());
@@ -527,8 +548,8 @@ PtrVal NullnessDomain::evalPtr(const Expr *E, State &St) {
     }
     case CastKind::LValueToRValue: {
       if (const VarDecl *V = varOf(Sub)) {
-        if (tracked(V))
-          return lookupPtr(St, V);
+        if (int32_t Slot = slot(V); Slot >= 0)
+          return St[Slot];
         return {};
       }
       walk(Sub, St); // loads through derefs check the pointer below
@@ -537,7 +558,7 @@ PtrVal NullnessDomain::evalPtr(const Expr *E, State &St) {
     case CastKind::PointerCast:
       return evalPtr(Sub, St); // value (and flags) survive the cast
     case CastKind::IntToPointer: {
-      auto V = constEvalInt(Sub, FC.Ctx.Types);
+      auto V = FC.constInt(Sub);
       if (V && *V == 0)
         return PtrVal{PtrVal::Null};
       walk(Sub, St);
@@ -570,11 +591,10 @@ PtrVal NullnessDomain::evalPtr(const Expr *E, State &St) {
     case UnaryOp::PostInc:
     case UnaryOp::PreDec:
     case UnaryOp::PostDec: {
-      const VarDecl *V = varOf(U->Sub);
-      if (V && tracked(V)) {
-        PtrVal Cur = lookupPtr(St, V);
+      if (int32_t Slot = slot(varOf(U->Sub)); Slot >= 0) {
+        PtrVal Cur = St[Slot];
         PtrVal Next = Cur.Kind == PtrVal::NonNull ? Cur : PtrVal{};
-        setPtr(St, V, Next);
+        St[Slot] = Next;
         bool IsPre = U->Op == UnaryOp::PreInc || U->Op == UnaryOp::PreDec;
         return IsPre ? Next : Cur;
       }
@@ -599,47 +619,29 @@ PtrVal NullnessDomain::evalPtr(const Expr *E, State &St) {
       FC.popCond();
       return {};
     }
-    if (B->Op == BinaryOp::Add || B->Op == BinaryOp::Sub) {
-      bool LhsPtr = B->Lhs->Ty.Ty && B->Lhs->Ty.Ty->isPointer();
-      bool RhsPtr = B->Rhs->Ty.Ty && B->Rhs->Ty.Ty->isPointer();
-      PtrVal P;
-      if (LhsPtr) {
-        P = evalPtr(B->Lhs, St);
-        walk(B->Rhs, St);
-      } else if (RhsPtr) {
-        walk(B->Lhs, St);
-        P = evalPtr(B->Rhs, St);
-      } else {
-        walk(B->Lhs, St);
-        walk(B->Rhs, St);
-        return {};
-      }
-      // Arithmetic within an object keeps it non-null; anything else
-      // (null + k is itself UB, but dynamically detected) goes to top.
-      return P.Kind == PtrVal::NonNull ? P : PtrVal{};
-    }
-    walk(B->Lhs, St);
-    walk(B->Rhs, St);
-    return {};
+    PtrVal L = evalPtr(B->Lhs, St), R = evalPtr(B->Rhs, St);
+    if (B->Op != BinaryOp::Add && B->Op != BinaryOp::Sub)
+      return {};
+    // Arithmetic within an object keeps it non-null; anything else
+    // (null + k is itself UB, but dynamically detected) goes to top.
+    PtrVal P = isPointer(B->Lhs) ? L : isPointer(B->Rhs) ? R : PtrVal{};
+    return P.Kind == PtrVal::NonNull ? P : PtrVal{};
   }
   case ExprKind::Assign: {
     const auto *A = cast<AssignExpr>(E);
-    bool LhsPtr = A->Lhs->Ty.Ty && A->Lhs->Ty.Ty->isPointer();
-    PtrVal RV;
-    if (LhsPtr)
-      RV = evalPtr(A->Rhs, St);
-    else
-      walk(A->Rhs, St);
-    const VarDecl *V = varOf(A->Lhs);
-    if (V && tracked(V)) {
+    bool LhsPtr = isPointer(A->Lhs);
+    PtrVal RV = evalPtr(A->Rhs, St);
+    if (!LhsPtr)
+      RV = {};
+    if (int32_t Slot = slot(varOf(A->Lhs)); Slot >= 0) {
       if (A->Op == AssignOp::Assign) {
-        setPtr(St, V, RV);
+        St[Slot] = RV;
         return RV;
       }
       // p += i keeps a non-null pointer non-null.
-      PtrVal Cur = lookupPtr(St, V);
+      PtrVal Cur = St[Slot];
       PtrVal Next = Cur.Kind == PtrVal::NonNull ? Cur : PtrVal{};
-      setPtr(St, V, Next);
+      St[Slot] = Next;
       return Next;
     }
     storeTo(A->Lhs, St);
@@ -663,7 +665,7 @@ PtrVal NullnessDomain::evalPtr(const Expr *E, State &St) {
     while (const auto *IC = dynCast<ImplicitCastExpr>(Callee))
       Callee = IC->Sub;
     if (const auto *DR = dynCast<DeclRefExpr>(Callee);
-        DR && DR->Fn && returnsMaybeNull(FC.Ctx.Interner.str(DR->Fn->Name)))
+        DR && DR->Fn && returnsMaybeNull(FC.interner().str(DR->Fn->Name)))
       return PtrVal{PtrVal::MaybeNull};
     return {};
   }
@@ -712,24 +714,21 @@ const VarDecl *loadedPtrVarImpl(const Expr *E) {
 
 } // namespace
 
-bool NullnessDomain::refine(const VarDecl *V, bool ToNonNull, State &St) {
-  PtrVal Cur = lookupPtr(St, V);
+bool NullnessDomain::refine(int32_t Slot, bool ToNonNull, State St) {
+  PtrVal &Cur = St[Slot];
   if (ToNonNull) {
     if (Cur.Kind == PtrVal::Null)
       return false; // infeasible edge
-    if (Cur.Kind != PtrVal::NonNull) {
-      Cur.Kind = PtrVal::NonNull;
-      setPtr(St, V, Cur);
-    }
+    Cur.Kind = PtrVal::NonNull;
   } else {
     if (Cur.Kind == PtrVal::NonNull)
       return false;
-    setPtr(St, V, PtrVal{PtrVal::Null});
+    Cur = PtrVal{PtrVal::Null};
   }
   return true;
 }
 
-bool NullnessDomain::transferCond(const Expr *Cond, bool Taken, State &St) {
+bool NullnessDomain::transferCond(const Expr *Cond, bool Taken, State St) {
   const Expr *E = Cond;
   while (const auto *IC = dynCast<ImplicitCastExpr>(E)) {
     if (IC->CK != CastKind::ToBool)
@@ -738,30 +737,29 @@ bool NullnessDomain::transferCond(const Expr *Cond, bool Taken, State &St) {
   }
   // if (p) / while (p): p is non-null on the true edge, null otherwise.
   if (const VarDecl *V = loadedPtrVarImpl(E)) {
-    if (tracked(V))
-      return refine(V, Taken, St);
+    if (int32_t Slot = slot(V); Slot >= 0)
+      return refine(Slot, Taken, St);
     return true;
   }
   // if ((p = e)): refine the assigned variable (the side effect already
   // ran in transferCondEval).
   if (const auto *A = dynCast<AssignExpr>(E);
       A && A->Op == AssignOp::Assign) {
-    const VarDecl *V = varOf(A->Lhs);
-    if (V && tracked(V) && V->Ty.Ty->isPointer())
-      return refine(V, Taken, St);
+    if (int32_t Slot = slot(varOf(A->Lhs)); Slot >= 0)
+      return refine(Slot, Taken, St);
     return true;
   }
   // p == 0 / p != 0 (either operand order).
   if (const auto *B = dynCast<BinaryExpr>(E);
       B && (B->Op == BinaryOp::Eq || B->Op == BinaryOp::Ne)) {
     const VarDecl *V = nullptr;
-    if (isConstNull(B->Rhs, FC.Ctx.Types))
+    if (isConstNull(B->Rhs))
       V = loadedPtrVarImpl(B->Lhs);
-    else if (isConstNull(B->Lhs, FC.Ctx.Types))
+    else if (isConstNull(B->Lhs))
       V = loadedPtrVarImpl(B->Rhs);
-    if (V && tracked(V)) {
+    if (int32_t Slot = slot(V); Slot >= 0) {
       bool WantNull = (B->Op == BinaryOp::Eq) == Taken;
-      return refine(V, !WantNull, St);
+      return refine(Slot, !WantNull, St);
     }
   }
   return true;
@@ -774,143 +772,80 @@ bool NullnessDomain::transferCond(const Expr *Cond, bool Taken, State &St) {
 namespace {
 
 constexpr const char *InitName = "init";
-constexpr uint8_t IvUninit = 0;
-constexpr uint8_t IvMaybe = 1;
-
-uint64_t initKey(const VarDecl *V, int FieldIdx) {
-  return (static_cast<uint64_t>(V->DeclId) << 16) +
-         static_cast<uint64_t>(FieldIdx + 1);
-}
+constexpr uint8_t IvInit = 0; // the unset cell
+constexpr uint8_t IvUninit = 1;
+constexpr uint8_t IvMaybe = 2;
 
 } // namespace
 
-InitDomain::Track InitDomain::trackKind(const VarDecl *V) const {
-  if (!V || V->IsGlobal || V->IsParam || V->Storage != StorageClass::None ||
-      FC.addrTaken(V) || !V->Ty.Ty)
-    return Track::No;
-  const Type *Ty = V->Ty.Ty;
-  if (Ty->isScalar() || Ty->isArray())
-    return Track::Whole;
-  if (Ty->isRecord() && Ty->Record && Ty->Record->Complete &&
-      Ty->Record->Fields.size() < 0xFFFE)
-    return Track::PerField;
-  return Track::No;
-}
+void InitDomain::boundary(State St) { std::fill_n(St, width(), IvInit); }
 
-bool InitDomain::join(State &Into, const State &In) {
-  // Absent = Init, and join(Init, Uninit) = Maybe, so absent keys on
-  // either side still contribute.
-  std::vector<uint64_t> Keys;
-  Keys.reserve(Into.size() + In.size());
-  for (const auto &KV : Into)
-    Keys.push_back(KV.first);
-  for (const auto &KV : In)
-    Keys.push_back(KV.first);
-  std::sort(Keys.begin(), Keys.end());
-  Keys.erase(std::unique(Keys.begin(), Keys.end()), Keys.end());
-
-  constexpr uint8_t IvInit = 2; // virtual value of an absent key
+bool InitDomain::join(State Into, const Cell *In) {
   bool Changed = false;
-  for (uint64_t K : Keys) {
-    auto AIt = Into.find(K);
-    uint8_t A = AIt == Into.end() ? IvInit : AIt->second;
-    auto BIt = In.find(K);
-    uint8_t B = BIt == In.end() ? IvInit : BIt->second;
-    uint8_t J = A == B ? A : IvMaybe;
-    if (J != A) {
+  for (size_t I = 0, W = width(); I < W; ++I)
+    if (Into[I] != In[I] && Into[I] != IvMaybe) {
+      Into[I] = IvMaybe;
       Changed = true;
-      if (J == IvInit)
-        Into.erase(K);
-      else
-        Into[K] = J;
     }
-  }
   return Changed;
 }
 
-void InitDomain::declare(const VarDecl *V, State &St) {
-  Track T = trackKind(V);
-  if (T == Track::Whole)
-    St[initKey(V, -1)] = IvUninit;
-  else if (T == Track::PerField)
-    for (size_t I = 0; I < V->Ty.Ty->Record->Fields.size(); ++I)
-      St[initKey(V, static_cast<int>(I))] = IvUninit;
+void InitDomain::setAll(const VarDecl *V, Cell Value, State St) {
+  const VarSlots &S = FC.slots(V);
+  if (S.Init >= 0)
+    std::fill_n(St + S.Init, S.InitCount, Value);
 }
 
-void InitDomain::setAllInit(const VarDecl *V, State &St) {
-  Track T = trackKind(V);
-  if (T == Track::Whole)
-    St.erase(initKey(V, -1));
-  else if (T == Track::PerField)
-    for (size_t I = 0; I < V->Ty.Ty->Record->Fields.size(); ++I)
-      St.erase(initKey(V, static_cast<int>(I)));
-}
-
-void InitDomain::transferStmt(const Stmt *S, State &St) {
-  switch (S->Kind) {
-  case StmtKind::Decl:
-    for (const VarDecl *V : cast<DeclStmt>(S)->Decls) {
-      if (V->Init) {
-        walk(V->Init, St);
-        // Any initializer fully initializes the object: remaining
-        // aggregate members are implicitly zeroed (C11 6.7.9p19).
-        setAllInit(V, St);
-      } else {
-        declare(V, St);
-      }
-    }
+void InitDomain::transferStmt(const Stmt *S, State St) {
+  const auto *D = dynCast<DeclStmt>(S);
+  if (!D) {
+    walk(stmtExpr(S), St);
     return;
-  case StmtKind::Expr:
-    walk(cast<ExprStmt>(S)->E, St);
-    return;
-  case StmtKind::Return:
-    walk(cast<ReturnStmt>(S)->Value, St);
-    return;
-  case StmtKind::For:
-    walk(cast<ForStmt>(S)->Inc, St);
-    return;
-  default:
-    return;
+  }
+  for (const VarDecl *V : D->Decls) {
+    walk(V->Init, St);
+    // Any initializer fully initializes the object: remaining aggregate
+    // members are implicitly zeroed (C11 6.7.9p19).
+    setAll(V, V->Init ? IvInit : IvUninit, St);
   }
 }
 
-void InitDomain::checkRead(uint64_t Key, bool IsPointer, SourceLoc Loc,
-                           State &St) {
-  auto It = St.find(Key);
-  if (It == St.end())
+void InitDomain::checkRead(int32_t Slot, bool IsPointer, SourceLoc Loc,
+                           State St) {
+  if (St[Slot] == IvInit)
     return;
   UbKind Kind = IsPointer ? UbKind::UninitializedPointerUse
                           : UbKind::ReadIndeterminateValue;
-  if (It->second == IvUninit)
+  if (St[Slot] == IvUninit)
     FC.must(Kind, Loc, InitName);
   else
     FC.may(Kind, Loc, InitName);
 }
 
-void InitDomain::storeTo(const Expr *Lhs, bool Compound, State &St) {
+void InitDomain::storeTo(const Expr *Lhs, bool Compound, State St) {
   switch (Lhs->Kind) {
   case ExprKind::DeclRef: {
     const VarDecl *V = varOf(Lhs);
-    Track T = trackKind(V);
-    if (T == Track::No)
+    const VarSlots &S = FC.slots(V);
+    if (S.Init < 0)
       return;
-    if (Compound && T == Track::Whole)
-      checkRead(initKey(V, -1), V->Ty.Ty->isPointer(), Lhs->Loc, St);
-    setAllInit(V, St);
+    if (Compound && !S.InitPerField)
+      checkRead(S.Init, V->Ty.Ty->isPointer(), Lhs->Loc, St);
+    setAll(V, IvInit, St);
     return;
   }
   case ExprKind::Member: {
     const auto *M = cast<MemberExpr>(Lhs);
     if (!M->IsArrow && M->FieldIdx >= 0) {
-      if (const VarDecl *V = varOf(M->Base);
-          V && trackKind(V) == Track::PerField) {
-        uint64_t Key = initKey(V, M->FieldIdx);
+      const VarDecl *V = varOf(M->Base);
+      if (const VarSlots &S = FC.slots(V); S.Init >= 0 && S.InitPerField) {
+        int32_t Slot = S.Init + M->FieldIdx;
         if (Compound) {
           const Type *FTy =
               V->Ty.Ty->Record->Fields[M->FieldIdx].Ty.Ty;
-          checkRead(Key, FTy && FTy->isPointer(), M->Loc, St);
+          checkRead(Slot, FTy && FTy->isPointer(), M->Loc, St);
         }
-        St.erase(Key);
+        St[Slot] = IvInit;
         return;
       }
     }
@@ -922,14 +857,13 @@ void InitDomain::storeTo(const Expr *Lhs, bool Compound, State &St) {
     walk(IX->Index, St);
     if (const auto *IC = dynCast<ImplicitCastExpr>(IX->Base);
         IC && IC->CK == CastKind::ArrayDecay) {
-      if (const VarDecl *V = varOf(IC->Sub);
-          V && trackKind(V) == Track::Whole) {
-        uint64_t Key = initKey(V, -1);
+      if (const VarSlots &S = FC.slots(varOf(IC->Sub));
+          S.Init >= 0 && !S.InitPerField) {
         if (Compound)
-          checkRead(Key, false, IX->Loc, St);
+          checkRead(S.Init, false, IX->Loc, St);
         // One element written; treat the array as initialized (sound
         // for false-positive avoidance, reads elsewhere stay dynamic).
-        St.erase(Key);
+        St[S.Init] = IvInit;
         return;
       }
     }
@@ -953,7 +887,7 @@ void InitDomain::storeTo(const Expr *Lhs, bool Compound, State &St) {
   }
 }
 
-void InitDomain::walk(const Expr *E, State &St) {
+void InitDomain::walk(const Expr *E, State St) {
   if (!E)
     return;
   switch (E->Kind) {
@@ -965,29 +899,27 @@ void InitDomain::walk(const Expr *E, State &St) {
     }
     const Expr *D = IC->Sub;
     if (const VarDecl *V = varOf(D)) {
-      if (trackKind(V) == Track::Whole)
-        checkRead(initKey(V, -1), V->Ty.Ty->isPointer(), D->Loc, St);
+      if (const VarSlots &S = FC.slots(V); S.Init >= 0 && !S.InitPerField)
+        checkRead(S.Init, V->Ty.Ty->isPointer(), D->Loc, St);
       return;
     }
     if (const auto *M = dynCast<MemberExpr>(D);
         M && !M->IsArrow && M->FieldIdx >= 0) {
-      if (const VarDecl *V = varOf(M->Base);
-          V && trackKind(V) == Track::PerField) {
+      const VarDecl *V = varOf(M->Base);
+      if (const VarSlots &S = FC.slots(V); S.Init >= 0 && S.InitPerField) {
         const Type *FTy = V->Ty.Ty->Record->Fields[M->FieldIdx].Ty.Ty;
-        checkRead(initKey(V, M->FieldIdx), FTy && FTy->isPointer(), M->Loc,
-                  St);
+        checkRead(S.Init + M->FieldIdx, FTy && FTy->isPointer(), M->Loc, St);
         return;
       }
     }
     if (const auto *IX = dynCast<IndexExpr>(D)) {
       if (const auto *Decay = dynCast<ImplicitCastExpr>(IX->Base);
           Decay && Decay->CK == CastKind::ArrayDecay) {
-        if (const VarDecl *V = varOf(Decay->Sub);
-            V && trackKind(V) == Track::Whole) {
+        const VarDecl *V = varOf(Decay->Sub);
+        if (const VarSlots &S = FC.slots(V); S.Init >= 0 && !S.InitPerField) {
           walk(IX->Index, St);
           const Type *ElemTy = V->Ty.Ty->Pointee.Ty;
-          checkRead(initKey(V, -1), ElemTy && ElemTy->isPointer(), IX->Loc,
-                    St);
+          checkRead(S.Init, ElemTy && ElemTy->isPointer(), IX->Loc, St);
           return;
         }
       }
@@ -1020,14 +952,11 @@ void InitDomain::walk(const Expr *E, State &St) {
   }
   case ExprKind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
+    bool ShortCircuit = B->Op == BinaryOp::LogAnd || B->Op == BinaryOp::LogOr;
     walk(B->Lhs, St);
-    if (B->Op == BinaryOp::LogAnd || B->Op == BinaryOp::LogOr) {
-      FC.pushCond();
-      walk(B->Rhs, St);
-      FC.popCond();
-    } else {
-      walk(B->Rhs, St);
-    }
+    FC.pushCond(ShortCircuit); // the right operand may never evaluate
+    walk(B->Rhs, St);
+    FC.popCond(ShortCircuit);
     return;
   }
   case ExprKind::Cond: {
@@ -1073,20 +1002,20 @@ namespace {
 constexpr const char *IntervalName = "interval";
 using I128 = __int128;
 
-std::optional<Interval> lookupItv(const IntervalDomain::State &St,
-                                  const VarDecl *V) {
-  auto It = St.find(V->DeclId);
-  if (It == St.end())
+std::optional<Interval> lookupItv(const Interval *St, int32_t Slot) {
+  if (St[Slot].isTop())
     return std::nullopt;
-  return It->second;
+  return St[Slot];
 }
 
-void setItv(IntervalDomain::State &St, const VarDecl *V,
-            std::optional<Interval> Val) {
-  if (Val)
-    St[V->DeclId] = *Val;
-  else
-    St.erase(V->DeclId);
+
+/// The interval of a value converted to _Bool.
+Interval truthOf(const std::optional<Interval> &V) {
+  if (V && !V->contains(0))
+    return Interval{1, 1};
+  if (V && V->Lo == 0 && V->Hi == 0)
+    return Interval{0, 0};
+  return Interval{0, 1};
 }
 
 std::optional<Interval> clampI128(I128 Lo, I128 Hi,
@@ -1098,123 +1027,65 @@ std::optional<Interval> clampI128(I128 Lo, I128 Hi,
   return Interval{static_cast<int64_t>(Lo), static_cast<int64_t>(Hi)};
 }
 
-BinaryOp binOpOfAssign(AssignOp Op) {
-  switch (Op) {
-  case AssignOp::MulAssign:
-    return BinaryOp::Mul;
-  case AssignOp::DivAssign:
-    return BinaryOp::Div;
-  case AssignOp::RemAssign:
-    return BinaryOp::Rem;
-  case AssignOp::AddAssign:
-    return BinaryOp::Add;
-  case AssignOp::SubAssign:
-    return BinaryOp::Sub;
-  case AssignOp::ShlAssign:
-    return BinaryOp::Shl;
-  case AssignOp::ShrAssign:
-    return BinaryOp::Shr;
-  case AssignOp::AndAssign:
-    return BinaryOp::BitAnd;
-  case AssignOp::XorAssign:
-    return BinaryOp::BitXor;
-  case AssignOp::OrAssign:
-    return BinaryOp::BitOr;
-  case AssignOp::Assign:
-    break;
-  }
-  return BinaryOp::Add; // unreachable
-}
-
 } // namespace
 
-bool IntervalDomain::tracked(const VarDecl *V) const {
-  return V && isFrameLocal(V) && !FC.addrTaken(V) && V->Ty.Ty &&
-         V->Ty.Ty->isIntegral() && typeRange(V->Ty.Ty).has_value();
+void IntervalDomain::boundary(State St) {
+  std::fill_n(St, width(), Interval::top());
 }
 
-std::optional<Interval> IntervalDomain::typeRange(const Type *Ty) const {
-  if (!Ty || !Ty->isIntegral())
-    return std::nullopt;
-  if (Ty->isBool())
-    return Interval{0, 1};
-  unsigned W = FC.Ctx.Types.bitWidthOf(Ty);
-  if (W == 0 || W > 64)
-    return std::nullopt;
-  if (Ty->isUnsignedInteger(FC.Ctx.Types.config())) {
-    if (W >= 64)
-      return std::nullopt; // uint64 max not representable in int64
-    return Interval{0, (int64_t(1) << W) - 1};
-  }
-  int64_t Max = W == 64 ? INT64_MAX : (int64_t(1) << (W - 1)) - 1;
-  return Interval{-Max - 1, Max};
-}
-
-bool IntervalDomain::join(State &Into, const State &In) {
-  // Absent = top, which absorbs: keys missing on either side go to top.
+bool IntervalDomain::join(State Into, const Cell *In) {
+  // Top absorbs: a slot that is top on either side goes to top.
   bool Changed = false;
-  for (auto It = Into.begin(); It != Into.end();) {
-    auto BIt = In.find(It->first);
-    if (BIt == In.end()) {
-      It = Into.erase(It);
+  for (size_t I = 0, W = width(); I < W; ++I) {
+    Interval &A = Into[I];
+    if (A.isTop())
+      continue;
+    const Interval &B = In[I];
+    if (B.isTop()) {
+      A = Interval::top();
       Changed = true;
       continue;
     }
-    Interval Hull{std::min(It->second.Lo, BIt->second.Lo),
-                  std::max(It->second.Hi, BIt->second.Hi)};
-    if (!(Hull == It->second)) {
+    Interval Hull{std::min(A.Lo, B.Lo), std::max(A.Hi, B.Hi)};
+    if (!(Hull == A)) {
       Changed = true;
-      if (Widening) { // a growing bound goes straight to top
-        It = Into.erase(It);
-        continue;
-      }
-      It->second = Hull;
+      // Widening: a growing bound goes straight to top.
+      A = Widening ? Interval::top() : Hull;
     }
-    ++It;
   }
   return Changed;
 }
 
-void IntervalDomain::transferStmt(const Stmt *S, State &St) {
-  switch (S->Kind) {
-  case StmtKind::Decl:
-    for (const VarDecl *V : cast<DeclStmt>(S)->Decls) {
-      if (!V->Init) {
-        if (tracked(V))
-          St.erase(V->DeclId); // fresh indeterminate value: top
-        continue;
-      }
-      auto Init = eval(V->Init, St);
-      if (tracked(V) && !isa<InitListExpr>(V->Init)) {
-        // The initializer converts to the variable's type.
-        auto TR = typeRange(V->Ty.Ty);
-        if (Init && TR && Init->Lo >= TR->Lo && Init->Hi <= TR->Hi)
-          setItv(St, V, Init);
-        else if (Init && Init->singleton())
-          setItv(St, V,
-                 Interval{truncateToType(Init->Lo, V->Ty.Ty, FC.Ctx.Types),
-                          truncateToType(Init->Lo, V->Ty.Ty, FC.Ctx.Types)});
-        else
-          setItv(St, V, std::nullopt);
-      }
+void IntervalDomain::transferStmt(const Stmt *S, State St) {
+  const auto *D = dynCast<DeclStmt>(S);
+  if (!D) {
+    eval(stmtExpr(S), St);
+    return;
+  }
+  for (const VarDecl *V : D->Decls) {
+    const VarSlots &VS = FC.slots(V);
+    if (!V->Init) {
+      if (VS.Itv >= 0)
+        St[VS.Itv] = Interval::top(); // fresh indeterminate value
+      continue;
     }
-    return;
-  case StmtKind::Expr:
-    eval(cast<ExprStmt>(S)->E, St);
-    return;
-  case StmtKind::Return:
-    eval(cast<ReturnStmt>(S)->Value, St);
-    return;
-  case StmtKind::For:
-    eval(cast<ForStmt>(S)->Inc, St);
-    return;
-  default:
-    return;
+    auto Init = eval(V->Init, St);
+    if (VS.Itv < 0 || isa<InitListExpr>(V->Init))
+      continue;
+    // The initializer converts to the variable's type.
+    const Interval &TR = VS.Range;
+    if (Init && Init->Lo >= TR.Lo && Init->Hi <= TR.Hi) {
+      St[VS.Itv] = *Init;
+    } else if (Init && Init->singleton()) {
+      int64_t T = truncateToType(Init->Lo, V->Ty.Ty, FC.types());
+      St[VS.Itv] = Interval{T, T};
+    } else {
+      St[VS.Itv] = Interval::top();
+    }
   }
 }
 
-void IntervalDomain::checkIndex(const IndexExpr *IX, bool IsWrite,
-                                State &St) {
+void IntervalDomain::checkIndex(const IndexExpr *IX, State St) {
   auto II = eval(IX->Index, St);
   const Expr *Base = IX->Base;
   uint64_t N = 0;
@@ -1236,7 +1107,6 @@ void IntervalDomain::checkIndex(const IndexExpr *IX, bool IsWrite,
   // (13), and i == N forms legally but dereferences one-past-the-end
   // (29). The access-level read/write codes never fire here — the
   // arithmetic rule precedes them dynamically too.
-  (void)IsWrite;
   int64_t Size = static_cast<int64_t>(N);
   if (II->Hi < 0 || II->Lo > Size)
     FC.must(UbKind::PointerArithOutOfBounds, IX->Loc, IntervalName);
@@ -1249,10 +1119,10 @@ void IntervalDomain::checkIndex(const IndexExpr *IX, bool IsWrite,
 }
 
 void IntervalDomain::storeTo(const Expr *Lhs, const AssignExpr *A,
-                             State &St) {
+                             State St) {
   switch (Lhs->Kind) {
   case ExprKind::Index:
-    checkIndex(cast<IndexExpr>(Lhs), /*IsWrite=*/true, St);
+    checkIndex(cast<IndexExpr>(Lhs), St);
     return;
   case ExprKind::Member: {
     const auto *M = cast<MemberExpr>(Lhs);
@@ -1278,24 +1148,22 @@ void IntervalDomain::storeTo(const Expr *Lhs, const AssignExpr *A,
 }
 
 std::optional<Interval>
-IntervalDomain::applyIncDec(const VarDecl *V, bool IsInc, bool IsPre,
-                            const Type *Ty, SourceLoc Loc, State &St) {
-  auto Cur = lookupItv(St, V);
-  if (!Cur) {
+IntervalDomain::applyIncDec(const VarSlots &V, bool IsInc, bool IsPre,
+                            const Type *Ty, SourceLoc Loc, State St) {
+  auto Cur = lookupItv(St, V.Itv);
+  if (!Cur)
     return std::nullopt;
-  }
-  auto TR = typeRange(Ty);
   I128 Lo = static_cast<I128>(Cur->Lo) + (IsInc ? 1 : -1);
   I128 Hi = static_cast<I128>(Cur->Hi) + (IsInc ? 1 : -1);
-  auto Next = clampI128(Lo, Hi, TR);
+  auto Next = clampI128(Lo, Hi, V.Range);
   // c++ on a sub-int type computes in int (integer promotion), so
   // hitting the narrow type's bound converts implementation-defined,
   // never undefined — only int-or-wider increments can overflow.
-  const TypeContext &Types = FC.Ctx.Types;
+  const TypeContext &Types = FC.types();
   if (!Next && Cur->singleton() && Ty && Ty->isSignedInteger(Types.config()) &&
       Types.bitWidthOf(Ty) >= Types.bitWidthOf(Types.intTy()))
     FC.must(UbKind::SignedOverflow, Loc, IntervalName);
-  setItv(St, V, Next);
+  St[V.Itv] = Next.value_or(Interval::top());
   return IsPre ? Next : Cur;
 }
 
@@ -1303,8 +1171,8 @@ std::optional<Interval>
 IntervalDomain::evalBinary(BinaryOp Op, const std::optional<Interval> &L,
                            const std::optional<Interval> &R, const Type *Ty,
                            SourceLoc Loc, bool DivisorIsConst) {
-  const TargetConfig &Config = FC.Ctx.Types.config();
-  auto TR = typeRange(Ty);
+  const TargetConfig &Config = FC.types().config();
+  auto TR = FC.typeRange(Ty);
   switch (Op) {
   case BinaryOp::Div:
   case BinaryOp::Rem: {
@@ -1334,7 +1202,7 @@ IntervalDomain::evalBinary(BinaryOp Op, const std::optional<Interval> &L,
   }
   case BinaryOp::Shl:
   case BinaryOp::Shr: {
-    unsigned W = Ty && Ty->isIntegral() ? FC.Ctx.Types.bitWidthOf(Ty) : 0;
+    unsigned W = Ty && Ty->isIntegral() ? FC.types().bitWidthOf(Ty) : 0;
     if (R && W) {
       if (R->Hi < 0) {
         FC.must(UbKind::NegativeShiftCount, Loc, IntervalName);
@@ -1382,8 +1250,8 @@ IntervalDomain::evalBinary(BinaryOp Op, const std::optional<Interval> &L,
       I128 P2 = static_cast<I128>(L->Lo) * R->Hi;
       I128 P3 = static_cast<I128>(L->Hi) * R->Lo;
       I128 P4 = static_cast<I128>(L->Hi) * R->Hi;
-      Lo = std::min(std::min(P1, P2), std::min(P3, P4));
-      Hi = std::max(std::max(P1, P2), std::max(P3, P4));
+      Lo = std::min({P1, P2, P3, P4});
+      Hi = std::max({P1, P2, P3, P4});
     }
     auto Res = clampI128(Lo, Hi, TR);
     if (!Res && Ty->isSignedInteger(Config) && L->singleton() &&
@@ -1403,53 +1271,39 @@ IntervalDomain::evalBinary(BinaryOp Op, const std::optional<Interval> &L,
   }
 }
 
-std::optional<Interval> IntervalDomain::eval(const Expr *E, State &St) {
+std::optional<Interval> IntervalDomain::eval(const Expr *E, State St) {
   if (!E)
     return std::nullopt;
   // Constant expressions fold directly — this also covers sizeof and
   // enum constants the structural walk below cannot see. A constant
   // expression has no side effects, so skipping the walk is safe.
-  if (auto C = constEvalInt(E, FC.Ctx.Types))
+  if (auto C = FC.constInt(E))
     return Interval{*C, *C};
   switch (E->Kind) {
   case ExprKind::ImplicitCast:
   case ExprKind::Cast: {
-    CastKind CK;
-    const Expr *Sub;
-    if (const auto *IC = dynCast<ImplicitCastExpr>(E)) {
-      CK = IC->CK;
-      Sub = IC->Sub;
-    } else {
-      CK = cast<CastExpr>(E)->CK;
-      Sub = cast<CastExpr>(E)->Sub;
-    }
+    auto [CK, Sub] = castParts(E);
     switch (CK) {
     case CastKind::LValueToRValue: {
       if (const VarDecl *V = varOf(Sub)) {
-        if (tracked(V))
-          return lookupItv(St, V);
+        if (int32_t Slot = FC.slots(V).Itv; Slot >= 0)
+          return lookupItv(St, Slot);
         return std::nullopt;
       }
       eval(Sub, St);
       return std::nullopt;
     }
-    case CastKind::ToBool: {
-      auto SI = eval(Sub, St);
-      if (SI && !SI->contains(0))
-        return Interval{1, 1};
-      if (SI && SI->Lo == 0 && SI->Hi == 0)
-        return Interval{0, 0};
-      return Interval{0, 1};
-    }
+    case CastKind::ToBool:
+      return truthOf(eval(Sub, St));
     case CastKind::IntegralCast: {
       auto SI = eval(Sub, St);
       if (!SI)
         return std::nullopt;
-      auto TR = typeRange(E->Ty.Ty);
+      auto TR = FC.typeRange(E->Ty.Ty);
       if (TR && SI->Lo >= TR->Lo && SI->Hi <= TR->Hi)
         return SI;
       if (SI->singleton()) {
-        int64_t T = truncateToType(SI->Lo, E->Ty.Ty, FC.Ctx.Types);
+        int64_t T = truncateToType(SI->Lo, E->Ty.Ty, FC.types());
         return Interval{T, T};
       }
       return std::nullopt;
@@ -1468,21 +1322,17 @@ std::optional<Interval> IntervalDomain::eval(const Expr *E, State &St) {
       auto SI = eval(U->Sub, St);
       if (!SI || SI->Lo == INT64_MIN)
         return std::nullopt;
-      auto TR = typeRange(E->Ty.Ty);
+      auto TR = FC.typeRange(E->Ty.Ty);
       auto Res = clampI128(-static_cast<I128>(SI->Hi),
                            -static_cast<I128>(SI->Lo), TR);
       if (!Res && SI->singleton() && E->Ty.Ty &&
-          E->Ty.Ty->isSignedInteger(FC.Ctx.Types.config()))
+          E->Ty.Ty->isSignedInteger(FC.types().config()))
         FC.must(UbKind::SignedOverflow, U->Loc, IntervalName);
       return Res;
     }
     case UnaryOp::LogNot: {
-      auto SI = eval(U->Sub, St);
-      if (SI && !SI->contains(0))
-        return Interval{0, 0};
-      if (SI && SI->Lo == 0 && SI->Hi == 0)
-        return Interval{1, 1};
-      return Interval{0, 1};
+      Interval T = truthOf(eval(U->Sub, St));
+      return Interval{1 - T.Hi, 1 - T.Lo};
     }
     case UnaryOp::PreInc:
     case UnaryOp::PreDec:
@@ -1490,8 +1340,8 @@ std::optional<Interval> IntervalDomain::eval(const Expr *E, State &St) {
     case UnaryOp::PostDec: {
       bool IsInc = U->Op == UnaryOp::PreInc || U->Op == UnaryOp::PostInc;
       bool IsPre = U->Op == UnaryOp::PreInc || U->Op == UnaryOp::PreDec;
-      if (const VarDecl *V = varOf(U->Sub); V && tracked(V))
-        return applyIncDec(V, IsInc, IsPre, V->Ty.Ty, U->Loc, St);
+      if (const VarDecl *V = varOf(U->Sub); FC.slots(V).Itv >= 0)
+        return applyIncDec(FC.slots(V), IsInc, IsPre, V->Ty.Ty, U->Loc, St);
       eval(U->Sub, St);
       return std::nullopt;
     }
@@ -1500,30 +1350,22 @@ std::optional<Interval> IntervalDomain::eval(const Expr *E, State &St) {
       // one-past-the-end, so evaluate indices without bounds checks.
       const Expr *D = U->Sub;
       while (true) {
-        if (const auto *M = dynCast<MemberExpr>(D)) {
-          if (M->IsArrow) {
-            eval(M->Base, St);
-            break;
-          }
+        if (const auto *M = dynCast<MemberExpr>(D); M && !M->IsArrow) {
           D = M->Base;
-          continue;
-        }
-        if (const auto *IX = dynCast<IndexExpr>(D)) {
+        } else if (const auto *IX = dynCast<IndexExpr>(D)) {
           eval(IX->Index, St);
           D = IX->Base;
-          continue;
-        }
-        if (const auto *IC = dynCast<ImplicitCastExpr>(D)) {
+        } else if (const auto *IC = dynCast<ImplicitCastExpr>(D)) {
           D = IC->Sub;
-          continue;
-        }
-        if (const auto *Inner = dynCast<UnaryExpr>(D);
-            Inner && Inner->Op == UnaryOp::Deref) {
-          eval(Inner->Sub, St);
+        } else {
           break;
         }
-        break;
       }
+      if (const auto *M = dynCast<MemberExpr>(D)) // through ->
+        eval(M->Base, St);
+      else if (const auto *Inner = dynCast<UnaryExpr>(D);
+               Inner && Inner->Op == UnaryOp::Deref)
+        eval(Inner->Sub, St);
       return std::nullopt;
     }
     default:
@@ -1547,16 +1389,16 @@ std::optional<Interval> IntervalDomain::eval(const Expr *E, State &St) {
     auto LI = eval(B->Lhs, St);
     auto RI = eval(B->Rhs, St);
     bool DivisorIsConst = (B->Op == BinaryOp::Div || B->Op == BinaryOp::Rem) &&
-                          constEvalInt(B->Rhs, FC.Ctx.Types).has_value();
+                          FC.constInt(B->Rhs).has_value();
     return evalBinary(B->Op, LI, RI, E->Ty.Ty, B->Loc, DivisorIsConst);
   }
   case ExprKind::Assign: {
     const auto *A = cast<AssignExpr>(E);
     auto RI = eval(A->Rhs, St);
     const VarDecl *V = varOf(A->Lhs);
-    if (V && tracked(V)) {
+    if (const VarSlots &VS = FC.slots(V); VS.Itv >= 0) {
       const Type *VT = V->Ty.Ty;
-      auto TR = typeRange(VT);
+      const Interval &TR = VS.Range;
       std::optional<Interval> NewV;
       if (A->Op == AssignOp::Assign) {
         NewV = RI;
@@ -1564,20 +1406,20 @@ std::optional<Interval> IntervalDomain::eval(const Expr *E, State &St) {
         const Type *CT = A->ComputeTy.Ty ? A->ComputeTy.Ty : VT;
         bool DivisorIsConst =
             (A->Op == AssignOp::DivAssign || A->Op == AssignOp::RemAssign) &&
-            constEvalInt(A->Rhs, FC.Ctx.Types).has_value();
-        NewV = evalBinary(binOpOfAssign(A->Op), lookupItv(St, V), RI, CT,
-                          A->Loc, DivisorIsConst);
+            FC.constInt(A->Rhs).has_value();
+        NewV = evalBinary(compoundOpOf(A->Op), lookupItv(St, VS.Itv), RI,
+                          CT, A->Loc, DivisorIsConst);
       }
       // Convert the stored value into the variable's type.
-      if (NewV && TR && !(NewV->Lo >= TR->Lo && NewV->Hi <= TR->Hi)) {
+      if (NewV && !(NewV->Lo >= TR.Lo && NewV->Hi <= TR.Hi)) {
         if (NewV->singleton()) {
-          int64_t T = truncateToType(NewV->Lo, VT, FC.Ctx.Types);
+          int64_t T = truncateToType(NewV->Lo, VT, FC.types());
           NewV = Interval{T, T};
         } else {
           NewV = std::nullopt;
         }
       }
-      setItv(St, V, NewV);
+      St[VS.Itv] = NewV.value_or(Interval::top());
       return NewV;
     }
     storeTo(A->Lhs, A, St);
@@ -1602,7 +1444,7 @@ std::optional<Interval> IntervalDomain::eval(const Expr *E, State &St) {
     return std::nullopt;
   }
   case ExprKind::Index:
-    checkIndex(cast<IndexExpr>(E), /*IsWrite=*/false, St);
+    checkIndex(cast<IndexExpr>(E), St);
     return std::nullopt;
   case ExprKind::Member: {
     const auto *M = cast<MemberExpr>(E);
@@ -1652,56 +1494,80 @@ const Expr *peelValuePreserving(const Expr *E, const TypeContext &Types) {
 
 } // namespace
 
-bool IntervalDomain::transferCond(const Expr *Cond, bool Taken, State &St) {
-  const TypeContext &Types = FC.Ctx.Types;
+namespace {
+
+/// Refines a tracked variable's interval by its truth value: zero on
+/// the false edge, nonzero on the true one. False when the edge is
+/// infeasible.
+bool refineTruth(Interval &Cell, bool Taken) {
+  if (!Taken) {
+    if (!Cell.isTop() && !Cell.contains(0))
+      return false;
+    Cell = Interval{0, 0};
+  } else if (!Cell.isTop()) {
+    if (Cell.Lo == 0 && Cell.Hi == 0)
+      return false;
+    if (Cell.Lo == 0)
+      Cell.Lo = 1;
+    else if (Cell.Hi == 0)
+      Cell.Hi = -1;
+  }
+  return true;
+}
+
+/// The relation that holds when \p Op's operands swap sides (Flip) or
+/// when the comparison is false (Negate).
+BinaryOp flipRelation(BinaryOp Op) {
+  switch (Op) {
+  case BinaryOp::Lt:
+    return BinaryOp::Gt;
+  case BinaryOp::Gt:
+    return BinaryOp::Lt;
+  case BinaryOp::Le:
+    return BinaryOp::Ge;
+  case BinaryOp::Ge:
+    return BinaryOp::Le;
+  default:
+    return Op;
+  }
+}
+
+BinaryOp negateRelation(BinaryOp Op) {
+  switch (Op) {
+  case BinaryOp::Lt:
+    return BinaryOp::Ge;
+  case BinaryOp::Gt:
+    return BinaryOp::Le;
+  case BinaryOp::Le:
+    return BinaryOp::Gt;
+  case BinaryOp::Ge:
+    return BinaryOp::Lt;
+  case BinaryOp::Eq:
+    return BinaryOp::Ne;
+  case BinaryOp::Ne:
+    return BinaryOp::Eq;
+  default:
+    return Op;
+  }
+}
+
+} // namespace
+
+bool IntervalDomain::transferCond(const Expr *Cond, bool Taken, State St) {
+  const TypeContext &Types = FC.types();
   const Expr *E = peelValuePreserving(Cond, Types);
 
   // if ((n = e)): refine the assigned variable's truthiness.
   if (const auto *A = dynCast<AssignExpr>(E); A && A->Op == AssignOp::Assign)
-    if (const VarDecl *V = varOf(A->Lhs); V && tracked(V)) {
-      auto Cur = lookupItv(St, V);
-      if (!Taken) {
-        if (Cur && !Cur->contains(0))
-          return false;
-        setItv(St, V, Interval{0, 0});
-      } else if (Cur) {
-        if (Cur->Lo == 0 && Cur->Hi == 0)
-          return false;
-        Interval R = *Cur;
-        if (R.Lo == 0)
-          R.Lo = 1;
-        else if (R.Hi == 0)
-          R.Hi = -1;
-        setItv(St, V, R);
-      }
-      return true;
-    }
+    if (int32_t Slot = FC.slots(varOf(A->Lhs)).Itv; Slot >= 0)
+      return refineTruth(St[Slot], Taken);
 
   // Truth test of a tracked variable.
-  {
-    const auto *Load = dynCast<ImplicitCastExpr>(E);
-    if (Load && Load->CK == CastKind::LValueToRValue) {
-      const VarDecl *V = varOf(Load->Sub);
-      if (V && tracked(V)) {
-        auto Cur = lookupItv(St, V);
-        if (!Taken) {
-          if (Cur && !Cur->contains(0))
-            return false;
-          setItv(St, V, Interval{0, 0});
-        } else if (Cur) {
-          if (Cur->Lo == 0 && Cur->Hi == 0)
-            return false;
-          Interval R = *Cur;
-          if (R.Lo == 0)
-            R.Lo = 1;
-          else if (R.Hi == 0)
-            R.Hi = -1;
-          setItv(St, V, R);
-        }
-        return true;
-      }
-      return true;
-    }
+  if (const auto *Load = dynCast<ImplicitCastExpr>(E);
+      Load && Load->CK == CastKind::LValueToRValue) {
+    if (int32_t Slot = FC.slots(varOf(Load->Sub)).Itv; Slot >= 0)
+      return refineTruth(St[Slot], Taken);
+    return true;
   }
 
   // var REL const (either operand order).
@@ -1719,71 +1585,35 @@ bool IntervalDomain::transferCond(const Expr *Cond, bool Taken, State &St) {
           dynCast<ImplicitCastExpr>(peelValuePreserving(B->Lhs, Types));
       Load && Load->CK == CastKind::LValueToRValue && varOf(Load->Sub)) {
     V = varOf(Load->Sub);
-    C = constEvalInt(B->Rhs, Types);
+    C = FC.constInt(B->Rhs);
   }
   if (!V || !C) {
     if (const auto *Load =
             dynCast<ImplicitCastExpr>(peelValuePreserving(B->Rhs, Types));
         Load && Load->CK == CastKind::LValueToRValue && varOf(Load->Sub)) {
       V = varOf(Load->Sub);
-      C = constEvalInt(B->Lhs, Types);
+      C = FC.constInt(B->Lhs);
       // Flip so the variable is on the left: C < v  ⇔  v > C, etc.
-      switch (Op) {
-      case BinaryOp::Lt:
-        Op = BinaryOp::Gt;
-        break;
-      case BinaryOp::Gt:
-        Op = BinaryOp::Lt;
-        break;
-      case BinaryOp::Le:
-        Op = BinaryOp::Ge;
-        break;
-      case BinaryOp::Ge:
-        Op = BinaryOp::Le;
-        break;
-      default:
-        break;
-      }
+      Op = flipRelation(Op);
     }
   }
-  if (!V || !C || !tracked(V))
+  const VarSlots &VS = FC.slots(V);
+  if (!C || VS.Itv < 0)
     return true;
 
   // The false edge refines by the negated relation.
-  if (!Taken) {
-    switch (Op) {
-    case BinaryOp::Lt:
-      Op = BinaryOp::Ge;
-      break;
-    case BinaryOp::Gt:
-      Op = BinaryOp::Le;
-      break;
-    case BinaryOp::Le:
-      Op = BinaryOp::Gt;
-      break;
-    case BinaryOp::Ge:
-      Op = BinaryOp::Lt;
-      break;
-    case BinaryOp::Eq:
-      Op = BinaryOp::Ne;
-      break;
-    case BinaryOp::Ne:
-      Op = BinaryOp::Eq;
-      break;
-    default:
-      break;
-    }
-  }
+  if (!Taken)
+    Op = negateRelation(Op);
 
-  auto Cur = lookupItv(St, V);
+  auto Cur = lookupItv(St, VS.Itv);
   if (Op == BinaryOp::Eq) {
     // Equality may seed from the full type range: it yields a
     // singleton, which is precise enough to be worth tracking even
     // for otherwise-unknown variables.
-    Interval Base = Cur ? *Cur : *typeRange(V->Ty.Ty);
+    Interval Base = Cur ? *Cur : VS.Range;
     if (!Base.contains(*C))
       return false;
-    setItv(St, V, Interval{*C, *C});
+    St[VS.Itv] = Interval{*C, *C};
     return true;
   }
   if (!Cur) {
@@ -1823,25 +1653,25 @@ bool IntervalDomain::transferCond(const Expr *Cond, bool Taken, State &St) {
   }
   if (R.Lo > R.Hi)
     return false;
-  setItv(St, V, R);
+  St[VS.Itv] = R;
   return true;
 }
 
 bool IntervalDomain::transferSwitchEdge(const Expr *Cond, const CaseStmt *Case,
-                                        State &St) {
+                                        State St) {
   if (!Case)
     return true; // default / fall-out edge: no single-value refinement
-  const Expr *E = peelValuePreserving(Cond, FC.Ctx.Types);
+  const Expr *E = peelValuePreserving(Cond, FC.types());
   const auto *Load = dynCast<ImplicitCastExpr>(E);
   if (!Load || Load->CK != CastKind::LValueToRValue)
     return true;
-  const VarDecl *V = varOf(Load->Sub);
-  if (!V || !tracked(V))
+  const VarSlots &VS = FC.slots(varOf(Load->Sub));
+  if (VS.Itv < 0)
     return true;
-  auto Cur = lookupItv(St, V);
-  Interval Base = Cur ? *Cur : *typeRange(V->Ty.Ty);
+  auto Cur = lookupItv(St, VS.Itv);
+  Interval Base = Cur ? *Cur : VS.Range;
   if (!Base.contains(Case->Value))
     return false; // this case label can never be reached
-  setItv(St, V, Interval{Case->Value, Case->Value});
+  St[VS.Itv] = Interval{Case->Value, Case->Value};
   return true;
 }

@@ -10,51 +10,57 @@
 #include "static/Dataflow.h"
 #include "static/Domains.h"
 
+#include <algorithm>
+#include <memory>
+
 using namespace cundef;
 
 namespace {
 
-/// Fixpoint + reporting replay for one domain. The replay walks the
-/// reachable blocks in RPO from each block's settled entry state, so
-/// every check sees the most precise invariant the analysis proved.
-template <typename DomainT>
-void runDomain(FlowContext &FC, const Cfg &G) {
-  DomainT Dom(FC);
-  DataflowResult<DomainT> R = runForwardDataflow(G, Dom);
+/// The layer's working state: graph, context and one engine per domain.
+/// Each thread keeps one and reuses its buffers across compiles, so a
+/// compile allocates here only when a function outgrows what the thread
+/// analyzed before.
+struct FlowLayer {
+  Cfg G;
+  FlowContext FC;
+  NullnessDomain Nullness{FC};
+  InitDomain Init{FC};
+  IntervalDomain Interval{FC};
+  ForwardDataflow<NullnessDomain> NullnessFlow;
+  ForwardDataflow<InitDomain> InitFlow;
+  ForwardDataflow<IntervalDomain> IntervalFlow;
+};
 
-  FC.setReporting(true);
-  Dom.setWidening(false);
-  for (BlockId B : G.rpo()) {
-    if (!R.reached(B))
-      continue;
-    typename DomainT::State St = R.In[B];
-    const CfgBlock &Blk = G.block(B);
-    for (const Stmt *S : Blk.Stmts)
-      Dom.transferStmt(S, St);
-    if (Blk.Cond)
-      Dom.transferCondEval(Blk.Cond, St);
-  }
-  FC.setReporting(false);
-}
+/// A compile with a function past this many blocks or cells drops the
+/// thread's layer afterwards instead of keeping buffers sized for one
+/// outlier.
+constexpr size_t RetainedCells = size_t(1) << 16;
 
 } // namespace
 
-void FlowChecker::runFunction(const FunctionDecl *F) {
-  FlowContext FC(Ctx, F);
-  Cfg G = Cfg::build(F);
-
-  runDomain<NullnessDomain>(FC, G);
-  runDomain<InitDomain>(FC, G);
-  runDomain<IntervalDomain>(FC, G);
-
-  for (UbReport &R : FC.takeMust())
-    Must.report(std::move(R));
-  for (UbReport &R : FC.takeHints())
-    Hints.report(std::move(R));
-}
-
 void FlowChecker::run() {
-  for (const FunctionDecl *F : Ctx.TU.Functions)
-    if (F->Body && !F->BuiltinId)
-      runFunction(F);
+  thread_local std::unique_ptr<FlowLayer> Layer;
+  if (!Layer)
+    Layer = std::make_unique<FlowLayer>();
+  FlowLayer &L = *Layer;
+  bool Outlier = false;
+  for (const FunctionDecl *F : Ctx.TU.Functions) {
+    if (!F->Body || F->BuiltinId)
+      continue;
+    L.G.rebuild(F);
+    L.FC.reset(Ctx, L.G);
+    size_t Cells =
+        L.G.size() * (L.FC.nullSlots() + L.FC.initSlots() + L.FC.itvSlots());
+    Outlier |= std::max(L.G.size(), Cells) > RetainedCells;
+    if (Cells > MaxFlowCells)
+      continue; // past the implementation limit: no flow findings
+    L.NullnessFlow.run(L.G, L.Nullness);
+    if (L.FC.initSlots()) // init findings are reads of a tracked slot
+      L.InitFlow.run(L.G, L.Init);
+    L.IntervalFlow.run(L.G, L.Interval);
+    L.FC.flush(Must, Hints);
+  }
+  if (Outlier)
+    Layer.reset();
 }

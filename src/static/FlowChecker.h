@@ -7,9 +7,8 @@
 /// \file
 /// The flow-sensitive static analysis pass: builds a CFG per function
 /// definition (static/Cfg.h), runs the three abstract domains
-/// (static/Domains.h) to a fixpoint (static/Dataflow.h), then replays
-/// the transfer functions once over the settled block-entry states with
-/// reporting armed.
+/// (static/Domains.h) to a fixpoint (static/Dataflow.h) and reports from
+/// the settled block-entry states.
 ///
 /// Findings split by verdict into two sinks: *must* findings (true on
 /// every execution reaching the point) join the syntactic checker's
@@ -29,6 +28,13 @@
 
 namespace cundef {
 
+/// Implementation limit: a function whose CFG blocks times tracked slots
+/// (all three domains) exceed this gets no flow findings. It bounds the
+/// layer's time and memory per function (at most 16 MiB of 16-byte
+/// interval cells); silence is sound, since must findings only add UB
+/// verdicts and the dynamic search still checks the function.
+constexpr size_t MaxFlowCells = size_t(1) << 20;
+
 class FlowChecker {
 public:
   FlowChecker(AstContext &Ctx, UbSink &Must, UbSink &Hints)
@@ -38,8 +44,6 @@ public:
   void run();
 
 private:
-  void runFunction(const FunctionDecl *F);
-
   AstContext &Ctx;
   UbSink &Must;
   UbSink &Hints;

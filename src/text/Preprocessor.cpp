@@ -288,22 +288,35 @@ bool isWordChar(char C) {
   return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
 }
 
-/// Whether \p Line holds only blanks, comments closed on it and at most
-/// one `#include <name>`, the line's first token, whose name goes to
-/// \p Name. The name is words joined by single '.' or '/', so its
-/// tokens spell it exactly.
-bool scanPrefixLine(std::string_view Line, std::string &Name) {
+/// Whether \p Line holds only blanks, comments and at most one
+/// `#include <name>`, the line's first token, whose name goes to \p Name.
+/// The name is words joined by single '.' or '/', so its tokens spell it
+/// exactly. A block comment may span lines only where no token precedes
+/// it on its line: the lexer then still sees the next token after it as
+/// a line start. \p InComment carries an open comment from line to line.
+bool scanPrefixLine(std::string_view Line, std::string &Name,
+                    bool &InComment) {
   if (Line.find('\\') != std::string_view::npos)
     return false; // a line splice could join the next line
-  for (size_t I = 0; I < Line.size();) {
+  size_t I = 0;
+  if (InComment) {
+    I = Line.find("*/");
+    if (I == std::string_view::npos)
+      return true;
+    I += 2;
+    InComment = false;
+  }
+  while (I < Line.size()) {
     if (isHorizontalSpace(Line[I])) {
       ++I;
     } else if (Line.compare(I, 2, "//") == 0) {
       return true;
     } else if (Line.compare(I, 2, "/*") == 0) {
       I = Line.find("*/", I + 2);
-      if (I == std::string_view::npos)
-        return false;
+      if (I == std::string_view::npos) {
+        InComment = Name.empty();
+        return InComment;
+      }
       I += 2;
     } else if (Line[I] == '#' && Name.empty()) {
       I = Line.find_first_not_of(" \t", I + 1);
@@ -333,17 +346,22 @@ bool scanPrefixLine(std::string_view Line, std::string &Name) {
 
 IncludePrefix cundef::scanIncludePrefix(const std::string &Source) {
   IncludePrefix Result;
+  bool InComment = false;
+  uint32_t Lines = 0;
   for (size_t Pos = 0; Pos < Source.size();) {
     size_t Eol = std::min(Source.find('\n', Pos), Source.size());
     std::string Name;
     if (!scanPrefixLine(std::string_view(Source).substr(Pos, Eol - Pos),
-                        Name))
+                        Name, InComment))
       break;
     if (!Name.empty())
       Result.Headers.push_back(std::move(Name));
     Pos = Eol + 1;
-    Result.End = std::min(Pos, Source.size());
-    ++Result.Lines;
+    ++Lines;
+    if (!InComment) { // the block may end here
+      Result.End = std::min(Pos, Source.size());
+      Result.Lines = Lines;
+    }
   }
   return Result.Headers.empty() ? IncludePrefix() : Result;
 }

@@ -129,10 +129,11 @@ private:
 };
 
 /// The leading block of a source's `#include <name>` lines, found by a
-/// conservative textual scan: whole lines of blanks, comments closed on
-/// their line and `#include <name>` directives whose names are words
-/// joined by '.' or '/'. Lexing the source from End at line Lines + 1
-/// yields the tokens a whole-source lex yields there.
+/// conservative textual scan: whole lines of blanks, comments (one that
+/// spans lines only where no token precedes it on its line) and
+/// `#include <name>` directives whose names are words joined by '.' or
+/// '/'. Lexing the source from End at line Lines + 1 yields the tokens a
+/// whole-source lex yields there.
 struct IncludePrefix {
   std::vector<std::string> Headers; ///< names in include order
   size_t End = 0;                   ///< byte offset just past the block

@@ -378,27 +378,29 @@ std::string cundef::dumpCfg(const Cfg &G, const StringInterner &Interner) {
   std::string Out = strFormat("cfg %s: blocks=%zu entry=B%u exit=B%u\n",
                               Interner.str(G.function()->Name).c_str(),
                               G.size(), G.entry(), G.exit());
-  for (const CfgBlock &B : G.blocks()) {
-    std::string Line = strFormat("  B%u:", B.Id);
-    if (B.Id == G.exit()) {
+  for (BlockId Id = 0; Id < G.size(); ++Id) {
+    const CfgBlock &B = G.block(Id);
+    CfgSpan<BlockId> Succs = G.succs(Id);
+    std::string Line = strFormat("  B%u:", Id);
+    if (Id == G.exit()) {
       Out += Line + " exit\n";
       continue;
     }
-    if (!B.Stmts.empty())
-      Line += strFormat(" stmts=%zu", B.Stmts.size());
+    if (!G.stmts(Id).empty())
+      Line += strFormat(" stmts=%zu", G.stmts(Id).size());
     if (B.isSwitch()) {
       Line += " switch ->";
-      for (size_t I = 0; I < B.Succs.size(); ++I) {
-        const CaseStmt *C = B.SwitchCases[I];
-        Line += C ? strFormat(" B%u(case %lld)", B.Succs[I],
+      for (size_t I = 0; I < Succs.size(); ++I) {
+        const CaseStmt *C = G.switchCase(Id, I);
+        Line += C ? strFormat(" B%u(case %lld)", Succs[I],
                               static_cast<long long>(C->Value))
-                  : strFormat(" B%u(default)", B.Succs[I]);
+                  : strFormat(" B%u(default)", Succs[I]);
       }
     } else if (B.isConditional()) {
-      Line += strFormat(" if -> B%u B%u", B.Succs[0], B.Succs[1]);
-    } else if (!B.Succs.empty()) {
+      Line += strFormat(" if -> B%u B%u", Succs[0], Succs[1]);
+    } else if (!Succs.empty()) {
       Line += " ->";
-      for (BlockId S : B.Succs)
+      for (BlockId S : Succs)
         Line += strFormat(" B%u", S);
     }
     Out += Line + "\n";

@@ -116,6 +116,32 @@ TEST(IncludePrefix, ScanIsConservative) {
   EXPECT_EQ(P.End, 38u);
 }
 
+TEST(IncludePrefix, BlockCommentsSpanningLines) {
+  // A license comment above the includes, and one between them: the
+  // block reaches past both (lines and offset count the comments).
+  const std::string Source = "/*\n * license\n */\n#include <stdio.h>\n"
+                             "/* a\n b */ #include <stdlib.h>\n"
+                             "int main(void) { printf(\"%d\", abs(-2)); "
+                             "return 0; }\n";
+  IncludePrefix P = scanIncludePrefix(Source);
+  EXPECT_EQ(P.Headers, (std::vector<std::string>{"stdio.h", "stdlib.h"}));
+  EXPECT_EQ(P.Lines, 6u);
+  EXPECT_EQ(P.End, Source.find("int main"));
+  Fixture F;
+  ASSERT_TRUE(F.preludeOf(Source));
+  CompiledProgramRef C = F.expectSame(Source);
+  EXPECT_EQ(exitOf(*C), 0);
+  EXPECT_EQ(C->errors(), "");
+  // The block ends before a comment that closes on a line with code,
+  // or that never closes, or that opens after a directive.
+  for (const char *Tail : {"/* a\n */ int x;\n", "/* open\n",
+                           "#include <string.h> /* a\n*/\n"}) {
+    P = scanIncludePrefix(std::string("#include <stdio.h>\n") + Tail);
+    EXPECT_EQ(P.Headers, std::vector<std::string>{"stdio.h"}) << Tail;
+    EXPECT_EQ(P.Lines, 1u) << Tail;
+  }
+}
+
 TEST(Prelude, OwnAbsShadowsTheBuiltinOnlyInItsUnit) {
   Fixture F;
   // A block's first compile translates it in place.

@@ -104,7 +104,7 @@ TEST(PreludeDifferential, DesktopSuite) {
   for (const DesktopCase &D : Suite.Cases)
     C.addPair(D.Test);
   ASSERT_EQ(C.Programs.size(), 52u);
-  expectSameArtifacts(C, 28);
+  expectSameArtifacts(C, 30);
 }
 
 TEST(PreludeDifferential, CustomSuite) {
