@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Arena-allocated AST. Nodes are created by the parser; Sema annotates
+/// Slab-allocated AST. Nodes are created by the parser; Sema annotates
 /// expressions with types, value categories, and implicit conversions.
 /// The core machine interprets this AST directly (it is the "program
 /// term" loaded into the k cell of the configuration).
@@ -20,7 +20,7 @@
 #include "types/Type.h"
 
 #include <cassert>
-#include <memory>
+#include <string>
 #include <vector>
 
 namespace cundef {
@@ -569,7 +569,9 @@ public:
   }
 };
 
-/// Owns all AST nodes plus the per-TU type context.
+/// Owns all AST nodes plus the per-TU type context. Nodes and types
+/// share the type context's slab arena (support/SlabArena.h), so a
+/// unit's whole tree takes a few allocations.
 class AstContext {
 public:
   /// \p Base, when given, is a frozen prelude's context (interned in
@@ -593,15 +595,9 @@ public:
            TU.Functions[Index] == Base->TU.Functions[Index];
   }
 
-  /// Allocates an AST node in the arena.
+  /// Allocates an AST node in the unit's slabs.
   template <typename T, typename... ArgTs> T *create(ArgTs &&...Args) {
-    auto Node = std::make_unique<T>(std::forward<ArgTs>(Args)...);
-    T *Ptr = Node.get();
-    Arena.push_back(
-        std::unique_ptr<void, void (*)(void *)>(Node.release(), [](void *P) {
-          delete static_cast<T *>(P);
-        }));
-    return Ptr;
+    return Types.slabs().create<T>(std::forward<ArgTs>(Args)...);
   }
 
   TypeContext Types;
@@ -611,7 +607,6 @@ public:
 
 private:
   const AstContext *Base;
-  std::vector<std::unique_ptr<void, void (*)(void *)>> Arena;
 };
 
 } // namespace cundef

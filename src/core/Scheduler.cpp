@@ -216,6 +216,14 @@ thread_local unsigned CurrentWorker = 0;
 struct ProgramState {
   size_t Id = 0;
   const AstContext *Ast = nullptr;
+  /// Keeps Ast (and whatever owns it) alive while a run may read it.
+  /// Dropped once, by releasePin(), when the program is done and no
+  /// run of it is in flight.
+  std::shared_ptr<const AstContext> AstPin;
+  /// Runs of this program a worker holds, counted before the worker
+  /// checks Done, so a run either sees Done or holds the pin.
+  std::atomic<unsigned> RunsInFlight{0};
+  std::atomic<bool> PinReleased{false};
   MachineOptions MOpts;
   SearchOptions SOpts;
   bool RootGated = false;
@@ -328,6 +336,9 @@ struct SearchScheduler::Impl {
   /// reclaimFinished() waits for 0 so no worker can be touching a
   /// program state it is about to free.
   std::atomic<size_t> InFlight{0};
+  /// Finished programs whose AST pin is not yet released: a gauge, at
+  /// most one per worker holding a cancelling run.
+  std::atomic<size_t> PinnedFinished{0};
   std::atomic<size_t> SubmittedCount{0};
   std::atomic<size_t> FinishedCount{0};
   /// Sum of completed programs' committed dedup hits (live stats()).
@@ -475,6 +486,24 @@ struct SearchScheduler::Impl {
       CommitLag.fetch_sub(1, std::memory_order_relaxed);
   }
 
+  /// Ends a worker's hold on a run of \p P; the last run of a finished
+  /// program releases its AST pin.
+  void endRun(ProgramState &P) {
+    if (P.RunsInFlight.fetch_sub(1) == 1 && P.Done.load())
+      releasePin(P);
+  }
+
+  /// Drops \p P's AST pin, once: a finished program's last reader is
+  /// gone. Sequentially consistent with the workers' count-then-check,
+  /// so either finishProgram() sees no run in flight or the last run's
+  /// endRun() sees Done.
+  void releasePin(ProgramState &P) {
+    if (P.PinReleased.exchange(true))
+      return;
+    PinnedFinished.fetch_sub(1, std::memory_order_relaxed);
+    P.AstPin.reset();
+  }
+
   /// Workers idle between submissions until stop().
   void workerLoop(unsigned Worker) {
     CurrentPool = this;
@@ -501,13 +530,14 @@ struct SearchScheduler::Impl {
         continue;
       }
       ProgramState &P = *T->Prog;
-      if (P.Done.load(std::memory_order_acquire) ||
-          T->Abandoned.load(std::memory_order_acquire)) {
+      P.RunsInFlight.fetch_add(1);
+      if (P.Done.load() || T->Abandoned.load(std::memory_order_acquire)) {
         // Dropped by truncation or a finished program; release its
         // snapshot and let the commit plane skip it.
         Cache.drop(T->SnapId);
         T->State.store(Task::Dropped, std::memory_order_release);
         advance(P);
+        endRun(P);
         InFlight.fetch_sub(1, std::memory_order_acq_rel);
         continue;
       }
@@ -533,6 +563,7 @@ struct SearchScheduler::Impl {
       }
       T->State.store(Task::Executed, std::memory_order_release);
       advance(P);
+      endRun(P);
       InFlight.fetch_sub(1, std::memory_order_acq_rel);
     }
     drainCompleted();
@@ -896,7 +927,10 @@ struct SearchScheduler::Impl {
     P.Result.Steals = P.StealsAtomic.load(std::memory_order_relaxed);
     P.Result.PeakFrontier = static_cast<unsigned>(
         PeakFrontier.load(std::memory_order_relaxed)); // scheduler-wide
+    PinnedFinished.fetch_add(1, std::memory_order_relaxed);
     P.Done.store(true);
+    if (P.RunsInFlight.load() == 0)
+      releasePin(P);
     for (Task &T : P.Arena) {
       if (T.State.load(std::memory_order_acquire) == Task::Queued)
         T.Abandoned.store(true, std::memory_order_release);
@@ -950,12 +984,14 @@ SearchScheduler::SearchScheduler(Config Cfg)
 
 SearchScheduler::~SearchScheduler() { stop(); }
 
-size_t SearchScheduler::submit(const AstContext &Ast, MachineOptions MOpts,
-                               SearchOptions SOpts, bool RootGated) {
+size_t SearchScheduler::submit(std::shared_ptr<const AstContext> Ast,
+                               MachineOptions MOpts, SearchOptions SOpts,
+                               bool RootGated) {
   Impl &S = *I;
   auto Slot = std::make_unique<ProgramState>();
   ProgramState &P = *Slot;
-  P.Ast = &Ast;
+  P.Ast = Ast.get();
+  P.AstPin = std::move(Ast);
   P.MOpts = MOpts;
   P.SOpts = SOpts;
   P.RootGated = RootGated;
@@ -1106,6 +1142,7 @@ SchedulerMemoryStats SearchScheduler::memoryStats() const {
         ++M.RetainedPrograms;
   }
   M.PendingSnapshots = S.Cache.pending();
+  M.PinnedFinished = S.PinnedFinished.load(std::memory_order_relaxed);
   return M;
 }
 

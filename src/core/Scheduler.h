@@ -182,6 +182,9 @@ struct SchedulerMemoryStats {
   size_t ProgramSlots = 0;
   size_t RetainedPrograms = 0; ///< non-reclaimed program states (arenas)
   size_t PendingSnapshots = 0; ///< live entries in the snapshot cache
+  /// Finished programs whose AST pin a run in flight still holds: at
+  /// most one per worker, 0 once the pool is idle, before any reclaim.
+  size_t PinnedFinished = 0;
 };
 
 /// The work-stealing search scheduler. One lifecycle: the worker pool
@@ -234,7 +237,12 @@ public:
   /// (submission order).
   /// Called from a worker (a posted job), the root run goes on that
   /// worker's own deque, so that worker can start it next.
-  size_t submit(const AstContext &Ast, MachineOptions MOpts,
+  /// The scheduler holds \p Ast until the program finished and the last
+  /// run reading it ended (a cancelling run of a finished program still
+  /// steps over it), then drops it on that run's worker. A caller that
+  /// keeps the AST alive itself past stop() may pass a non-owning
+  /// pointer (an aliasing shared_ptr with no owner).
+  size_t submit(std::shared_ptr<const AstContext> Ast, MachineOptions MOpts,
                 SearchOptions SOpts, bool RootGated = false);
 
   /// Queues \p Job to run once on a pool worker (spawning the pool on

@@ -102,7 +102,10 @@ SearchResult OrderSearch::run() {
   Cfg.Jobs = Opts.Jobs;
   Cfg.SnapshotBudget = Opts.SnapshotBudget;
   SearchScheduler Scheduler(Cfg);
-  size_t Prog = Scheduler.submit(Ctx, BaseOpts, Opts);
+  // Ctx outlives the scheduler, whose destructor joins the pool.
+  size_t Prog = Scheduler.submit(
+      std::shared_ptr<const AstContext>(std::shared_ptr<void>(), &Ctx),
+      BaseOpts, Opts);
   Scheduler.drain();
   return Scheduler.takeResult(Prog);
 }

@@ -25,14 +25,12 @@
 //
 //  * A pooled job's artifact must outlive every machine that touches
 //    it — including runs of a *finished* program that are still
-//    observing their cancellation. Completed jobs therefore move their
-//    artifact reference into a graveyard instead of dropping it;
-//    drain() releases the graveyard only after the scheduler confirmed
-//    full idleness (SearchScheduler::reclaimFinished), at which point
-//    no worker can hold a machine over any of those ASTs. The
-//    translation cache holds its own reference, so a graveyard release
-//    does not forfeit reuse — and a cache *eviction* can never free an
-//    AST a machine still reads (shared_ptr).
+//    observing their cancellation. The scheduler pins it: submit()
+//    hands it the artifact's AST as a shared_ptr aliasing the
+//    artifact, and the worker that ends the finished program's last
+//    run drops that pin. The translation cache holds its own
+//    reference, so the release does not forfeit reuse — and a cache
+//    *eviction* can never free an AST a machine still reads.
 //
 //  * The completion callback runs on a worker with no scheduler locks
 //    held and takes the engine mutex only to look up the job, so sinks
@@ -79,11 +77,6 @@ struct cundef::detail::JobState {
   std::chrono::steady_clock::time_point SubmitTime;
   std::chrono::steady_clock::time_point SearchStart;
   EngineSink *Sink = nullptr;
-
-  /// The immutable artifact pinned while the search runs (pooled jobs
-  /// only). Shared with the translation cache and any concurrent job
-  /// of the same content.
-  CompiledProgramRef Artifact;
 
   /// This job owns a result-cache claim: finishJob publishes its
   /// outcome under RKey (and thereby fires any joined submissions).
@@ -176,13 +169,10 @@ struct AnalysisEngine::Impl {
   /// seen yet).
   std::atomic<uint64_t> LastContextHash{0};
 
-  /// Guards Pending, Graveyard and ShutDown.
+  /// Guards Pending and ShutDown.
   std::mutex Mu;
   /// Pooled jobs by scheduler program id.
   std::unordered_map<size_t, std::shared_ptr<JobState>> Pending;
-  /// Artifact references of completed pooled jobs, released on drain()
-  /// once the pool is provably idle (see the file header).
-  std::vector<CompiledProgramRef> Graveyard;
   bool ShutDown = false;
 
   std::atomic<size_t> NextJobId{1};
@@ -384,7 +374,6 @@ struct AnalysisEngine::Impl {
 
     {
       std::lock_guard<std::mutex> Lock(Mu);
-      St.Artifact = Art;
       {
         std::lock_guard<std::mutex> StLock(St.Mu);
         St.Outcome = std::move(O); // compile half; completed on finish
@@ -393,8 +382,9 @@ struct AnalysisEngine::Impl {
       // Holding Mu across the scheduler submit closes the race where a
       // one-worker pool finishes the program before it lands in
       // Pending: the completion callback takes Mu before its lookup.
-      size_t Prog = Sched.submit(Art->ast(), Req.machine(), SO,
-                                 /*RootGated=*/true);
+      // The scheduler pins the artifact until the program's last run.
+      size_t Prog = Sched.submit(pinnedAst(std::move(Art)), Req.machine(),
+                                 SO, /*RootGated=*/true);
       Pending.emplace(Prog, StPtr);
     }
   }
@@ -421,14 +411,6 @@ struct AnalysisEngine::Impl {
     }
     mapSearchResult(O, std::move(SR));
     O.SearchMicros = SearchMicros;
-
-    // Keep the artifact alive until the pool is provably idle: a
-    // cancelling sibling run may still be stepping over its AST.
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      Graveyard.push_back(std::move(St->Artifact));
-    }
-
     finishJob(*St, std::move(O), Wall);
   }
 
@@ -566,25 +548,10 @@ void AnalysisEngine::drain() {
       return S.Outstanding.load(std::memory_order_acquire) == 0;
     });
   }
-  // With nothing outstanding every scheduler program is finished;
-  // reclaim confirms full idleness (no cancelling stragglers), after
-  // which the graveyard artifacts are provably unreferenced by any
-  // machine. Only entries that existed BEFORE the reclaim are
-  // released: a job submitted and finished concurrently with this
-  // drain may append an artifact whose stragglers are still
-  // cancelling, and that entry must survive until a later quiescent
-  // point. (The translation cache keeps its own reference, so a
-  // released artifact stays warm for the next submission.)
-  size_t Cut;
-  {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    Cut = S.Graveyard.size();
-  }
-  if (S.Sched.reclaimFinished()) {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    S.Graveyard.erase(S.Graveyard.begin(),
-                      S.Graveyard.begin() + std::min(Cut, S.Graveyard.size()));
-  }
+  // With nothing outstanding every scheduler program is finished, and
+  // reclaim frees their search states once the pool is fully idle. Their
+  // artifacts were already released by each program's last run.
+  S.Sched.reclaimFinished();
 }
 
 void AnalysisEngine::shutdown() {
@@ -599,9 +566,6 @@ void AnalysisEngine::shutdown() {
   // no compile job is left, so the pool can be joined.
   drain();
   S.Sched.stop();
-  // The pool is joined: no machine references any artifact anymore.
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  S.Graveyard.clear();
 }
 
 bool AnalysisEngine::isShutdown() const {
@@ -625,9 +589,9 @@ EngineMemoryStats AnalysisEngine::memoryStats() const {
   {
     std::lock_guard<std::mutex> Lock(S.Mu);
     M.PendingJobs = S.Pending.size();
-    M.GraveyardArtifacts = S.Graveyard.size();
   }
   SchedulerMemoryStats Sm = S.Sched.memoryStats();
+  M.GraveyardArtifacts = Sm.PinnedFinished;
   M.ProgramSlots = Sm.ProgramSlots;
   M.RetainedPrograms = Sm.RetainedPrograms;
   M.PendingSnapshots = Sm.PendingSnapshots;

@@ -202,8 +202,10 @@ EngineConfig engineConfigFor(const AnalysisRequest &Req);
 /// coverage batch.
 struct EngineMemoryStats {
   size_t PendingJobs = 0;        ///< submitted, outcome not yet final
-  size_t GraveyardArtifacts = 0; ///< finished jobs' artifact refs awaiting
-                                 ///< the post-drain reclaim
+  /// Finished programs whose artifact is still pinned by a run in
+  /// flight (a cancelling run of a finished program): at most the
+  /// worker count, 0 on an idle pool.
+  size_t GraveyardArtifacts = 0;
   size_t ProgramSlots = 0;       ///< live slots of the scheduler's
                                  ///< program index
   size_t RetainedPrograms = 0;   ///< un-reclaimed per-program search state

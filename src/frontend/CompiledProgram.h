@@ -21,11 +21,12 @@
 /// which deduplicates identical translation units by content address
 /// (TranslationKey).
 ///
-/// Lifetime: whoever holds the shared_ptr keeps the arena alive. The
-/// cache holds one reference; every in-flight job holds its own; the
-/// engine's graveyard holds one until the worker pool is provably idle
-/// (driver/Engine.cpp's lifetime model). Eviction from the cache can
-/// therefore never free an AST a machine is still stepping over.
+/// Lifetime: whoever holds the shared_ptr keeps the slabs alive. The
+/// cache holds one reference; a search scheduler pins one (pinnedAst)
+/// from submit() until the program finished and its last run in flight
+/// ended, and drops it on that run's worker (driver/Engine.cpp's
+/// lifetime model). Eviction from the cache can therefore never free
+/// an AST a machine is still stepping over.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -117,6 +118,13 @@ private:
 
 /// How artifacts travel: shared, immutable, reference-counted.
 using CompiledProgramRef = std::shared_ptr<const CompiledProgram>;
+
+/// \p P's AST, holding the whole artifact alive: what a search
+/// scheduler pins while runs read it.
+inline std::shared_ptr<const AstContext> pinnedAst(CompiledProgramRef P) {
+  const AstContext &Ast = P->ast();
+  return std::shared_ptr<const AstContext>(std::move(P), &Ast);
+}
 
 } // namespace cundef
 

@@ -127,7 +127,8 @@ public:
     DiagnosticEngine Diags;
     Preprocessor PP(*Result->Interner, Diags, Headers,
                     Base ? &Base->Text : nullptr);
-    std::vector<Token> Toks = PP.run(Source, Name, Base ? &Prefix : nullptr);
+    TokenBuffer Buffer;
+    PP.run(Source, Name, Base ? &Prefix : nullptr, Buffer.Toks);
     if (Diags.hasErrors()) {
       Result->Errors = Diags.render();
       finish(*Result, Start);
@@ -135,9 +136,10 @@ public:
     }
     Result->Ast = std::make_unique<AstContext>(
         Opts.Target, *Result->Interner, Base ? Base->Ast.get() : nullptr);
-    Parser P(std::move(Toks), *Result->Ast, Diags,
+    Parser P(std::move(Buffer.Toks), *Result->Ast, Diags,
              Base ? &Base->FileScope : nullptr);
     bool ParseOk = P.parseTranslationUnit();
+    Buffer.Toks = P.takeTokens();
     // Builtin ids come before the syntactic checker: its va_start/
     // va_arg checks recognize __cundef_va_arg by builtin id. They are
     // assigned also when parsing failed, as a prelude's already are.

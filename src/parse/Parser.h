@@ -49,6 +49,9 @@ public:
   /// The file scope after parsing, for a prelude.
   ParserState takeState();
 
+  /// The token vector, whose storage a caller may reuse, after parsing.
+  std::vector<Token> takeTokens() { return std::move(Toks); }
+
 private:
   //===--- Token stream -------------------------------------------------===//
   const Token &peek(int Ahead = 0) const;

@@ -369,9 +369,10 @@ struct ServeDaemon::Impl final : EngineSink {
   /// per-program state when the pool is provably idle, which a
   /// saturated daemon never observes from the outside. The loop calls
   /// this at every momentary idle point (in-flight hit zero), where
-  /// drain() completes immediately and sweeps arenas, visited sets,
-  /// stranded snapshots, and the artifact graveyard — so a long-lived
-  /// daemon's footprint tracks its current load, not its history.
+  /// drain() completes immediately and sweeps arenas, visited sets and
+  /// stranded snapshots (artifacts go with their program's last run) —
+  /// so a long-lived daemon's footprint tracks its current load, not
+  /// its history.
   void maybeReclaim(bool AnyFinished) {
     if (!AnyFinished || !Routes.empty())
       return;

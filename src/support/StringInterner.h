@@ -19,9 +19,11 @@
 #ifndef CUNDEF_SUPPORT_STRINGINTERNER_H
 #define CUNDEF_SUPPORT_STRINGINTERNER_H
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace cundef {
@@ -39,28 +41,33 @@ public:
   explicit StringInterner(const StringInterner *Base = nullptr)
       : Base(Base), First(Base ? static_cast<Symbol>(Base->size()) : 0) {
     if (!Base)
-      Strings.push_back(""); // Reserve slot 0 for NoSymbol.
+      Strings.emplace_back(); // Reserve slot 0 for NoSymbol.
   }
 
   /// Returns the symbol for \p Text, interning it on first sight.
-  Symbol intern(const std::string &Text) {
+  Symbol intern(std::string_view Text) {
     if (Base)
       if (Symbol Sym = Base->lookup(Text))
         return Sym;
-    auto [It, Inserted] = Index.try_emplace(
-        Text, First + static_cast<Symbol>(Strings.size()));
-    if (Inserted)
-      Strings.push_back(Text);
-    return It->second;
+    if (2 * (Strings.size() + 1) > Table.size())
+      grow();
+    size_t Slot = slotOf(Text);
+    if (!Table[Slot]) {
+      Table[Slot] = static_cast<Symbol>(Strings.size()) + 1;
+      Strings.emplace_back(Text);
+    }
+    return First + Table[Slot] - 1;
   }
 
   /// Returns the symbol for \p Text if already interned, NoSymbol else.
-  Symbol lookup(const std::string &Text) const {
+  Symbol lookup(std::string_view Text) const {
     if (Base)
       if (Symbol Sym = Base->lookup(Text))
         return Sym;
-    auto It = Index.find(Text);
-    return It == Index.end() ? NoSymbol : It->second;
+    if (Table.empty())
+      return NoSymbol;
+    Symbol Entry = Table[slotOf(Text)];
+    return Entry ? First + Entry - 1 : NoSymbol;
   }
 
   /// Returns the spelling of \p Sym.
@@ -71,11 +78,34 @@ public:
   size_t size() const { return First + Strings.size(); }
 
 private:
+  /// The slot holding \p Text, or the empty slot where it would go.
+  size_t slotOf(std::string_view Text) const {
+    const size_t Mask = Table.size() - 1;
+    size_t Slot = std::hash<std::string_view>()(Text) & Mask;
+    while (Table[Slot] && Strings[Table[Slot] - 1] != Text)
+      Slot = (Slot + 1) & Mask;
+    return Slot;
+  }
+
+  /// Doubles the table (at least 32 slots) and reinserts every entry.
+  void grow() {
+    std::vector<Symbol> Old(std::max<size_t>(32, 2 * Table.size()), 0);
+    Old.swap(Table);
+    for (Symbol Entry : Old)
+      if (Entry)
+        Table[slotOf(Strings[Entry - 1])] = Entry;
+  }
+
   const StringInterner *Base;
   /// The first symbol this table numbers (the base's size).
   Symbol First;
-  std::vector<std::string> Strings;
-  std::unordered_map<std::string, Symbol> Index;
+  /// Each spelling once; a deque never moves its elements, so the
+  /// table's comparisons and str()'s references stay valid.
+  std::deque<std::string> Strings;
+  /// Open addressing, at most half full: an entry is an index into
+  /// Strings plus one, 0 an empty slot. The root table's reserved
+  /// empty spelling is not entered.
+  std::vector<Symbol> Table;
 };
 
 } // namespace cundef

@@ -214,7 +214,7 @@ Token Lexer::lexIdentifier(SourceLoc Loc) {
     ++Pos;
   Col += static_cast<uint32_t>(Pos - Start); // no newline inside a name
   Token Tok = makeToken(TokenKind::Identifier, Loc);
-  Tok.Sym = Interner.intern(Buf.substr(Start, Pos - Start));
+  Tok.Sym = Interner.intern(std::string_view(Buf).substr(Start, Pos - Start));
   return Tok;
 }
 

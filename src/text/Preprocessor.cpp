@@ -28,6 +28,14 @@ namespace {
 constexpr size_t BytesPerTokenEstimate = 3;
 constexpr size_t OutHeadroom = 512;
 
+/// The calling thread's spare token vectors: a compile holds two at
+/// once (its raw tokens and its output).
+constexpr size_t MaxSpareBuffers = 2;
+std::vector<std::vector<Token>> &spareTokenBuffers() {
+  thread_local std::vector<std::vector<Token>> Spares;
+  return Spares;
+}
+
 /// Precedence-climbing evaluator for #if controlling expressions.
 /// Operates over already-expanded tokens; unknown identifiers are 0.
 class CondParser {
@@ -402,16 +410,39 @@ std::vector<Token> Preprocessor::copyHeader(const LexedHeader &Header,
   return Toks;
 }
 
+TokenBuffer::TokenBuffer() {
+  std::vector<std::vector<Token>> &Spares = spareTokenBuffers();
+  if (!Spares.empty()) {
+    Toks = std::move(Spares.back());
+    Spares.pop_back();
+  }
+}
+
+TokenBuffer::~TokenBuffer() {
+  std::vector<std::vector<Token>> &Spares = spareTokenBuffers();
+  if (Spares.size() < MaxSpareBuffers && Toks.capacity() <= RetainedTokens) {
+    Toks.clear();
+    Spares.push_back(std::move(Toks));
+  }
+}
+
 std::vector<Token> Preprocessor::run(const std::string &Source,
                                      const std::string &FileName,
                                      const IncludePrefix *Skip) {
-  std::vector<Token> Raw;
-  lexMainFile(Source, FileName, Skip, Raw);
-  CurrentFileName = FileName;
   std::vector<Token> Out;
-  Out.reserve(Raw.size() + (Base ? 0 : OutHeadroom));
+  run(Source, FileName, Skip, Out);
+  return Out;
+}
+
+void Preprocessor::run(const std::string &Source, const std::string &FileName,
+                       const IncludePrefix *Skip, std::vector<Token> &Out) {
+  TokenBuffer Raw;
+  lexMainFile(Source, FileName, Skip, Raw.Toks);
+  CurrentFileName = FileName;
+  Out.clear();
+  Out.reserve(Raw.Toks.size() + (Base ? 0 : OutHeadroom));
   try {
-    processTokens(Raw, Out, /*IncludeDepth=*/0);
+    processTokens(Raw.Toks, Out, /*IncludeDepth=*/0);
   } catch (const ExpansionLimitExceeded &) {
     // Reported where it was hit; the unit is abandoned.
   }
@@ -420,7 +451,6 @@ std::vector<Token> Preprocessor::run(const std::string &Source,
   Eof.Kind = TokenKind::Eof;
   Eof.Loc = Out.empty() ? SourceLoc(1, 1, 1) : Out.back().Loc;
   Out.push_back(Eof);
-  return Out;
 }
 
 size_t Preprocessor::lineEnd(const std::vector<Token> &Toks,

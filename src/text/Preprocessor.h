@@ -163,6 +163,24 @@ struct PreprocessorState {
   uint32_t NextFileId = 2;
 };
 
+/// A token vector taken from the calling thread's spares and given
+/// back, emptied, when it goes out of scope. A unit's raw tokens and
+/// its output are the largest blocks a compile allocates; reusing them
+/// across the compiles a thread runs keeps them off the allocator. A
+/// vector an outlier grew past RetainedTokens (512 KiB, a source of
+/// about 24 KB) is freed instead, so a thread keeps at most 1 MiB.
+class TokenBuffer {
+public:
+  static constexpr size_t RetainedTokens = size_t(1) << 13;
+
+  TokenBuffer();
+  ~TokenBuffer();
+  TokenBuffer(const TokenBuffer &) = delete;
+  TokenBuffer &operator=(const TokenBuffer &) = delete;
+
+  std::vector<Token> Toks;
+};
+
 class Preprocessor {
 public:
   /// \p Base, when given, is the state to continue from; it must
@@ -179,6 +197,9 @@ public:
   std::vector<Token> run(const std::string &Source,
                          const std::string &FileName,
                          const IncludePrefix *Skip = nullptr);
+  /// run() into \p Out, replacing its contents and reusing its storage.
+  void run(const std::string &Source, const std::string &FileName,
+           const IncludePrefix *Skip, std::vector<Token> &Out);
 
   /// The state after run(), for a prelude. Leaves the preprocessor
   /// empty.

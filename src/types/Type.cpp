@@ -73,8 +73,7 @@ TypeContext::TypeContext(const TargetConfig &Config, const TypeContext *Base)
 }
 
 const Type *TypeContext::makeBuiltin(TypeKind Kind) {
-  OwnedTypes.push_back(std::make_unique<Type>(Kind));
-  return OwnedTypes.back().get();
+  return Slabs.create<Type>(Kind);
 }
 
 const Type *TypeContext::getPointer(QualType Pointee) {
@@ -85,8 +84,7 @@ const Type *TypeContext::getPointer(QualType Pointee) {
   auto It = PointerTypes.find(Key);
   if (It != PointerTypes.end())
     return It->second;
-  OwnedTypes.push_back(std::make_unique<Type>(TypeKind::Pointer));
-  Type *Ty = OwnedTypes.back().get();
+  Type *Ty = Slabs.create<Type>(TypeKind::Pointer);
   Ty->Pointee = Pointee;
   PointerTypes[Key] = Ty;
   return Ty;
@@ -101,8 +99,7 @@ const Type *TypeContext::getArray(QualType Element, uint64_t Size,
   auto It = ArrayTypes.find(Key);
   if (It != ArrayTypes.end())
     return It->second;
-  OwnedTypes.push_back(std::make_unique<Type>(TypeKind::Array));
-  Type *Ty = OwnedTypes.back().get();
+  Type *Ty = Slabs.create<Type>(TypeKind::Array);
   Ty->Pointee = Element;
   Ty->ArraySize = Size;
   Ty->ArraySizeKnown = SizeKnown;
@@ -115,8 +112,7 @@ const Type *TypeContext::getFunction(QualType Return,
                                      bool Variadic, bool NoProto) {
   // Function types are not uniqued (compared structurally when needed);
   // the number of distinct signatures per program is small.
-  OwnedTypes.push_back(std::make_unique<Type>(TypeKind::Function));
-  Type *Ty = OwnedTypes.back().get();
+  Type *Ty = Slabs.create<Type>(TypeKind::Function);
   Ty->ReturnType = Return;
   Ty->ParamTypes = std::move(Params);
   Ty->Variadic = Variadic;
@@ -125,21 +121,18 @@ const Type *TypeContext::getFunction(QualType Return,
 }
 
 Type *TypeContext::createRecord(bool IsUnion, Symbol Tag) {
-  OwnedTypes.push_back(std::make_unique<Type>(
-      IsUnion ? TypeKind::Union : TypeKind::Struct));
-  Type *Ty = OwnedTypes.back().get();
-  OwnedRecords.push_back(std::make_unique<RecordInfo>());
-  Ty->Record = OwnedRecords.back().get();
+  Type *Ty = Slabs.create<Type>(IsUnion ? TypeKind::Union : TypeKind::Struct);
+  Ty->Record = Slabs.create<RecordInfo>();
+  HasTagTypes = true;
   Ty->Record->IsUnion = IsUnion;
   Ty->Record->Tag = Tag;
   return Ty;
 }
 
 Type *TypeContext::createEnum(Symbol Tag) {
-  OwnedTypes.push_back(std::make_unique<Type>(TypeKind::Enum));
-  Type *Ty = OwnedTypes.back().get();
-  OwnedEnums.push_back(std::make_unique<EnumInfo>());
-  Ty->Enum = OwnedEnums.back().get();
+  Type *Ty = Slabs.create<Type>(TypeKind::Enum);
+  Ty->Enum = Slabs.create<EnumInfo>();
+  HasTagTypes = true;
   Ty->Enum->Tag = Tag;
   return Ty;
 }
@@ -247,7 +240,7 @@ int64_t TypeContext::minValueOf(const Type *Ty) const {
   if (Ty->isUnsignedInteger(Config))
     return 0;
   unsigned Bits = bitWidthOf(Ty);
-  return -static_cast<int64_t>(1ull << (Bits - 1));
+  return Bits >= 64 ? INT64_MIN : -static_cast<int64_t>(1ull << (Bits - 1));
 }
 
 QualType TypeContext::promote(QualType Ty) const {

@@ -16,13 +16,13 @@
 #ifndef CUNDEF_TYPES_TYPE_H
 #define CUNDEF_TYPES_TYPE_H
 
+#include "support/SlabArena.h"
 #include "support/StringInterner.h"
 #include "types/TargetConfig.h"
 
 #include <cassert>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -197,7 +197,8 @@ public:
   unsigned integerRank() const;
 };
 
-/// Owns and uniques all types for one translation unit.
+/// Owns and uniques all types for one translation unit. Its types live
+/// in its slab arena, which the unit's AST nodes share (ast/Ast.h).
 ///
 /// A context may continue a frozen base (a compile continuing from a
 /// header prelude, frontend/Prelude.h): it shares the base's builtin
@@ -262,9 +263,11 @@ public:
   /// Computes layout (field offsets, size, align) and marks complete.
   void completeRecord(Type *RecordTy, std::vector<FieldInfo> Fields);
   /// Whether any struct, union or enum type was created here.
-  bool hasTagTypes() const {
-    return !OwnedRecords.empty() || !OwnedEnums.empty();
-  }
+  bool hasTagTypes() const { return HasTagTypes; }
+
+  /// The unit's slab arena: its types, and the AST nodes of the
+  /// AstContext around it.
+  SlabArena &slabs() { return Slabs; }
 
   /// Size in bytes of a complete object type.
   uint64_t sizeOf(QualType Ty) const;
@@ -293,11 +296,11 @@ public:
 private:
   const Type *makeBuiltin(TypeKind Kind);
 
+  /// Declared first: the uniquing tables below point into it.
+  SlabArena Slabs;
   TargetConfig Config;
   const TypeContext *Base;
-  std::vector<std::unique_ptr<Type>> OwnedTypes;
-  std::vector<std::unique_ptr<RecordInfo>> OwnedRecords;
-  std::vector<std::unique_ptr<EnumInfo>> OwnedEnums;
+  bool HasTagTypes = false;
   const Type *Builtins[(int)TypeKind::Double + 1] = {};
   const Type *CharPtr = nullptr, *VoidPtr = nullptr, *ConstVoidPtr = nullptr;
   std::map<std::pair<const Type *, uint8_t>, const Type *> PointerTypes;

@@ -236,8 +236,8 @@ TEST(CatalogCoverage, JsonDocumentCarriesTheCounts) {
 TEST(CatalogCoverage, EngineReclaimsAfterLargeBatch) {
   // A long-lived service must hold memory proportional to its largest
   // batch, not its history: after drain() on the idle engine, every
-  // per-job resource — pending handles, graveyard artifact refs,
-  // per-program search arenas, snapshot-cache entries — is released.
+  // per-job resource — pending handles, pinned artifacts, per-program
+  // search arenas, snapshot-cache entries — is released.
   // The batch is every expressible coverage case plus both halves of
   // the desktop suite: comfortably past 200 programs, the scale the
   // coverage harness actually runs.
@@ -266,12 +266,14 @@ TEST(CatalogCoverage, EngineReclaimsAfterLargeBatch) {
   EXPECT_GT(Flagged, 100u) << "the batch should be mostly triggering "
                               "programs";
 
-  // All outcomes are final, but the finished jobs' state is only
-  // released by drain(); the graveyard must actually have something to
-  // reclaim or this test gates nothing.
+  // All outcomes are final. Artifacts were released during the batch,
+  // each by its program's last run: only the cancelling runs still in
+  // flight, at most one per worker, can pin one now. The search states
+  // are only released by drain(); there must be something to reclaim
+  // or this test gates nothing.
   EngineMemoryStats Before = Eng.memoryStats();
   EXPECT_EQ(Before.PendingJobs, 0u);
-  EXPECT_GT(Before.GraveyardArtifacts, 100u);
+  EXPECT_LE(Before.GraveyardArtifacts, Eng.workers());
   EXPECT_GT(Before.RetainedPrograms, 100u);
 
   Eng.drain();

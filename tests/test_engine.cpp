@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <thread>
 
 using namespace cundef;
 
@@ -637,4 +638,36 @@ TEST(Engine, CommitLagCountsOnlyUnfinalizedRuns) {
   const SchedulerStats St = Eng.poolStats();
   EXPECT_GT(St.CommitLagPeak, 0u);
   EXPECT_LE(St.CommitLagPeak, MaxRuns);
+}
+
+TEST(Engine, FinishedJobsReleaseTheirArtifactsWithoutDrain) {
+  // With both caches off, a job's artifact has one owner once it is
+  // searched: the scheduler's pin, which the program's last run in
+  // flight drops. Every finished program therefore lets go of its
+  // artifact on its own; only cancelling runs, at most one per worker,
+  // can hold one past the job's outcome, and never for long. Hidden-UB
+  // sums end with a winner that overtakes speculative runs.
+  const AnalysisRequest Req =
+      AnalysisRequest::Builder().searchRuns(64).buildOrDie();
+  EngineConfig Cfg = forcedWorkers(4);
+  Cfg.TranslationCacheEntries = 0;
+  Cfg.ResultCacheEntries = 0;
+  AnalysisEngine Eng(Cfg);
+  std::vector<JobHandle> Handles;
+  for (unsigned I = 0; I < 24; ++I)
+    Handles.push_back(Eng.submit(
+        Req, cundef_bench::symmetricSums(4 + I % 6, /*HiddenUb=*/I % 2),
+        "pin" + std::to_string(I) + ".c"));
+  for (JobHandle &H : Handles) {
+    H.wait();
+    EXPECT_LE(Eng.memoryStats().GraveyardArtifacts, Eng.workers());
+  }
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (Eng.memoryStats().GraveyardArtifacts != 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::yield();
+  EngineMemoryStats M = Eng.memoryStats();
+  EXPECT_EQ(M.GraveyardArtifacts, 0u);
+  // No drain() ran: the search states are all still retained.
+  EXPECT_EQ(M.RetainedPrograms, Handles.size());
 }

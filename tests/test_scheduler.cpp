@@ -18,6 +18,8 @@
 #include "core/Scheduler.h"
 #include "driver/Driver.h"
 #include "driver/ToolRunner.h"
+#include "frontend/Frontend.h"
+#include "libc/Headers.h"
 #include "suites/JulietGen.h"
 #include "suites/SuiteRunner.h"
 
@@ -92,7 +94,7 @@ SearchResult searchStealForced(const Driver::Compiled &C, SearchOptions SO,
   Cfg.SnapshotBudget = SO.SnapshotBudget;
   SearchScheduler Scheduler(Cfg);
   MachineOptions Opts;
-  size_t Id = Scheduler.submit(C->ast(), Opts, SO);
+  size_t Id = Scheduler.submit(pinnedAst(C), Opts, SO);
   Scheduler.drain();
   return Scheduler.takeResult(Id);
 }
@@ -338,7 +340,7 @@ TEST(Scheduler, LeafGenerationCapturesNoSnapshots) {
     Cfg.ClampJobsToHardware = false;
     Cfg.SnapshotBudget = SO.SnapshotBudget;
     SearchScheduler Sched(Cfg);
-    size_t Id = Sched.submit(C->ast(), MachineOptions(), SO);
+    size_t Id = Sched.submit(pinnedAst(C), MachineOptions(), SO);
     Sched.drain();
     const SearchResult RS = Sched.takeResult(Id);
     EXPECT_EQ(RS.RunsExplored, 1 + Gen1) << "workers " << Workers;
@@ -454,7 +456,7 @@ TEST(Scheduler, OneLifecycleAcrossDrainRounds) {
     for (int Round = 0; Round < 2; ++Round) {
       std::vector<size_t> Ids;
       for (const Driver::Compiled &C : Units)
-        Ids.push_back(Sched.submit(C->ast(), MachineOptions(), SO));
+        Ids.push_back(Sched.submit(pinnedAst(C), MachineOptions(), SO));
       Sched.drain();
       for (size_t P = 0; P < Units.size(); ++P) {
         const char *Source = Corpus[P];
@@ -807,5 +809,38 @@ TEST(Scheduler, BatchedSuiteScoresMatchPerTest) {
     EXPECT_EQ(PerTest.FlaggedBad, Batched[2 * I].flagged()) << Tests[I].Name;
     EXPECT_EQ(PerTest.FlaggedGood, Batched[2 * I + 1].flagged())
         << Tests[I].Name;
+  }
+}
+
+TEST(Scheduler, FinishedProgramDropsItsAstPin) {
+  // The scheduler is a submitted program's only owner of its AST: the
+  // worker that ends a finished program's last run frees the artifact,
+  // with no reclaimFinished() and while the pool stays up. Hidden-UB
+  // sums finish on a winner while speculative runs still cancel.
+  HeaderRegistry Headers;
+  registerStandardHeaders(Headers);
+  for (unsigned Workers : {1u, 4u}) {
+    // Compiled outside any translation cache, which would hold it too.
+    CompiledProgramRef C = compileTranslationUnit(
+        FrontendOptions(), cundef_bench::symmetricSums(8, /*HiddenUb=*/true),
+        "pin.c", Headers);
+    ASSERT_TRUE(C->ok()) << C->errors();
+    std::weak_ptr<const CompiledProgram> Watch = C;
+    SearchScheduler::Config Cfg;
+    Cfg.Jobs = Workers;
+    Cfg.ClampJobsToHardware = false;
+    SearchScheduler Sched(Cfg);
+    SearchOptions SO;
+    SO.MaxRuns = 256;
+    size_t Id = Sched.submit(pinnedAst(std::move(C)), MachineOptions(), SO);
+    Sched.drain();
+    EXPECT_TRUE(Sched.takeResult(Id).UbFound) << "workers " << Workers;
+    auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!Watch.expired() && std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::yield();
+    EXPECT_TRUE(Watch.expired()) << "workers " << Workers;
+    EXPECT_EQ(Sched.memoryStats().PinnedFinished, 0u);
+    EXPECT_EQ(Sched.memoryStats().RetainedPrograms, 1u);
   }
 }

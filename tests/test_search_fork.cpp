@@ -38,10 +38,15 @@ std::atomic<uint64_t> Allocations{0};
 
 } // namespace
 
-void *operator new(std::size_t Size) {
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
   if (CountAllocations.load(std::memory_order_relaxed))
     Allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
+  return std::malloc(Size ? Size : 1);
+}
+// The flow layer's stable_sort takes its buffer through the nothrow form,
+// and a sanitizer's own operator new must never meet this delete.
+void *operator new(std::size_t Size) {
+  if (void *P = operator new(Size, std::nothrow))
     return P;
   throw std::bad_alloc();
 }
@@ -599,7 +604,7 @@ TEST(ForkSearch, AllocationsPerRunStayBounded) {
   Cfg.SnapshotBudget = SO.SnapshotBudget;
   SearchScheduler Sched(Cfg);
   auto Search = [&] {
-    size_t Id = Sched.submit(C->ast(), MachineOptions(), SO);
+    size_t Id = Sched.submit(pinnedAst(C), MachineOptions(), SO);
     Sched.drain();
     return Sched.takeResult(Id);
   };

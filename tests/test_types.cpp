@@ -87,6 +87,19 @@ TEST_F(TypesTest, LimitsOfTypes) {
   EXPECT_EQ(Types.maxValueOf(Types.boolTy()), 1u);
 }
 
+TEST_F(TypesTest, LimitsOfSixtyFourBitTypes) {
+  // The signed minimum of a 64-bit type is INT64_MIN itself; negating
+  // 2^63 to get it would overflow (a UBSan tree aborts there).
+  EXPECT_EQ(Types.minValueOf(Types.longTy()), INT64_MIN);
+  EXPECT_EQ(Types.minValueOf(Types.longLongTy()), INT64_MIN);
+  EXPECT_EQ(Types.maxValueOf(Types.longTy()), uint64_t(INT64_MAX));
+  EXPECT_EQ(Types.maxValueOf(Types.longLongTy()), uint64_t(INT64_MAX));
+  EXPECT_EQ(Types.maxValueOf(Types.ulongLongTy()), UINT64_MAX);
+  TypeContext TW{TargetConfig::wideInt()};
+  EXPECT_EQ(TW.minValueOf(TW.intTy()), INT64_MIN);
+  EXPECT_EQ(TW.maxValueOf(TW.intTy()), uint64_t(INT64_MAX));
+}
+
 TEST_F(TypesTest, CharSignednessIsConfigurable) {
   EXPECT_TRUE(Types.charTy()->isSignedInteger(Types.config()));
   TargetConfig Unsigned = TargetConfig::lp64();
